@@ -458,9 +458,6 @@ def build_parser():
                      "Cheeger constants, subgroup counting"))
     ap.add_argument("--budget", type=int, default=None,
                     help="override enumeration budgets (also: KLL_BUDGET)")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; results are "
-                         "deterministic and independent of this value")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="number field arithmetic")

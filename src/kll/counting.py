@@ -12,6 +12,7 @@ routes are complete; the method used is recorded on the result.
 
 import os
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 import random
@@ -43,9 +44,12 @@ class GroupTable:
         self.elements = list(elements)
         self.n = len(self.elements)
         index = {e: i for i, e in enumerate(self.elements)}
-        buf = array("i")
-        for a in self.elements:
-            buf.extend(index[multiply(a, b)] for b in self.elements)
+        n = self.n
+        # one allocation: growing the table fragments the heap by several MiB
+        buf = array("i", [0]) * (n * n)
+        for r, a in enumerate(self.elements):
+            buf[r * n:(r + 1) * n] = array(
+                "i", [index[multiply(a, b)] for b in self.elements])
         self.table = buf
         self.index = index
         self.identity = next(
@@ -530,26 +534,72 @@ def _b_fit(count, n):
     return lc * lln / (ln * ln)
 
 
+def _log2_power_exceeds(m, l):
+    """(log2 m)^l > m, decided exactly: by integers when m is a power of
+    two, otherwise by a 64-bit enclosure of log2 m (equality needs
+    log2 m = m^(1/l) algebraic, so by Gelfond-Schneider m is a power
+    of two)."""
+    if m & (m - 1) == 0:
+        return (m.bit_length() - 1) ** l > m
+    enc = Enclosure.log2(m)
+    if enc.lo ** l > m:
+        return True
+    if enc.hi ** l <= m:
+        return False
+    raise ArithmeticError(f"(log2 {m})^{l} against {m} undecided at 64 bits")
+
+
+def _violation_interval(l, limit):
+    """(lo, hi) such that, for 4 <= m <= limit, l > log2 m / log2 log2 m
+    exactly when lo <= m <= hi (lo > hi when no m qualifies).
+
+    The condition is (log2 m)^l > m.  Since l log2 L - L is concave in
+    L = log2 m, the m satisfying it form one interval; for l >= 2 it
+    contains m0 = 2^(l+1), because (l+1)^l > 2^(l+1), and for l = 1 it
+    is empty.  Both ends are found by binary search from m0.
+    """
+    if l < 2:
+        return 1, 0
+    m0 = 2 ** (l + 1)
+    lo = 4 + bisect_left(range(4, m0), True,
+                         key=lambda m: _log2_power_exceeds(m, l))
+    hi = m0 + bisect_left(range(m0 + 1, limit + 1), True,
+                          key=lambda m: not _log2_power_exceeds(m, l))
+    return lo, hi
+
+
+def _log2_log2(m):
+    """Enclosures of log2 m and log2 log2 m."""
+    ln = Enclosure.log2(m)
+    return ln, Enclosure(Enclosure.log2(ln.lo).lo, Enclosure.log2(ln.hi).hi)
+
+
 def distinct_prime_factor_sweep(limit):
     """Survey l(m) = number of distinct primes of m against
     log2(m)/log2(log2(m)) for 4 <= m <= limit.
 
-    This is a numeric survey (float scan, certified re-check of the
-    extremal m): returns (max ratio as Fraction, argmax m, violation
-    count), a violation being l(m) > log2(m)/log2(log2(m)).  The bound
-    as literally stated fails at primorials; the measured constant is
+    Returns (max ratio l(m) / (log2 m / log2 log2 m), argmax m,
+    violation count), a violation being l(m) > log2(m)/log2(log2(m)).
+    No float decides anything: violations are counted against the
+    certified interval of m for each l (`_violation_interval`), and
+    the argmax is certified among the candidates m = 4, 5, 6 and the
+    least m >= 7 with each l, because log2(L)/L decreases for
+    L = log2 m > e.  The returned ratio divides l by the midpoint of
+    an enclosure of log2 m / log2 log2 m, for display.  The bound as
+    literally stated fails at primorials; the measured constant is
     what matters downstream.
     """
-    from math import log2
+    if limit < 4:
+        raise ValueError("limit must be >= 4")
     spf = list(range(limit + 1))  # smallest prime factor sieve
     for p in range(2, int(limit ** 0.5) + 1):
         if spf[p] == p:
             for q in range(p * p, limit + 1, p):
                 if spf[q] == q:
                     spf[q] = p
-    best_ratio = 0.0
-    best_m = None
-    best_l = 0
+    intervals = {}
+    candidates = {}  # m -> l(m) for m < 7 and the least m >= 7 with each l
+    seen = set()
     violations = 0
     for m in range(4, limit + 1):
         x = m
@@ -559,15 +609,25 @@ def distinct_prime_factor_sweep(limit):
             l += 1
             while x % p == 0:
                 x //= p
-        bound = log2(m) / log2(log2(m))
-        ratio = l / bound
-        if ratio > best_ratio:
-            best_ratio, best_m, best_l = ratio, m, l
-        if l > bound + 1e-12:
+        if l not in intervals:
+            intervals[l] = _violation_interval(l, limit)
+        lo, hi = intervals[l]
+        if lo <= m <= hi:
             violations += 1
-    # certify the extremal ratio exactly
-    enc_ln = Enclosure.log2(best_m)
-    enc_lln = Enclosure(Enclosure.log2(enc_ln.lo).lo,
-                        Enclosure.log2(enc_ln.hi).hi)
-    exact_ratio = Fraction(best_l) / (enc_ln / enc_lln).midpoint()
+        if m < 7:
+            candidates[m] = l
+        elif l not in seen:
+            seen.add(l)
+            candidates[m] = l
+    best_m = best = None
+    for m, l in candidates.items():
+        ln, lln = _log2_log2(m)
+        ratio = lln / ln * l
+        if best is None or ratio.lo > best.hi:
+            best_m, best = m, ratio
+        elif ratio.hi >= best.lo:
+            raise ArithmeticError(
+                f"ratios at m = {m} and {best_m} undecided at 64 bits")
+    enc_ln, enc_lln = _log2_log2(best_m)
+    exact_ratio = Fraction(candidates[best_m]) / (enc_ln / enc_lln).midpoint()
     return exact_ratio, best_m, violations

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import Enclosure
+from .linalg import rank_modp
 
 
 class NotSurjective(ValueError):
@@ -219,25 +220,6 @@ def _renumber_without(gens, rels, dead):
 
     new_rels = [tuple(remap(x) for x in r) for r in rels]
     return new_gens, new_rels
-
-
-def rank_modp(rows, ncols, p):
-    """Gaussian elimination rank over F_p."""
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] % p), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(v - f * w) % p for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def d_p(pres, p):

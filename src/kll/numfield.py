@@ -10,7 +10,7 @@ criterion certifies that p does not divide the index [R_k : Z[theta]].
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import polys
+from . import linalg, polys
 
 
 class ReduciblePolynomial(ValueError):
@@ -140,6 +140,10 @@ class FieldElement:
     def is_zero(self):
         return all(a == 0 for a in self.coeffs)
 
+    def __bool__(self):
+        # false exactly at zero, as for Fraction, so linalg.rref can pivot on k
+        return not self.is_zero()
+
     def is_rational(self):
         return all(a == 0 for a in self.coeffs[1:])
 
@@ -159,16 +163,7 @@ class FieldElement:
 
     def char_poly(self):
         """Characteristic polynomial of multiplication by self, monic, constant first."""
-        m = self.multiplication_matrix()
-        d = self.field.degree
-        # interpolate det(xI - M) at d+1 integer points
-        pts = list(range(d + 1))
-        vals = []
-        for t in pts:
-            a = [[(Fraction(t) if i == j else Fraction(0)) - m[j][i] for j in range(d)]
-                 for i in range(d)]
-            vals.append(_det_fraction(a))
-        return _lagrange(pts, vals)
+        return [Fraction(c) for c in linalg.char_poly(self.multiplication_matrix())]
 
     def norm(self):
         cp = self.char_poly()
@@ -176,8 +171,8 @@ class FieldElement:
         return (-1) ** d * cp[0]
 
     def trace(self):
-        cp = self.char_poly()
-        return -cp[-2]
+        m = self.multiplication_matrix()
+        return sum(m[i][i] for i in range(self.field.degree))
 
     def is_integral(self):
         """Algebraic integer test: every char-poly coefficient lies in Z."""
@@ -185,43 +180,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({[str(c) for c in self.coeffs]})"
-
-
-def _det_fraction(rows):
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
-
-
-def _lagrange(xs, ys):
-    n = len(xs)
-    out = []
-    for i in range(n):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = polys.mul(num, [Fraction(-xs[j]), Fraction(1)])
-            den *= Fraction(xs[i] - xs[j])
-        term = polys.scale(num, Fraction(ys[i]) / den)
-        out = polys.add(out, term)
-    return [Fraction(c) for c in out] + [Fraction(0)] * (n - len(out))
 
 
 @dataclass(frozen=True)

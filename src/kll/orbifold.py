@@ -10,11 +10,11 @@ quotient presentations.
 """
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import gcd
 
 from .fpgroups import (Presentation, parse_word, free_reduce, d_p,
                        RelatorNotKilled)
+from .linalg import integer_kernel, mat_mul, rank
 
 
 class EmptyLocus(ValueError):
@@ -314,7 +314,7 @@ def find_theorem55_phi(data, p):
     vanishing on the core of some circle of sing_p^0.  Returns the
     exponent vector or None."""
     pres = orbifold_presentation(data)
-    kernel = _integer_kernel(pres.abelianized_matrix(), pres.rank())
+    kernel = integer_kernel(pres.abelianized_matrix(), pres.rank())
     if not kernel:
         return None
     strat = stratify(data.locus, p)
@@ -335,43 +335,6 @@ def find_theorem55_phi(data, p):
         if res:
             return phi
     return None
-
-
-def _integer_kernel(rows, ncols):
-    """Primitive integer basis of {v : M v = 0} for an integer matrix."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = ncols
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        den = 1
-        for v in vec:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        basis.append([v // g for v in ints] if g > 1 else ints)
-    return basis
 
 
 def _primitive_in_hyperplane(basis, vals):
@@ -418,32 +381,6 @@ def quotient_by_meridians(data, selected_edges):
 # ---------------------------------------------------------------------------
 # Commuting involutions on H_1(M; Q)
 
-def _mat_mul_int(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-def _rank_rational(rows):
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    m = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(n):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def involution_eigenspace_analysis(h1, h2):
     """+1 eigenspace dimensions of h1, h2 and h3 = h1 h2.
 
@@ -458,13 +395,13 @@ def involution_eigenspace_analysis(h1, h2):
     for name, h in (("h1", h1), ("h2", h2)):
         if len(h) != n or any(len(row) != n for row in h):
             raise ValueError("matrices must be square of equal size")
-        if _mat_mul_int(h, h) != ident:
+        if mat_mul(h, h) != ident:
             raise NotInvolution(f"{name}^2 != identity")
-    if _mat_mul_int(h1, h2) != _mat_mul_int(h2, h1):
+    if mat_mul(h1, h2) != mat_mul(h2, h1):
         raise NotCommuting("h1 h2 != h2 h1")
-    h3 = _mat_mul_int(h1, h2)
+    h3 = mat_mul(h1, h2)
     dims = []
     for h in (h1, h2, h3):
         minus = [[h[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-        dims.append(n - _rank_rational(minus))
+        dims.append(n - rank(minus, n))
     return tuple(dims), max(dims) >= 2

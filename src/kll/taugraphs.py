@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from . import polys
+from . import linalg, polys
 
 
 class TooLargeForExact(ValueError):
@@ -167,53 +167,9 @@ def _laplacian(graph):
     return lap
 
 
-def _det_bareiss(mat):
-    """Exact integer determinant (fraction-free Bareiss)."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def char_poly_laplacian(graph):
     """det(x I - L) as an integer coefficient list, constant first."""
-    lap = _laplacian(graph)
-    n = len(lap)
-    xs = list(range(n + 1))
-    ys = []
-    for t in xs:
-        m = [[(t if i == j else 0) - lap[i][j] for j in range(n)] for i in range(n)]
-        ys.append(_det_bareiss(m))
-    # Lagrange interpolation, exact
-    coeffs = []
-    for i, x0 in enumerate(xs):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, x1 in enumerate(xs):
-            if i == j:
-                continue
-            num = polys.mul(num, [Fraction(-x1), Fraction(1)])
-            den *= Fraction(x0 - x1)
-        coeffs = polys.add(coeffs, polys.scale(num, Fraction(ys[i]) / den))
-    out = []
-    for c in coeffs:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ArithmeticError("characteristic polynomial not integral")
-        out.append(c.numerator)
-    return out
+    return linalg.char_poly(_laplacian(graph))
 
 
 def lambda2_enclosure(graph, precision_bits=30):

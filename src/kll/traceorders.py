@@ -9,6 +9,7 @@ are decided by exact proportionality of matrices over the field.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import rref
 from .numfield import NumberField, FieldElement
 
 
@@ -188,23 +189,12 @@ class ElementaryOrder:
 
 def _solve_in_basis(basis, m):
     """Coordinates of m in the k-span of the basis (4x4 system over k)."""
-    field = m.field
     cols = [bm.flat() for bm in basis]
-    rhs = m.flat()
-    n = 4
-    aug = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    aug = [[col[i] for col in cols] + [x] for i, x in enumerate(m.flat())]
+    mat, pivots = rref(aug, 4)
+    if len(pivots) < 4:
+        return None
+    return [row[4] for row in mat]
 
 
 def build_order(a, b):

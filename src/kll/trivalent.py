@@ -289,7 +289,7 @@ def generate_connected_trivalent(max_vertices, simple_only=False):
     arises from one on V - 2 by either inserting an edge between two
     subdivision points or inserting a loop lollipop, so closing the two
     2-vertex base graphs under both moves is exhaustive.  Duplicates
-    are removed by certificate bucketing plus exact isomorphism tests.
+    are removed by keeping one graph per `canonical_form` in a set.
     """
     if max_vertices < 2:
         return {}

@@ -212,3 +212,46 @@ def count_index_le2_subgroups(num_generators, relators):
         if ok:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomial by interpolation (linalg.char_poly oracle)
+
+def _det_by_elimination(rows):
+    a = [[Fraction(x) for x in r] for r in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return det
+
+
+def char_poly_by_interpolation(matrix):
+    """det(xI - M), constant term first: the determinant at x = 0..n
+    by Gaussian elimination over Q, then Lagrange interpolation."""
+    n = len(matrix)
+    coeffs = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        y = _det_by_elimination(
+            [[(i if r == c else 0) - matrix[r][c] for c in range(n)]
+             for r in range(n)])
+        basis = [Fraction(1)]  # prod over j != i of (x - j) / (i - j)
+        for j in range(n + 1):
+            if j != i:
+                shifted = [Fraction(0)] + basis
+                for k, b in enumerate(basis):
+                    shifted[k] -= j * b
+                basis = [b / (i - j) for b in shifted]
+        for k, b in enumerate(basis):
+            coeffs[k] += y * b
+    return coeffs

@@ -1,15 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import kll
 from kll.cli import main, verify_paper_examples
+
+# the child imports the same kll as this process, installed or not
+SRC = os.path.dirname(os.path.dirname(kll.__file__))
 
 
 def run_cli(args, tmp_path=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "kll.cli"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc
 
 

@@ -79,7 +79,9 @@ def test_subgroup_count_bounded_by_order_pow_rank():
 
 def test_distinct_prime_factor_sweep_small():
     ratio, argmax, violations = distinct_prime_factor_sweep(10 ** 5)
-    # the literal bound fails at primorials: 30030 = 2*3*5*7*11*13
-    assert violations > 0
+    # the literal bound fails at primorials: 30030 = 2*3*5*7*11*13.
+    # Both values agree with deciding every m <= 10^5 separately by
+    # lo^l > m or hi^l <= m for a 64-bit enclosure [lo, hi] of log2 m.
+    assert violations == 11772
+    assert argmax == 30030
     assert ratio > 1
-    assert argmax is not None
