@@ -531,6 +531,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.budget is not None:
+        # the caller's value comes back in the finally below
+        saved = os.environ.pop("KLL_BUDGET", None)
         os.environ["KLL_BUDGET"] = str(args.budget)
     try:
         return args.func(args)
@@ -542,6 +544,12 @@ def main(argv=None):
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return 2
+    finally:
+        if args.budget is not None:
+            if saved is None:
+                os.environ.pop("KLL_BUDGET", None)
+            else:
+                os.environ["KLL_BUDGET"] = saved
 
 
 if __name__ == "__main__":

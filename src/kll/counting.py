@@ -2,15 +2,17 @@
 rank = sup d(H), essential subgroups and the level-versus-index bound,
 and the subgroup-count lower bounds from homology towers.
 
-Censuses are exact.  For groups of order <= 400 every subgroup is
-found by closing the census under one-generator extensions; larger
+For groups of order <= 400 every subgroup is found by closing the
+census under one-generator extensions, which is complete.  Larger
 groups use normalizer-restricted cyclic extensions by prime-order
-steps, which reaches every soluble subgroup (and the group itself).
-All groups censused here have soluble proper subgroups, so both
-routes are complete; the method used is recorded on the result.
+steps, which reach every soluble subgroup and the group itself but no
+insoluble proper subgroup.  That route is incomplete whenever such a
+subgroup exists: SL(2, 11) contains 2.A5 of order 120, so its census
+finds 744 of the 766 subgroups and a minimal index of 12 instead of
+11 (likewise SL(2, Z/10), which contains C3 x SL(2, 5)).  The method
+used is recorded on the result.
 """
 
-import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
@@ -18,23 +20,13 @@ from fractions import Fraction
 import random
 
 from .dyadic import Enclosure
-from .fpgroups import BudgetExceeded
-from .finquot import ModRing, sl2_elements, mat_mul
+from .fpgroups import BudgetExceeded, _budget
+from .finquot import ModRing, sl2_elements, mat_mul, _orbit
 
 
 CENSUS_ORDER_BUDGET = 10 ** 4
 COMPLETE_METHOD_MAX = 400
 EXCEPTIONAL_MINIMAL_INDEX_Q = (2, 3, 5, 7, 11)  # PSL(2,q) acts on q points
-
-
-def _census_budget():
-    env = os.environ.get("KLL_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return CENSUS_ORDER_BUDGET
 
 
 class GroupTable:
@@ -75,31 +67,14 @@ class GroupTable:
         """Subgroup generated by `gens` (right-multiplication BFS)."""
         gens = list(set(gens))
         gens += [self.inverse[s] for s in gens]
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(_orbit(self.identity, gens, self.mul))
 
     def d2_quotient_rank(self):
         """log2 of [G : [G,G] G^2] (the mod-2 abelianization rank).
 
         G / <squares> is elementary abelian 2-group, so the squares
-        alone generate [G,G] G^2; close their set under products."""
-        k = {self.identity}
-        k.update(self.mul(i, i) for i in range(self.n))
-        while True:
-            new = {self.mul(a, b) for a in k for b in k}
-            if len(new) == len(k):
-                break
-            k = new
+        alone generate [G,G] G^2."""
+        k = self.closure(self.mul(i, i) for i in range(self.n))
         quotient = self.n // len(k)
         r = 0
         while quotient % 2 == 0:
@@ -159,7 +134,7 @@ class FiniteGroupCensus:
 
 def subgroup_census(table, method="auto"):
     """Every subgroup of the group, as frozensets of element indices."""
-    budget = _census_budget()
+    budget = _budget(CENSUS_ORDER_BUDGET)
     if table.n > budget:
         raise BudgetExceeded(f"group order {table.n} over census budget {budget}")
     if method == "auto":
@@ -286,9 +261,12 @@ def _prime_divisors(n):
 def _min_generators(table, h, cache, pair_budget=None):
     """Exact d(H) by incremental generation search.
 
-    Cyclic test is exact; the pair stage tries seeded random pairs then
-    all pairs; if no pair generates, a generating triple is located
-    (d <= log2|H| guarantees small answers for these orders)."""
+    The cyclic test is exact, and seeded random pairs find most
+    2-generated subgroups at once.  Otherwise, for |H| <= pair_budget,
+    the search is exhaustive: the subgroups generated by k elements of
+    H are the <K, g> with K generated by k - 1 of them and g in H, and
+    <K, g> depends only on the coset Kg, so k grows from 0 until H
+    itself is reached."""
     if h in cache:
         return cache[h]
     size = len(h)
@@ -309,21 +287,26 @@ def _min_generators(table, h, cache, pair_budget=None):
         if len(table.closure({a, b})) == size:
             cache[h] = 2
             return 2
-    if size <= pair_budget:
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if len(table.closure({a, b})) == size:
-                    cache[h] = 2
-                    return 2
-        # no pair generates; find any triple
-        for _ in range(10000):
-            trio = {rng.choice(members), rng.choice(members), rng.choice(members)}
-            if len(table.closure(trio)) == size:
-                cache[h] = 3
-                return 3
-        cache[h] = 4  # conservative; not reached for the censused groups
-        return 4
-    raise BudgetExceeded(f"pair search over subgroup of order {size}")
+    if size > pair_budget:
+        raise BudgetExceeded(f"exhaustive generator search over a subgroup "
+                             f"of order {size} (size bound {pair_budget})")
+    layer = {frozenset([table.identity]): ()}  # subgroup -> generators
+    k = 0
+    while True:
+        k += 1
+        grown = {}
+        for sub, gens in layer.items():
+            covered = set()
+            for g in members:
+                if g in covered:
+                    continue
+                covered.update(table.mul(x, g) for x in sub)
+                sub_g = table.closure(gens + (g,))
+                if sub_g == h:
+                    cache[h] = k
+                    return k
+                grown.setdefault(sub_g, gens + (g,))
+        layer = grown
 
 
 @dataclass

@@ -7,12 +7,11 @@ projective canonical representative of M is min(M, -M).  All orders
 are computed by exact closure enumeration under an explicit budget.
 """
 
-import os
 from dataclasses import dataclass
 from math import gcd
 
-from .gf import GF
-from .fpgroups import SubgroupTable, BudgetExceeded
+from .gf import GF, ModRing
+from .fpgroups import SubgroupTable, BudgetExceeded, _budget
 
 
 class DenominatorNotCoprime(ValueError):
@@ -26,52 +25,26 @@ class RelatorViolated(ValueError):
 DEFAULT_ORDER_BUDGET = 10 ** 7
 
 
-def _budget(override=None):
-    if override is not None:
-        return override
-    env = os.environ.get("KLL_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_ORDER_BUDGET
-
-
-class ModRing:
-    """Z/m with the same tiny interface as GF (not a field for composite m)."""
-
-    def __init__(self, m):
-        if m < 2:
-            raise ValueError("modulus must be >= 2")
-        self.m = m
-        self.q = m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def sub(self, a, b):
-        return (a - b) % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
-
-    @property
-    def one(self):
-        return 1 % self.m
-
-    @property
-    def zero(self):
-        return 0
-
-    def elements(self):
-        return range(self.m)
-
-    def __repr__(self):
-        return f"Z/{self.m}"
+def _orbit(start, moves, act, budget=None):
+    """Breadth-first orbit of `start` under act(x, move), in discovery
+    order; BudgetExceeded once it holds more than `budget` points."""
+    seen = {start}
+    orbit = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for m in moves:
+                y = act(x, m)
+                if y not in seen:
+                    seen.add(y)
+                    if budget is not None and len(seen) > budget:
+                        raise BudgetExceeded(
+                            f"closure exceeded budget {budget}")
+                    nxt.append(y)
+        orbit += nxt
+        frontier = nxt
+    return orbit
 
 
 def mat_mul(ring, x, y):
@@ -108,30 +81,22 @@ def proj_canonical(ring, x):
 
 def closure(ring, generators, projective=False, budget=None):
     """BFS closure of determinant-1 generators; returns a frozenset."""
-    budget = _budget(budget)
-    norm = (lambda m: proj_canonical(ring, m)) if projective else (lambda m: m)
+    if budget is None:
+        budget = _budget(DEFAULT_ORDER_BUDGET)
     gens = []
     for g in generators:
         g = tuple(g)
         if mat_det(ring, g) != ring.one:
             raise ValueError("generators must have determinant 1")
-        gens.append(norm(g))
-        gens.append(norm(mat_inv_sl(ring, g)))
-    seen = {norm(mat_identity(ring))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = norm(mat_mul(ring, m, g))
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > budget:
-                        raise BudgetExceeded(
-                            f"closure exceeded budget {budget}")
-                    nxt.append(prod)
-        frontier = nxt
-    return frozenset(seen)
+        gens += [g, mat_inv_sl(ring, g)]
+    start = mat_identity(ring)
+    if projective:
+        # the product's sign class does not depend on the generator's sign
+        start = proj_canonical(ring, start)
+        act = lambda m, g: proj_canonical(ring, mat_mul(ring, m, g))
+    else:
+        act = lambda m, g: mat_mul(ring, m, g)
+    return frozenset(_orbit(start, gens, act, budget))
 
 
 def sl2_elements(ring):
@@ -172,12 +137,12 @@ class FiniteMatrixGroup:
 
     @classmethod
     def special_linear(cls, modulus):
-        ring = ModRing(modulus) if not isinstance(modulus, GF) else modulus
+        ring = ModRing(modulus)
         return cls(ring, frozenset(sl2_elements(ring)), projective=False)
 
     @classmethod
     def projective_special_linear(cls, modulus):
-        ring = ModRing(modulus) if not isinstance(modulus, GF) else modulus
+        ring = ModRing(modulus)
         return cls(ring, frozenset(psl2_elements(ring)), projective=True)
 
     @classmethod
@@ -216,7 +181,7 @@ class FiniteMatrixGroup:
 
 @dataclass
 class ReductionResult:
-    residue_field: GF
+    residue_field: object  # ModRing(p), or GF for residue degree > 1
     images: list          # flat 4-tuples of field encodings
     projective: bool
     group_order: int = None
@@ -232,7 +197,7 @@ def reduce_mod_prime(gens, prime, presentation=None, projective=False,
     """
     p = prime.rational_prime
     if prime.residue_degree == 1:
-        field = GF(p)
+        field = ModRing(p)
         theta = _linear_root(prime.local_factor, p)
     else:
         field = GF(p, list(prime.local_factor))
@@ -272,7 +237,7 @@ def _reduce_field_element(elt, field, theta, p):
         if den % p == 0:
             raise DenominatorNotCoprime(f"denominator {den} vanishes mod {p}")
         c = (num * pow(den, -1, p)) % p
-        acc = field.add(acc, field.mul(field.encode([c]), power))
+        acc = field.add(acc, field.mul(c, power))
         power = field.mul(power, theta)
     return acc
 
@@ -300,7 +265,7 @@ class ProductGroup:
 
     def __init__(self, primes, projective=True):
         self.primes = list(primes)
-        self.rings = [GF(p) for p in self.primes]
+        self.rings = [ModRing(p) for p in self.primes]
         self.projective = projective
 
     def order(self):
@@ -327,30 +292,18 @@ class ProductGroup:
         return self.canonical(tuple(mat_identity(r) for r in self.rings))
 
     def closure(self, generators, budget=None):
-        budget = _budget(budget)
+        if budget is None:
+            budget = _budget(DEFAULT_ORDER_BUDGET)
         gens = []
         for g in generators:
             g = self.canonical(g)
             gens.append(g)
             gens.append(self.inverse(g))
-        seen = {self.identity()}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod = self.multiply(m, g)
-                    if prod not in seen:
-                        seen.add(prod)
-                        if len(seen) > budget:
-                            raise BudgetExceeded(
-                                f"product closure exceeded budget {budget}")
-                        nxt.append(prod)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(_orbit(self.identity(), gens, self.multiply, budget))
 
     def all_elements(self, budget=None):
-        budget = _budget(budget)
+        if budget is None:
+            budget = _budget(DEFAULT_ORDER_BUDGET)
         if self.order() > budget:
             raise BudgetExceeded(
                 f"product order {self.order()} exceeds budget {budget}")
@@ -468,20 +421,9 @@ def pullback_cover_table(pres, phi_images, subgroup, group=None):
     def coset_key(g):
         return min(group.multiply(h, g) for h in H)
 
-    start = coset_key(ident)
-    index_of = {start: 0}
-    reps = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for m in images + invs:
-                key = coset_key(group.multiply(rep, m))
-                if key not in index_of:
-                    index_of[key] = len(reps)
-                    reps.append(key)
-                    nxt.append(key)
-        frontier = nxt
+    reps = _orbit(coset_key(ident), images + invs,
+                  lambda rep, m: coset_key(group.multiply(rep, m)))
+    index_of = {key: i for i, key in enumerate(reps)}
     action = []
     for g, m in enumerate(images):
         action.append(tuple(index_of[coset_key(group.multiply(rep, m))]

@@ -33,13 +33,15 @@ DEFAULT_NODE_BUDGET = 10 ** 7
 
 
 def _budget(default):
+    """The KLL_BUDGET override if set, else `default`; the one reader of
+    KLL_BUDGET for coset-table nodes, closure orders and census orders."""
     env = os.environ.get("KLL_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"KLL_BUDGET must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------

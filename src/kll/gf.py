@@ -1,22 +1,57 @@
-"""Small finite fields F_{p^f} = F_p[t]/(g) with tabulated arithmetic.
+"""Small finite rings for matrix groups: Z/m (every prime field F_p
+among them) and the extension fields F_{p^f} = F_p[t]/(g).
 
-Elements are encoded as integers in [0, p^f) via base-p digits of the
-coefficient vector.  Fields here are tiny (q at worst a few hundred),
-so full multiplication and inverse tables are precomputed.
+Both share one interface (add, sub, mul, neg, zero, one, elements, q).
+Z/m elements are the integers 0..m-1.  F_p[t]/(g) elements are encoded
+as integers in [0, p^f) via base-p digits of the coefficient vector;
+arithmetic decodes, computes with F_p polynomials, and re-encodes.
 """
-
-from functools import lru_cache
 
 from . import polys
 
 
+class ModRing:
+    """Z/m (a field exactly when m is prime)."""
+
+    def __init__(self, m):
+        if m < 2:
+            raise ValueError("modulus must be >= 2")
+        self.m = m
+        self.q = m
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
+
+    def mul(self, a, b):
+        return (a * b) % self.m
+
+    def neg(self, a):
+        return (-a) % self.m
+
+    @property
+    def one(self):
+        return 1 % self.m
+
+    @property
+    def zero(self):
+        return 0
+
+    def elements(self):
+        return range(self.m)
+
+    def __repr__(self):
+        return f"Z/{self.m}"
+
+
 class GF:
-    def __init__(self, p, modulus=None):
-        """modulus: monic irreducible over F_p as a coefficient list
-        (constant first); omit for the prime field."""
+    """F_p[t]/(g) for a monic irreducible g over F_p."""
+
+    def __init__(self, p, modulus):
+        """modulus: g as a coefficient list, constant first."""
         self.p = p
-        if modulus is None:
-            modulus = [0, 1]  # t, so F_p[t]/(t) = F_p
         self.modulus = [c % p for c in modulus]
         self.f = polys.degree(self.modulus)
         if self.f < 1:
@@ -50,8 +85,6 @@ class GF:
         return self.encode([(-x) % self.p for x in self.decode(a)])
 
     def mul(self, a, b):
-        if self.f == 1:
-            return (a * b) % self.p
         prod = polys.modp_mul(self.decode(a), self.decode(b), self.p)
         red = polys.modp_divmod(prod, self.modulus, self.p)[1]
         return self.encode(red + [0] * self.f)
@@ -59,8 +92,6 @@ class GF:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("finite field inverse of zero")
-        if self.f == 1:
-            return pow(a, -1, self.p)
         return self.pow(a, self.q - 2)
 
     def pow(self, a, e):
@@ -85,8 +116,3 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.p}^{self.f})"
-
-
-@lru_cache(maxsize=None)
-def gf(p, modulus=None):
-    return GF(p, list(modulus) if modulus else None)

@@ -123,7 +123,10 @@ class FieldElement:
         return self * self._check(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._check(other) / self
+        # other is a scalar: FieldElement / FieldElement is __truediv__
+        c = Fraction(other)
+        return FieldElement(self.field,
+                            tuple(a * c for a in self.inverse().coeffs))
 
     def __pow__(self, e):
         if e < 0:

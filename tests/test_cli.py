@@ -200,8 +200,20 @@ def test_output_file(tmp_path):
 def test_budget_exit_code(capsys):
     rc = main(["--budget", "10", "count", "--modulus", "5"])
     assert rc == 3
-    import os
-    os.environ.pop("KLL_BUDGET", None)
+    assert "KLL_BUDGET" not in os.environ
+    assert main(["count", "--modulus", "5"]) == 0
+
+
+def test_budget_flag_restores_callers_value(monkeypatch, capsys):
+    monkeypatch.setenv("KLL_BUDGET", "5000")
+    assert main(["--budget", "10", "count", "--modulus", "5"]) == 3
+    assert os.environ["KLL_BUDGET"] == "5000"
+
+
+def test_non_integer_budget_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("KLL_BUDGET", "ten")
+    assert main(["count", "--modulus", "5"]) == 2
+    assert "KLL_BUDGET" in json.loads(capsys.readouterr().err)["detail"]
 
 
 def test_schema_violation_json_pointer(tmp_path, capsys):

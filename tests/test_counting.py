@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,7 +8,7 @@ from kll.towers import TowerRecord
 from kll.counting import (GroupTable, sl2_group_table, subgroup_census,
                           rank_bound_check, essential_subgroups,
                           congruence_kernel, level_vs_index_check, s_n,
-                          sn_vs_cn_table, _pow2_floor,
+                          sn_vs_cn_table, _pow2_floor, _min_generators,
                           EXCEPTIONAL_MINIMAL_INDEX_Q)
 
 
@@ -136,14 +137,40 @@ def test_s_n_counts():
     assert s_n(census, 6) == 6
 
 
-def test_census_budget():
-    import os
-    os.environ["KLL_BUDGET"] = "10"
-    try:
-        with pytest.raises(BudgetExceeded):
-            subgroup_census(sl2_group_table(3))
-    finally:
-        del os.environ["KLL_BUDGET"]
+def test_census_budget(monkeypatch):
+    monkeypatch.setenv("KLL_BUDGET", "10")
+    with pytest.raises(BudgetExceeded):
+        subgroup_census(sl2_group_table(3))
+
+
+def test_non_integer_budget_rejected(monkeypatch):
+    monkeypatch.setenv("KLL_BUDGET", "1e4")
+    with pytest.raises(ValueError, match="KLL_BUDGET"):
+        subgroup_census(sl2_group_table(2))
+
+
+def test_min_generators_elementary_abelian():
+    # (Z/2)^k is a k-dimensional F_2-space: d = k, and no fewer
+    # elements generate it
+    for k in (3, 5):
+        table = GroupTable(range(2 ** k), lambda a, b: a ^ b)
+        whole = frozenset(range(2 ** k))
+        assert _min_generators(table, whole, {}) == k
+
+
+def test_sl2_z8_rank4_certified():
+    # SL(2, Z/8) has order 2^7 * 3 and is soluble, so the cyclic-extension
+    # census is complete: the same 673 subgroups as the (slower) default
+    census = subgroup_census(sl2_group_table(8), method="cyclic-extension")
+    assert census.count == 673
+    rep = rank_bound_check(census)
+    assert (rep.rank, rep.bound, rep.holds) == (4, 3, False)
+    table = census.table
+    top = [h for h in census.subgroups if census.min_generators(h) == 4]
+    assert sorted(len(h) for h in top) == [16, 32, 32, 32]
+    for h in top:  # by brute force: no triple generates, a quadruple does
+        assert all(table.closure(t) != h for t in combinations(sorted(h), 3))
+        assert any(table.closure(q) == h for q in combinations(sorted(h), 4))
 
 
 def test_pow2_floor():

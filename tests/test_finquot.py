@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from kll.gf import GF
 from kll.numfield import NumberField, split_prime
 from kll.traceorders import Mat2
 from kll.fpgroups import Presentation, BudgetExceeded, reidemeister_schreier, d_p
@@ -21,7 +20,7 @@ A2, B2 = (0, 6, 1, 0), (2, 3, 3, 5)   # commuting involutions in PSL(2,7)
 
 def test_sl2_psl2_orders_small_primes():
     for p in (3, 5, 7, 11, 13):
-        ring = GF(p)
+        ring = ModRing(p)
         assert len(closure(ring, [(0, p - 1, 1, 0), (1, 1, 0, 1)])) == \
             sl2_order_formula(p)
         assert len(closure(ring, [(0, p - 1, 1, 0), (1, 1, 0, 1)],
@@ -29,7 +28,7 @@ def test_sl2_psl2_orders_small_primes():
 
 
 def test_sl2_elements_by_scan():
-    ring = GF(3)
+    ring = ModRing(3)
     assert len(sl2_elements(ring)) == 24
     assert len(psl2_elements(ring)) == 12
     ring5 = ModRing(5)
@@ -106,8 +105,8 @@ def test_product_surjectivity_single_factor():
 def test_hall_property_random_triples():
     # per-factor surjections onto distinct simple factors are jointly onto
     rng = random.Random(109)
-    grp5 = closure(GF(5), [S5, T5], projective=True)
-    grp7 = closure(GF(7), [S7, T7], projective=True)
+    grp5 = closure(ModRing(5), [S5, T5], projective=True)
+    grp7 = closure(ModRing(7), [S7, T7], projective=True)
     els5, els7 = sorted(grp5), sorted(grp7)
     tried = 0
     while tried < 6:
@@ -161,7 +160,7 @@ def test_pullback_cover_table_z2():
 
 def test_pullback_cover_table_psl25_klein_four():
     F2 = Presentation.free(2)
-    ring = GF(5)
+    ring = ModRing(5)
     grp = FiniteMatrixGroup.generated(ring, [S5, T5], projective=True)
     assert grp.order == 60
     # Klein four subgroup of PSL(2,5)
@@ -201,4 +200,4 @@ def test_pullback_transitive_and_relators_trivial():
 
 def test_closure_budget():
     with pytest.raises(BudgetExceeded):
-        closure(GF(13), [(0, 12, 1, 0), (1, 1, 0, 1)], budget=100)
+        closure(ModRing(13), [(0, 12, 1, 0), (1, 1, 0, 1)], budget=100)

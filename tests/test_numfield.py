@@ -161,6 +161,13 @@ def test_field_element_arithmetic():
     assert (s + 1).norm() == -1   # (1+sqrt2)(1-sqrt2)
 
 
+def test_scalar_over_element_is_scaled_inverse():
+    k = NumberField((1, 0, -2, -1, 0, 1))  # the quintic
+    x = k.element([2, -1, 0, Fraction(1, 3), 1])
+    assert 1 / x == x.inverse()
+    assert Fraction(3, 2) / x == x.inverse() * Fraction(3, 2)
+
+
 def test_irreducibility_certificates():
     verdict, method = certify_irreducible([1, 0, -2, -1, 0, 1])
     assert verdict is True

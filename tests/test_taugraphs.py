@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from kll.fpgroups import Presentation, cyclic_quotient_table
-from kll.gf import GF
 from kll.taugraphs import (CosetGraph, cheeger_exact, cheeger_spectral_bounds,
                            lambda2_enclosure, char_poly_laplacian,
                            tau_family_report, TooLargeForExact, Disconnected)
