@@ -17,11 +17,12 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import itemgetter
 import random
 
 from .dyadic import Enclosure
 from .fpgroups import BudgetExceeded, _budget
-from .finquot import ModRing, sl2_elements, mat_mul, _orbit
+from .finquot import ModRing, sl2_elements, mat_mul
 
 
 CENSUS_ORDER_BUDGET = 10 ** 4
@@ -30,27 +31,43 @@ EXCEPTIONAL_MINIMAL_INDEX_Q = (2, 3, 5, 7, 11)  # PSL(2,q) acts on q points
 
 
 class GroupTable:
-    """Finite group via a flat multiplication table on element indices."""
+    """Finite group via a flat multiplication table on element indices;
+    `elements` must form a group under an associative `multiply`.
+
+    Row x is left multiplication by x, so row(x s) = row(x) o row(s):
+    each index not yet reached is a generator whose row costs n
+    products, and every other row is gathered from a known one."""
 
     def __init__(self, elements, multiply):
         self.elements = list(elements)
-        self.n = len(self.elements)
-        index = {e: i for i, e in enumerate(self.elements)}
-        n = self.n
+        self.n = n = len(self.elements)
+        self.index = index = {e: i for i, e in enumerate(self.elements)}
         # one allocation: growing the table fragments the heap by several MiB
-        buf = array("i", [0]) * (n * n)
-        for r, a in enumerate(self.elements):
-            buf[r * n:(r + 1) * n] = array(
-                "i", [index[multiply(a, b)] for b in self.elements])
-        self.table = buf
-        self.index = index
-        self.identity = next(
-            i for i in range(self.n)
-            if all(self.mul(i, j) == j for j in range(self.n)))
-        self.inverse = [0] * self.n
-        for i in range(self.n):
-            self.inverse[i] = next(j for j in range(self.n)
-                                   if self.mul(i, j) == self.identity)
+        self.table = buf = array("i", [0]) * (n * n)
+        reached = bytearray(n)
+        self.generators = []
+        gathers = []  # (s, itemgetter(*row(s))) per generator s
+        with memoryview(buf) as rows:
+            for g, a in enumerate(self.elements):
+                if reached[g]:
+                    continue
+                reached[g] = 1
+                buf[g * n:(g + 1) * n] = array(
+                    "i", [index[multiply(a, b)] for b in self.elements])
+                self.generators.append(g)
+                gathers.append((g, itemgetter(*buf[g * n:(g + 1) * n])))
+                queue = [x for x in range(n) if reached[x]]
+                for x in queue:  # grows as new rows are gathered
+                    row_x = rows[x * n:(x + 1) * n]
+                    for s, gather in gathers:
+                        y = row_x[s]
+                        if not reached[y]:
+                            reached[y] = 1
+                            buf[y * n:(y + 1) * n] = array("i", gather(row_x))
+                            queue.append(y)
+        self.identity = identity = buf.index(0, 0, n)  # e_0 e = e_0
+        self.inverse = [buf.index(identity, i * n, (i + 1) * n) - i * n
+                        for i in range(n)]
 
     def mul(self, i, j):
         return self.table[i * self.n + j]
@@ -63,18 +80,35 @@ class GroupTable:
             k += 1
         return k
 
-    def closure(self, gens):
-        """Subgroup generated by `gens` (right-multiplication BFS)."""
-        gens = list(set(gens))
-        gens += [self.inverse[s] for s in gens]
-        return frozenset(_orbit(self.identity, gens, self.mul))
+    def closure(self, gens, sub=None):
+        """Subgroup generated by `gens`, grown from `sub`, a known
+        subgroup of it (default trivial), one right coset sub r s at a
+        time; in a finite group no inverses are needed."""
+        table, n = self.table, self.n
+        sub = sub or (self.identity,)
+        offsets = [h * n for h in sub]
+        gens = tuple(set(gens))
+        seen = set(sub)
+        reps = [self.identity]
+        for r in reps:  # grows as new cosets are found
+            for s in gens:
+                y = table[r * n + s]
+                if y not in seen:
+                    seen.update([table[o + y] for o in offsets])
+                    reps.append(y)
+        return frozenset(seen)
 
     def d2_quotient_rank(self):
         """log2 of [G : [G,G] G^2] (the mod-2 abelianization rank).
 
         G / <squares> is elementary abelian 2-group, so the squares
-        alone generate [G,G] G^2."""
-        k = self.closure(self.mul(i, i) for i in range(self.n))
+        alone generate [G,G] G^2; each closure grows from the last."""
+        k = frozenset([self.identity])
+        chosen = []
+        for i in range(self.n):
+            if self.mul(i, i) not in k:
+                chosen.append(self.mul(i, i))
+                k = self.closure(chosen, k)
         quotient = self.n // len(k)
         r = 0
         while quotient % 2 == 0:
@@ -167,7 +201,7 @@ def _census_complete(table):
             if g in covered:
                 continue
             covered.update(table.mul(x, g) for x in h)
-            k = table.closure(base + (g,))
+            k = table.closure(base + (g,), h)
             if k not in seen:
                 seen.add(k)
                 gens[k] = base + (g,)
@@ -181,23 +215,21 @@ def _census_cyclic_extension(table):
     trivial = frozenset([table.identity])
     whole = frozenset(range(table.n))
     seen = {trivial, whole}
-    gens = {trivial: (), whole: tuple(range(table.n))[:2]}
+    gens = {trivial: (), whole: tuple(table.generators)}
     work = [trivial]
     # precompute element orders
     orders = [table.order_of(i) for i in range(table.n)]
+    primes = {o: [p for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
+              for o in set(orders)}
     while work:
         h = work.pop()
         hgens = gens[h]
-        normalizer = _normalizer(table, h, hgens)
-        size = len(h)
-        for g in normalizer:
+        for g in _normalizer(table, h, hgens):
             if g in h:
                 continue
             # need a prime p with g^p in h
-            o = orders[g]
-            for p in _prime_divisors(o):
-                gp = _power(table, g, p)
-                if gp in h:
+            for p in primes[orders[g]]:
+                if _power(table, g, p) in h:
                     k = _extend_by(table, h, g, p)
                     if k is not None and k not in seen:
                         seen.add(k)
@@ -208,15 +240,21 @@ def _census_cyclic_extension(table):
 
 
 def _normalizer(table, h, hgens):
-    # conjugating each generator into h maps <gens> = h onto a subgroup of
-    # h of the same order, hence onto h itself
-    out = []
-    core = list(hgens) if hgens else list(h)
-    for g in range(table.n):
-        ginv = table.inverse[g]
-        if all(table.mul(table.mul(g, x), ginv) in h for x in core):
-            out.append(g)
-    return out
+    """N(h) in index order.  Conjugating each generator into h maps h
+    onto a subgroup of h of the same order, hence onto h itself; N(h)
+    is a union of right cosets h g, so one g per coset is tested."""
+    n, t, inverse = table.n, table.table, table.inverse
+    core = hgens or tuple(h)
+    offsets = [x * n for x in h]
+    tested = bytearray(n)
+    normal = bytearray(n)
+    for g in range(n):
+        if not tested[g]:
+            flag = all(t[t[g * n + x] * n + inverse[g]] in h for x in core)
+            for o in offsets:
+                tested[t[o + g]] = 1
+                normal[t[o + g]] = flag
+    return [g for g in range(n) if normal[g]]
 
 
 def _power(table, g, e):
@@ -234,7 +272,6 @@ def _extend_by(table, h, g, p):
     """h union h g union ... union h g^(p-1); valid since g normalizes h
     and g^p lies in h."""
     out = set(h)
-    coset = list(h)
     acc = g
     for _ in range(p - 1):
         out.update(table.mul(x, acc) for x in h)
@@ -242,20 +279,6 @@ def _extend_by(table, h, g, p):
     if len(out) != p * len(h):
         return None
     return frozenset(out)
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _min_generators(table, h, cache, pair_budget=None):
@@ -301,7 +324,7 @@ def _min_generators(table, h, cache, pair_budget=None):
                 if g in covered:
                     continue
                 covered.update(table.mul(x, g) for x in sub)
-                sub_g = table.closure(gens + (g,))
+                sub_g = table.closure(gens + (g,), sub)
                 if sub_g == h:
                     cache[h] = k
                     return k

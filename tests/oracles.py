@@ -255,3 +255,20 @@ def char_poly_by_interpolation(matrix):
         for k, b in enumerate(basis):
             coeffs[k] += y * b
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Cayley table by all n^2 products (counting.GroupTable oracle)
+
+def group_table_by_products(elements, multiply):
+    """(flat table, identity, inverses) from every product a b, with the
+    identity and each inverse found by linear scans of the table."""
+    elements = list(elements)
+    n = len(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    table = [index[multiply(a, b)] for a in elements for b in elements]
+    identity = next(i for i in range(n)
+                    if all(table[i * n + j] == j for j in range(n)))
+    inverse = [next(j for j in range(n) if table[i * n + j] == identity)
+               for i in range(n)]
+    return table, identity, inverse

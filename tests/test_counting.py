@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import combinations
+import random
 
 import pytest
 
+from oracles import group_table_by_products
 from kll.fpgroups import BudgetExceeded
 from kll.towers import TowerRecord
 from kll.counting import (GroupTable, sl2_group_table, subgroup_census,
@@ -42,6 +44,76 @@ def test_trivial_group_census():
     table = GroupTable([0], lambda a, b: 0)
     census = subgroup_census(table)
     assert census.count == 1
+
+
+def _counted(multiply):
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return multiply(a, b)
+    return counted, calls
+
+
+def _sl2_mul(m):
+    def mul(x, y):
+        return ((x[0] * y[0] + x[1] * y[2]) % m, (x[0] * y[1] + x[1] * y[3]) % m,
+                (x[2] * y[0] + x[3] * y[2]) % m, (x[2] * y[1] + x[3] * y[3]) % m)
+    return mul
+
+
+def _assert_matches_products(table, multiply):
+    expected, identity, inverse = group_table_by_products(table.elements, multiply)
+    assert list(table.table) == expected
+    assert table.identity == identity
+    assert table.inverse == inverse
+
+
+def test_sl2_table_matches_all_products():
+    for m in range(2, 11):
+        table = sl2_group_table(m)
+        _assert_matches_products(table, _sl2_mul(m))
+        assert len(table.generators) == 2, m
+        counted, calls = _counted(_sl2_mul(m))
+        again = GroupTable(table.elements, counted)
+        assert calls[0] <= table.n * len(again.generators), m
+        assert again.table == table.table
+
+
+def test_shuffled_elementary_abelian_table():
+    # (Z/2)^4 under XOR in a shuffled order: the identity is not index 0,
+    # and each greedy generator doubles the subgroup reached so far
+    elements = list(range(16))
+    random.Random(4).shuffle(elements)
+    assert elements[0] != 0
+    counted, calls = _counted(lambda a, b: a ^ b)
+    table = GroupTable(elements, counted)
+    _assert_matches_products(table, lambda a, b: a ^ b)
+    assert table.identity == elements.index(0)
+    assert len(table.generators) == 4
+    assert calls[0] <= table.n * len(table.generators)
+    assert table.closure(table.generators) == frozenset(range(16))
+
+
+def test_closure_from_known_subgroup():
+    census = subgroup_census(sl2_group_table(7))
+    table = census.table
+    rng = random.Random(7)
+    for _ in range(40):
+        gens = rng.sample(range(table.n), rng.choice((1, 2, 3)))
+        k = table.closure(gens)
+        assert k in census.subgroups and set(gens) <= k
+        assert all(table.mul(a, s) in k for a in k for s in gens)
+        below = [h for h in census.subgroups if h <= k]
+        for sub in rng.sample(below, min(3, len(below))):
+            assert table.closure(gens, sub) == k
+
+
+def test_cyclic_extension_whole_group_generators():
+    table = GroupTable(range(8), lambda a, b: a ^ b)
+    census = subgroup_census(table, method="cyclic-extension")
+    whole = frozenset(range(8))
+    assert table.closure(census.generators[whole]) == whole
 
 
 def test_census_methods_agree():
