@@ -57,33 +57,6 @@ def log2_enclosure(q, bits=64):
     return lo, hi
 
 
-def log2_value(q, bits=64):
-    """Midpoint of the enclosure, for display only."""
-    lo, hi = log2_enclosure(q, bits)
-    return (lo + hi) / 2
-
-
-def compare_log2(q, threshold):
-    """Exact sign of log2(q) - threshold for rational q > 0, rational threshold.
-
-    Decided by integer power comparison: log2(n/d) >= a/b iff n^b >= 2^a d^b.
-    Only safe for small exponents; callers here keep b modest.
-    """
-    q = Fraction(q)
-    t = Fraction(threshold)
-    a, b = t.numerator, t.denominator
-    n, d = q.numerator, q.denominator
-    if a >= 0:
-        lhs, rhs = n ** b, (d ** b) << a
-    else:
-        lhs, rhs = (n ** b) << -a, d ** b
-    if lhs > rhs:
-        return 1
-    if lhs < rhs:
-        return -1
-    return 0
-
-
 class Enclosure:
     """Closed interval of Fractions with outward-rounded arithmetic."""
 
@@ -142,9 +115,6 @@ class Enclosure:
 
     def definitely_nonpositive(self):
         return self.hi <= 0
-
-    def straddles_zero(self):
-        return self.lo <= 0 < self.hi or self.lo < 0 <= self.hi
 
     def midpoint(self):
         return (self.lo + self.hi) / 2

@@ -141,11 +141,6 @@ class FiniteMatrixGroup:
         return cls(ring, frozenset(sl2_elements(ring)), projective=False)
 
     @classmethod
-    def projective_special_linear(cls, modulus):
-        ring = ModRing(modulus)
-        return cls(ring, frozenset(psl2_elements(ring)), projective=True)
-
-    @classmethod
     def generated(cls, ring, generators, projective=False, budget=None):
         return cls(ring, closure(ring, generators, projective, budget),
                    projective=projective)
@@ -165,15 +160,6 @@ class FiniteMatrixGroup:
 
     def identity(self):
         return self.canonical(mat_identity(self.ring))
-
-    def element_list(self):
-        return sorted(self.elements)
-
-    def element_to_json(self, m):
-        """Fixed wire format: [[a, b], [c, d], modulus, projective]."""
-        a, b, c, d = m
-        modulus = getattr(self.ring, "m", None) or getattr(self.ring, "q")
-        return [[a, b], [c, d], modulus, self.projective]
 
 
 # ---------------------------------------------------------------------------

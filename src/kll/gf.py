@@ -89,20 +89,6 @@ class GF:
         red = polys.modp_divmod(prod, self.modulus, self.p)[1]
         return self.encode(red + [0] * self.f)
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("finite field inverse of zero")
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a, e):
-        out = self.one
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
-
     @property
     def zero(self):
         return 0

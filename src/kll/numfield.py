@@ -346,8 +346,3 @@ def local_quadratic_subextension(prime):
     if (e * f) % 2 == 1:
         return DOES_NOT_CONTAIN
     return UNDECIDED
-
-
-def parse_poly_json(arr):
-    """Integer coefficient list, constant term first (fixed convention)."""
-    return [int(a) for a in arr]

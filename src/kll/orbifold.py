@@ -153,10 +153,6 @@ class Stratification:
     def b1(self):
         return sum(c.b1 for c in self.components)
 
-    @property
-    def chi_negative_total(self):
-        return sum(c.chi for c in self.negative)
-
     def is_empty(self):
         return not self.components
 

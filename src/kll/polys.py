@@ -6,7 +6,7 @@ All rational arithmetic uses Fraction; nothing here touches floats.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 import random
 
 
@@ -124,20 +124,6 @@ def poly_gcd(f, g):
     while not is_zero(b):
         a, b = b, poly_mod(a, b)
     return monic(a)
-
-
-def content(f):
-    c = 0
-    for a in f:
-        c = gcd(c, abs(a))
-    return c
-
-
-def primitive_part(f):
-    c = content(f)
-    if c <= 1:
-        return list(f)
-    return [a // c for a in f]
 
 
 def resultant(f, g):

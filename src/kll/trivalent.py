@@ -1,17 +1,18 @@
 """Finite trivalent multigraphs: short-cycle and small-b1-subgraph bounds,
-plus exhaustive generation of connected cubic multigraphs up to
-isomorphism (loops and parallel edges are first-class).
+plus generation of every connected cubic multigraph up to isomorphism
+(loops and parallel edges are first-class).
 
-The two bounds have the form c1*log2(t) + c2 and are decided by exact
-integer power comparison; dyadic enclosures of the bound values are
-reported alongside.
+Both bounds are read off one breadth-first ball per root: the first
+non-tree edge it meets closes a shortest cycle through the root, the
+first two close a connected b1 = 2 subgraph.  The bounds have the form
+c1*log2(t) + c2 and are decided by exact integer power comparison;
+dyadic enclosures of the bound values are reported alongside.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .dyadic import log2_enclosure
 
@@ -82,7 +83,7 @@ class TrivalentGraph:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism machinery (certificate bucketing + explicit matching)
+# Canonical form by individualization-refinement
 
 def _edge_multiset(g):
     mult = {}
@@ -91,18 +92,18 @@ def _edge_multiset(g):
     return mult
 
 
-@lru_cache(maxsize=200000)
 def _refined_colors(g):
-    """Stable vertex coloring by iterated neighborhood refinement.
+    """(colors, neigh, loops): the stable refinement of the coloring by
+    loop count and edge multiplicities, with the neighbour lists
+    [(w, multiplicity)] and loop counts it was refined over.
 
     Colors are small integers, canonical across isomorphic graphs
     (classes are renumbered by sorted signature at every round).
     """
     n = g.num_vertices
-    mult = _edge_multiset(g)
     neigh = [[] for _ in range(n)]
     loops = [0] * n
-    for (u, v), m in mult.items():
+    for (u, v), m in _edge_multiset(g).items():
         if u == v:
             loops[u] = m
         else:
@@ -110,28 +111,8 @@ def _refined_colors(g):
             neigh[v].append((u, m))
     sigs = [(loops[v], tuple(sorted(m for _, m in neigh[v]))) for v in range(n)]
     palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    colors = [palette[s] for s in sigs]
-    while True:
-        sigs = [(colors[v], tuple(sorted((colors[w], m) for w, m in neigh[v])))
-                for v in range(n)]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            return colors, neigh, loops
-        colors = new
-
-
-@lru_cache(maxsize=200000)
-def wl_certificate(g):
-    """Refinement-based isomorphism invariant (hashable)."""
-    colors, _neigh, loops = _refined_colors(g)
-    mult = _edge_multiset(g)
-    hist = tuple(sorted(colors))
-    loop_sig = tuple(sorted((colors[v], l) for v, l in enumerate(loops) if l))
-    edge_sig = tuple(sorted(
-        (min(colors[u], colors[v]), max(colors[u], colors[v]), m)
-        for (u, v), m in mult.items() if u != v))
-    return (g.num_vertices, hist, loop_sig, edge_sig)
+    colors = _refine_from([palette[s] for s in sigs], neigh, loops, n)
+    return colors, neigh, loops
 
 
 def _refine_from(colors, neigh, loops, n):
@@ -155,15 +136,7 @@ def canonical_form(g):
     edge list; equal canonical forms iff isomorphic."""
     n = g.num_vertices
     mult = _edge_multiset(g)
-    neigh = [[] for _ in range(n)]
-    loops = [0] * n
-    for (u, v), m in mult.items():
-        if u == v:
-            loops[u] = m
-        else:
-            neigh[u].append((v, m))
-            neigh[v].append((u, m))
-    base, _, _ = _refined_colors(g)
+    base, neigh, loops = _refined_colors(g)
     best = None
 
     def leaf_form(colors):
@@ -194,57 +167,8 @@ def canonical_form(g):
             split = [2 * c + (0 if u == v else 1) for u, c in enumerate(colors)]
             rec(_refine_from(split, neigh, loops, n))
 
-    rec(_refine_from(list(base), neigh, loops, n))
+    rec(base)
     return (n, best)
-
-
-def isomorphic(g1, g2):
-    """Exact isomorphism test: color refinement plus incremental matching."""
-    if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
-        return False
-    if wl_certificate(g1) != wl_certificate(g2):
-        return False
-    n = g1.num_vertices
-    c1, _, _ = _refined_colors(g1)
-    c2, _, _ = _refined_colors(g2)
-    m1, m2 = _edge_multiset(g1), _edge_multiset(g2)
-    by_color = {}
-    for w in range(n):
-        by_color.setdefault(c2[w], []).append(w)
-
-    # order g1's vertices: rarest color class first, then by connectivity
-    order = sorted(range(n), key=lambda v: (len(by_color.get(c1[v], ())), c1[v], v))
-    placed = []
-    mapping = [None] * n
-    used = [False] * n
-
-    def consistent(v, w):
-        if m1.get((v, v), 0) != m2.get((w, w), 0):
-            return False
-        for u in placed:
-            a = m1.get((min(u, v), max(u, v)), 0)
-            b = m2.get((min(mapping[u], w), max(mapping[u], w)), 0)
-            if a != b:
-                return False
-        return True
-
-    def rec(i):
-        if i == n:
-            return True
-        v = order[i]
-        for w in by_color.get(c1[v], ()):
-            if not used[w] and consistent(v, w):
-                mapping[v] = w
-                used[w] = True
-                placed.append(v)
-                if rec(i + 1):
-                    return True
-                placed.pop()
-                mapping[v] = None
-                used[w] = False
-        return False
-
-    return rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +212,7 @@ def generate_connected_trivalent(max_vertices, simple_only=False):
     Augmentation: every connected cubic multigraph on V >= 4 vertices
     arises from one on V - 2 by either inserting an edge between two
     subdivision points or inserting a loop lollipop, so closing the two
-    2-vertex base graphs under both moves is exhaustive.  Duplicates
+    2-vertex base graphs under both moves reaches every one.  Duplicates
     are removed by keeping one graph per `canonical_form` in a set.
     """
     if max_vertices < 2:
@@ -336,7 +260,6 @@ def random_connected_trivalent(num_vertices, rng=None):
     while True:
         rng.shuffle(stubs)
         edges = []
-        ok = True
         for i in range(0, len(stubs), 2):
             u, v = stubs[i], stubs[i + 1]
             edges.append((u, v))
@@ -346,67 +269,49 @@ def random_connected_trivalent(num_vertices, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# Lemma-style bounds
+# Lemma-style bounds, both read off one breadth-first ball per root
 
-def _girth_and_cycle(g):
-    """(girth, cycle as vertex list closing up).  Loops give length 1,
-    parallel pairs length 2; otherwise BFS from every vertex."""
-    mult = _edge_multiset(g)
-    for (u, v), m in sorted(mult.items()):
-        if u == v:
-            return 1, [u]
-    for (u, v), m in sorted(mult.items()):
-        if m >= 2 and u != v:
-            return 2, [u, v]
-    # simple graph now
-    adj = [[] for _ in range(g.num_vertices)]
-    for (u, v) in mult:
-        adj[u].append(v)
-        adj[v].append(u)
-    best = None
-    best_cycle = None
-    for root in range(g.num_vertices):
-        dist = {root: 0}
-        parent = {root: None}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w and parent.get(w) != u:
-                        cand = dist[u] + dist[w] + 1
-                        if best is None or cand < best:
-                            pu = _path_to_root(parent, u)
-                            pw = _path_to_root(parent, w)
-                            cyc = _merge_cycle(pu, pw)
-                            if cyc is not None and len(cyc) == cand:
-                                best = cand
-                                best_cycle = cyc
-            frontier = nxt
-    return best, best_cycle
+def _ball(adj, root, wanted):
+    """Breadth-first search from `root`, stopped at the end of the first
+    layer by which `wanted` non-tree edges have appeared.
+
+    Returns (parent, walks).  parent[v] is (tree parent, edge index), or
+    None at the root.  walks lists (length, edge index, u, w) for each
+    non-tree edge u-w met, shortest first, where length = d(u) + d(w) + 1
+    is that of the closed walk root .. u - w .. root.  A non-tree edge
+    met in layer k closes a walk of length 2k+1 or 2k+2, and every later
+    layer only longer ones, so `walks` starts with the root's `wanted`
+    shortest closed walks through a non-tree edge.
+    """
+    dist = {root: 0}
+    parent = {root: None}
+    walks = {}
+    layer = [root]
+    while layer and len(walks) < wanted:
+        nxt = []
+        for u in layer:
+            up = parent[u][1] if parent[u] else None
+            for w, i in adj[u]:
+                if i == up or i in walks:
+                    continue
+                if w in dist:
+                    walks[i] = (dist[u] + dist[w] + 1, i, u, w)
+                else:
+                    dist[w] = dist[u] + 1
+                    parent[w] = (u, i)
+                    nxt.append(w)
+        layer = nxt
+    return parent, sorted(walks.values())
 
 
-def _path_to_root(parent, u):
-    path = [u]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path
-
-
-def _merge_cycle(pu, pw):
-    su = set(pu)
-    # walk pw until hitting pu; shortest-cycle candidates meet only at the root
-    meet = next((x for x in pw if x in su), None)
-    if meet is None:
-        return None
-    iu = pu.index(meet)
-    iw = pw.index(meet)
-    cyc = pu[:iu + 1] + list(reversed(pw[:iw]))
-    return cyc if len(set(cyc)) == len(cyc) else None
+def _path_up(parent, v):
+    """[(vertex, edge to its tree parent), ...] from v up to the root."""
+    out = []
+    while parent[v] is not None:
+        up, i = parent[v]
+        out.append((v, i))
+        v = up
+    return out
 
 
 @dataclass
@@ -421,14 +326,26 @@ class ShortCycleReport:
 def short_cycle(g):
     """Shortest simple closed curve versus 2 log2((V+2)/3) + 2.
 
+    Every closed walk through a non-tree edge contains a cycle no longer
+    than itself, and a root on a shortest cycle meets one of its edges
+    as a non-tree edge, so the shortest such walk over all roots is a
+    shortest cycle.  `cycle_vertices` is [u] for a loop, [u, v] for a
+    parallel pair, otherwise the cycle in order.
+
     `holds` is the exact comparison 9 * 2^g <= 4 (V+2)^2; the reported
     bound value is a certified dyadic enclosure.
     """
     if g.num_vertices < 1:
         raise ValueError("empty graph")
-    girth, cyc = _girth_and_cycle(g)
-    if girth is None:
-        raise ArithmeticError("trivalent graph must contain a cycle")
+    adj = g.adjacency()
+    best = None
+    for root in range(g.num_vertices):
+        parent, walks = _ball(adj, root, 1)
+        if best is None or walks[0][0] < best[0][0]:
+            best = walks[0], root, parent
+    (girth, _, u, w), root, parent = best
+    cyc = ([x for x, _ in _path_up(parent, u)] + [root]
+           + [x for x, _ in reversed(_path_up(parent, w))])
     v = g.num_vertices
     lo, hi = log2_enclosure(Fraction(v + 2, 3))
     holds = 9 * (2 ** girth) <= 4 * (v + 2) ** 2
@@ -444,23 +361,15 @@ class SmallSubgraphReport:
     bound_lo: object
     bound_hi: object
     holds: bool
-    strategy: str
+    strategy: str = "ball"
 
 
 def _subgraph_b1(edge_idx, g):
-    verts = set()
-    for i in edge_idx:
-        u, v = g.edges[i]
-        verts.add(u)
-        verts.add(v)
-    comp = _count_components(edge_idx, g, verts)
-    return len(edge_idx) - len(verts) + comp
-
-
-def _count_components(edge_idx, g, verts):
-    parent = {v: v for v in verts}
+    """E - V + components of the subgraph spanned by the given edges."""
+    parent = {}
 
     def find(v):
+        parent.setdefault(v, v)
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
@@ -469,208 +378,60 @@ def _count_components(edge_idx, g, verts):
     for i in edge_idx:
         u, v = g.edges[i]
         parent[find(u)] = find(v)
-    return len({find(v) for v in verts})
+    return len(edge_idx) - len(parent) + len({find(v) for v in list(parent)})
 
 
-def _connected_edges(edge_idx, g):
-    verts = set()
-    for i in edge_idx:
-        verts.update(g.edges[i])
-    return verts and _count_components(edge_idx, g, verts) == 1
-
-
-def _shortest_ear(g, cycle_edges):
-    """Shortest path (edge list) with both endpoints on the cycle's vertex
-    set and no interior vertex or edge on the cycle; may be a single edge."""
-    cyc_verts = set()
-    for i in cycle_edges:
-        cyc_verts.update(g.edges[i])
-    adj = g.adjacency()
-    cyc_edge_set = set(cycle_edges)
-    # multi-source BFS from all cycle vertices, tracking the originating vertex
-    best = None
-    dist = {v: (0, None, None) for v in cyc_verts}  # vertex -> (d, origin, via edge)
-    frontier = list(cyc_verts)
-    parent_edge = {}
-    while frontier and best is None:
-        nxt = []
-        for u in frontier:
-            du, ou, _ = dist[u]
-            for w, ei in adj[u]:
-                if ei in cyc_edge_set:
-                    continue
-                if w in dist:
-                    dw, ow, _ = dist[w]
-                    # closing edge: forms an ear if origins differ or it re-enters the cycle
-                    path = _trace_ear(dist, parent_edge, u, w, ei, cyc_verts)
-                    if path is not None and (best is None or len(path) < len(best)):
-                        best = path
-                else:
-                    dist[w] = (du + 1, ou if ou is not None else u, ei)
-                    parent_edge[w] = (u, ei)
-                    nxt.append(w)
-        frontier = nxt
-    return best
-
-
-def _trace_ear(dist, parent_edge, u, w, closing_edge, cyc_verts):
-    def back(v):
-        out = []
-        while v not in cyc_verts:
-            pv, ei = parent_edge[v]
-            out.append(ei)
-            v = pv
-        return out
-
-    e1 = back(u)
-    e2 = back(w)
-    path = e1 + [closing_edge] + e2
-    if len(set(path)) != len(path):
-        return None
-    return path
+def _without_leaves(g, edge_idx):
+    """Delete degree-1 vertices (and their edge) until none is left;
+    b1 and connectivity are unchanged."""
+    edges = set(edge_idx)
+    deg = {}
+    for i in edges:
+        for x in g.edges[i]:
+            deg[x] = deg.get(x, 0) + 1
+    leaves = [x for x, d in deg.items() if d == 1]
+    while leaves:
+        x = leaves.pop()
+        i = next(i for i in edges if x in g.edges[i])
+        edges.remove(i)
+        for y in g.edges[i]:
+            deg[y] -= 1
+            if deg[y] == 1:
+                leaves.append(y)
+    return sorted(edges)
 
 
 def b1_two_subgraph(g):
     """Connected subgraph with b1 exactly 2 and few edges.
 
-    Primary strategy: shortest cycle plus its shortest ear.  If the
-    result misses the 6 log2(b1 - 1) + 12 bound, fall back to an
-    exhaustive search over pairs of short cycles.  `holds` is the exact
-    comparison 2^edges <= 2^12 (b1-1)^6.
+    From each root, the breadth-first ball that `_ball` grows until two
+    non-tree edges have appeared gives a candidate: the two non-tree
+    edges with the shortest closed walks, their tree paths to the root,
+    and no degree-1 vertices.  A tree plus two edges is connected with
+    b1 = 2, so every root yields one, and the fewest edges over all
+    roots is returned.  There is no other search, so `strategy` is
+    always "ball"; the field stays for callers and `kll graph` output.
+
+    `holds` is the exact comparison 2^edges <= 2^12 (b1-1)^6.
     """
     b = g.b1()
     if b < 2:
         raise FirstBettiTooSmall(f"b1 = {b} < 2")
-    girth, cyc_vertices = _girth_and_cycle(g)
-    cycle_edges = _cycle_edge_indices(g, cyc_vertices)
-    ear = _shortest_ear(g, cycle_edges)
-    candidate = None
-    strategy = "ball"
-    if ear is not None:
-        edge_set = sorted(set(cycle_edges) | set(ear))
-        if _subgraph_b1(edge_set, g) == 2 and _connected_edges(edge_set, g):
-            candidate = edge_set
-    limit = _b1_bound_limit(b)
-    if candidate is None or len(candidate) > limit:
-        exhaustive = _exhaustive_b1_two(g)
-        if exhaustive is not None and (candidate is None or len(exhaustive) < len(candidate)):
-            candidate = exhaustive
-            strategy = "exhaustive"
-    if candidate is None:
-        raise ArithmeticError("no b1=2 subgraph found despite b1 >= 2")
-    lo, hi = log2_enclosure(b - 1) if b > 2 else (Fraction(0), Fraction(0))
-    holds = 2 ** len(candidate) <= (2 ** 12) * (b - 1) ** 6
-    return SmallSubgraphReport(edge_indices=list(candidate),
-                               num_edges=len(candidate),
-                               bound_lo=6 * lo + 12, bound_hi=6 * hi + 12,
-                               holds=holds, strategy=strategy)
-
-
-def _b1_bound_limit(b):
-    # largest integer m with 2^m <= 2^12 (b-1)^6
-    m = 12
-    while 2 ** (m + 1) <= (2 ** 12) * (b - 1) ** 6:
-        m += 1
-    return m
-
-
-def _cycle_edge_indices(g, cyc_vertices):
-    """Edge indices realizing the vertex cycle (handles loops/parallels)."""
-    if len(cyc_vertices) == 1:
-        v = cyc_vertices[0]
-        for i, (a, b) in enumerate(g.edges):
-            if a == b == v:
-                return [i]
-        raise ArithmeticError("loop cycle not found")
-    if len(cyc_vertices) == 2:
-        u, v = cyc_vertices
-        idx = [i for i, e in enumerate(g.edges) if tuple(sorted((u, v))) == e]
-        if len(idx) >= 2:
-            return idx[:2]
-    out = []
-    used = set()
-    k = len(cyc_vertices)
-    for t in range(k):
-        u, v = cyc_vertices[t], cyc_vertices[(t + 1) % k]
-        key = tuple(sorted((u, v)))
-        i = next(i for i, e in enumerate(g.edges) if e == key and i not in used)
-        used.add(i)
-        out.append(i)
-    return out
-
-
-def _all_short_cycles(g, max_count=400):
-    """Simple cycles as edge-index tuples, shortest first (bounded list)."""
-    cycles = set()
-    mult = _edge_multiset(g)
-    for i, (u, v) in enumerate(g.edges):
-        if u == v:
-            cycles.add((i,))
-    by_pair = {}
-    for i, e in enumerate(g.edges):
-        by_pair.setdefault(e, []).append(i)
-    for e, idx in by_pair.items():
-        if e[0] != e[1] and len(idx) >= 2:
-            for a, b in combinations(idx, 2):
-                cycles.add(tuple(sorted((a, b))))
     adj = g.adjacency()
-
-    def dfs(start, u, visited, edges_used):
-        for w, ei in adj[u]:
-            if ei in edges_used or w == u == start:
-                continue
-            if w == start and len(edges_used) >= 2:
-                cycles.add(tuple(sorted(edges_used | {ei})))
-            elif w not in visited and w != start:
-                if len(cycles) > 5 * max_count:
-                    return
-                dfs(start, w, visited | {w}, edges_used | {ei})
-
-    for start in range(g.num_vertices):
-        dfs(start, start, {start}, frozenset())
-    ordered = sorted(cycles, key=len)
-    return ordered[:max_count]
-
-
-def _exhaustive_b1_two(g):
-    cycles = _all_short_cycles(g)
     best = None
-    for c1, c2 in combinations(cycles, 2):
-        union = set(c1) | set(c2)
-        if best is not None and len(union) >= best[0]:
-            continue
-        if _subgraph_b1(sorted(union), g) == 2 and _connected_edges(sorted(union), g):
-            best = (len(union), sorted(union))
-            continue
-        # try connecting two disjoint cycles by a shortest path
-        joined = _join_cycles(g, c1, c2)
-        if joined is not None and _subgraph_b1(joined, g) == 2:
-            if best is None or len(joined) < best[0]:
-                best = (len(joined), joined)
-    return best[1] if best else None
-
-
-def _join_cycles(g, c1, c2):
-    v1 = set()
-    for i in c1:
-        v1.update(g.edges[i])
-    v2 = set()
-    for i in c2:
-        v2.update(g.edges[i])
-    if v1 & v2:
-        return None
-    adj = g.adjacency()
-    dist = {v: ([], v) for v in v1}
-    frontier = list(v1)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            path_u, _ = dist[u]
-            for w, ei in adj[u]:
-                if w in v2:
-                    return sorted(set(c1) | set(c2) | set(path_u + [ei]))
-                if w not in dist:
-                    dist[w] = (path_u + [ei], w)
-                    nxt.append(w)
-        frontier = nxt
-    return None
+    for root in range(g.num_vertices):
+        parent, walks = _ball(adj, root, 2)
+        edges = set()
+        for _, i, u, w in walks[:2]:
+            edges.add(i)
+            edges.update(e for _, e in _path_up(parent, u) + _path_up(parent, w))
+        edges = _without_leaves(g, edges)
+        if best is None or len(edges) < len(best):
+            best = edges
+    if _subgraph_b1(best, g) != 2:
+        raise AssertionError("ball candidate is not a b1=2 subgraph")
+    lo, hi = log2_enclosure(b - 1) if b > 2 else (Fraction(0), Fraction(0))
+    holds = 2 ** len(best) <= (2 ** 12) * (b - 1) ** 6
+    return SmallSubgraphReport(edge_indices=best, num_edges=len(best),
+                               bound_lo=6 * lo + 12, bound_hi=6 * hi + 12,
+                               holds=holds)

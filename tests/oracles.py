@@ -272,3 +272,91 @@ def group_table_by_products(elements, multiply):
     inverse = [next(j for j in range(n) if table[i * n + j] == identity)
                for i in range(n)]
     return table, identity, inverse
+
+
+# ---------------------------------------------------------------------------
+# Multigraphs (anything with num_vertices and an edge list of (u, v)
+# pairs): isomorphism by backtracking over vertex bijections, girth by
+# deleting one edge at a time, b1 of an edge subset by union-find
+
+def _multiplicities(edges):
+    mult = {}
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        mult[key] = mult.get(key, 0) + 1
+    return mult
+
+
+def multigraphs_isomorphic(g1, g2):
+    """Whether a bijection of vertices carries every loop and edge
+    multiplicity of g1 onto the same multiplicity in g2.  Vertices
+    0, 1, ... of g1 are mapped in turn, each pair checked as soon as
+    both ends are mapped."""
+    n = g1.num_vertices
+    if n != g2.num_vertices or len(g1.edges) != len(g2.edges):
+        return False
+    m1, m2 = _multiplicities(g1.edges), _multiplicities(g2.edges)
+    image = []
+    used = [False] * n
+
+    def fits(v, w):
+        if m1.get((v, v), 0) != m2.get((w, w), 0):
+            return False
+        return all(m1.get((u, v), 0) == m2.get((min(x, w), max(x, w)), 0)
+                   for u, x in enumerate(image))
+
+    def extend(v):
+        if v == n:
+            return True
+        for w in range(n):
+            if not used[w] and fits(v, w):
+                used[w] = True
+                image.append(w)
+                if extend(v + 1):
+                    return True
+                used[w] = False
+                image.pop()
+        return False
+
+    return extend(0)
+
+
+def girth_by_edge_deletion(g):
+    """Shortest cycle length: the minimum over edges u-v of 1 + the BFS
+    distance from u to v without that edge; a loop counts 1."""
+    adj = [[] for _ in range(g.num_vertices)]
+    for k, (u, v) in enumerate(g.edges):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    best = None
+    for k, (u, v) in enumerate(g.edges):
+        if u == v:
+            return 1
+        dist = {u: 0}
+        queue = [u]
+        for x in queue:
+            for y, j in adj[x]:
+                if j != k and y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
+def edge_subgraph_betti(edges, indices):
+    """(b1, number of components) of the subgraph formed by the chosen
+    edges and their endpoints."""
+    root = {}
+
+    def find(x):
+        root.setdefault(x, x)
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i in indices:
+        u, v = edges[i]
+        root[find(u)] = find(v)
+    comps = len({find(x) for x in list(root)})
+    return len(indices) - len(root) + comps, comps

@@ -4,9 +4,11 @@ import pytest
 
 from kll.trivalent import (TrivalentGraph, short_cycle, b1_two_subgraph,
                            generate_connected_trivalent,
-                           random_connected_trivalent, isomorphic,
-                           canonical_form, wl_certificate,
-                           FirstBettiTooSmall, _subgraph_b1, _girth_and_cycle)
+                           random_connected_trivalent, canonical_form,
+                           FirstBettiTooSmall, _subgraph_b1)
+
+from oracles import (edge_subgraph_betti, girth_by_edge_deletion,
+                     multigraphs_isomorphic)
 
 K4 = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 THETA = TrivalentGraph(2, ((0, 1), (0, 1), (0, 1)))
@@ -29,11 +31,11 @@ def test_b1_formula():
 
 
 def test_girth_named_graphs():
-    assert _girth_and_cycle(K4)[0] == 3
-    assert _girth_and_cycle(THETA)[0] == 2
-    assert _girth_and_cycle(DUMBBELL)[0] == 1
-    assert _girth_and_cycle(Q3)[0] == 4
-    assert _girth_and_cycle(PETERSEN)[0] == 5
+    assert short_cycle(K4).length == 3
+    assert short_cycle(THETA).length == 2
+    assert short_cycle(DUMBBELL).length == 1
+    assert short_cycle(Q3).length == 4
+    assert short_cycle(PETERSEN).length == 5
 
 
 def test_short_cycle_reports():
@@ -105,18 +107,18 @@ def test_simple_only_filter():
 
 def test_isomorphic_and_canonical_agree():
     rng = random.Random(103)
-    gen = generate_connected_trivalent(6)
+    gen = generate_connected_trivalent(8)
     graphs = [g for v in gen.values() for g in v]
     for g in graphs:
         perm = list(range(g.num_vertices))
         rng.shuffle(perm)
         relab = TrivalentGraph(g.num_vertices,
                                tuple((perm[u], perm[v]) for u, v in g.edges))
-        assert isomorphic(g, relab)
+        assert multigraphs_isomorphic(g, relab)
         assert canonical_form(g) == canonical_form(relab)
-        assert wl_certificate(g) == wl_certificate(relab)
     for i, g1 in enumerate(graphs):
         for g2 in graphs[i + 1:]:
+            assert not multigraphs_isomorphic(g1, g2)
             assert canonical_form(g1) != canonical_form(g2)
 
 
@@ -142,3 +144,41 @@ def test_random_sampling():
 def test_json_roundtrip():
     g2 = TrivalentGraph.from_json(K4.to_json())
     assert g2 == K4
+
+
+def _lemma_test_graphs():
+    gen = generate_connected_trivalent(10)
+    graphs = [g for v in sorted(gen) for g in gen[v]]
+    graphs += [K4, THETA, DUMBBELL, Q3, PETERSEN]
+    rng = random.Random(109)
+    for v in (12, 16, 24, 32, 64, 128, 256):
+        graphs += [random_connected_trivalent(v, rng) for _ in range(3)]
+    return graphs
+
+
+def _is_closed_cycle(g, cycle):
+    """Whether the vertex list is a simple closed cycle of g."""
+    mult = {}
+    for e in g.edges:
+        mult[e] = mult.get(e, 0) + 1
+    if len(cycle) == 1:
+        return mult.get((cycle[0], cycle[0]), 0) >= 1
+    if len(set(cycle)) != len(cycle):
+        return False
+    if len(cycle) == 2:
+        return mult.get(tuple(sorted(cycle)), 0) >= 2
+    return all(tuple(sorted((cycle[k], cycle[k - 1]))) in mult
+               for k in range(len(cycle)))
+
+
+def test_ball_search_against_oracles():
+    for g in _lemma_test_graphs():
+        cyc = short_cycle(g)
+        assert cyc.length == girth_by_edge_deletion(g)
+        assert len(cyc.cycle_vertices) == cyc.length
+        assert _is_closed_cycle(g, cyc.cycle_vertices)
+        sub = b1_two_subgraph(g)
+        assert edge_subgraph_betti(g.edges, sub.edge_indices) == (2, 1)
+        assert sub.num_edges == len(set(sub.edge_indices))
+        assert sub.holds
+        assert 2 ** sub.num_edges <= 2 ** 12 * (g.b1() - 1) ** 6
