@@ -65,11 +65,15 @@ def _validate_orbifold(obj):
 
 
 def _validate_graph(obj):
-    _require(obj, "V", "", int)
+    v = _require(obj, "V", "", int)
     edges = _require(obj, "edges", "", list)
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2):
             raise ValueError(f"wrong shape at /edges/{i}: expected [u, v]")
+        for j, u in enumerate(e):
+            if type(u) is not int or not 0 <= u < v:  # JSON true is no vertex
+                raise ValueError(f"bad vertex at /edges/{i}/{j}: expected "
+                                 f"an integer in [0, {v})")
 
 
 def _validate_quotient_job(obj):
@@ -307,10 +311,12 @@ def _flatten(m):
 def cmd_cheeger(args):
     if args.cycle:
         g = taugraphs.CosetGraph.cycle(args.cycle)
+    elif not args.input:
+        raise ValueError("pass --cycle or --input")
     else:
         obj = json.loads(open(args.input).read())
-        g = taugraphs.CosetGraph(int(obj["V"]),
-                                 tuple(tuple(e) for e in obj["edges"]))
+        _validate_graph(obj)
+        g = taugraphs.CosetGraph(obj["V"], tuple(tuple(e) for e in obj["edges"]))
     report = {"V": g.num_vertices}
     try:
         report["h"] = _rat(taugraphs.cheeger_exact(g))
@@ -336,10 +342,9 @@ def cmd_count(args):
         "modulus": m,
         "group_order": table.n,
         "subgroups": census.count,
-        "census_method": census.method,
         "rank": {"value": rank.rank, "bound": rank.bound, "holds": rank.holds},
         "essential": {
-            "count": len(ess.essential),
+            "count": ess.count,
             "minimal_index": ess.minimal_index,
             "prime_field": ess.prime_field,
             "expected_minimal": ess.expected_minimal,
@@ -436,6 +441,12 @@ def verify_paper_examples():
     record("free-product-kernel-rank-3",
            ker.rank() == 3 and not ker.relators,
            {"rank": ker.rank(), "relators": len(ker.relators)})
+
+    # SL(2, 11): minimal proper index q, the exceptional case, from 2.A5
+    census = counting.subgroup_census(counting.sl2_group_table(11))
+    ess = counting.essential_subgroups(11, census)
+    record("sl2-11-census", census.count == 766 and ess.minimal_index == 11,
+           {"subgroups": census.count, "minimal_index": ess.minimal_index})
 
     return results
 

@@ -2,15 +2,15 @@
 rank = sup d(H), essential subgroups and the level-versus-index bound,
 and the subgroup-count lower bounds from homology towers.
 
-For groups of order <= 400 every subgroup is found by closing the
-census under one-generator extensions, which is complete.  Larger
-groups use normalizer-restricted cyclic extensions by prime-order
-steps, which reach every soluble subgroup and the group itself but no
-insoluble proper subgroup.  That route is incomplete whenever such a
-subgroup exists: SL(2, 11) contains 2.A5 of order 120, so its census
-finds 744 of the 766 subgroups and a minimal index of 12 instead of
-11 (likewise SL(2, Z/10), which contains C3 x SL(2, 5)).  The method
-used is recorded on the result.
+The census finds every subgroup, one conjugacy class at a time.  Each
+class is grown from its representative R by the one-generator
+extensions <R, g>, and a new class is stored as its orbit under
+conjugation by the table's generators, which gives its size and its
+members.  This is complete: every subgroup K is reached from the
+trivial group by adding its generators one at a time, and if
+K_i^x = R then <K_i, g>^x = <R, g^x> is reached from R.  s_n and the
+essential subgroups weight each representative by its class size, and
+d(H) is a conjugacy invariant, so the rank runs over representatives.
 """
 
 from array import array
@@ -26,7 +26,6 @@ from .finquot import ModRing, sl2_elements, mat_mul
 
 
 CENSUS_ORDER_BUDGET = 10 ** 4
-COMPLETE_METHOD_MAX = 400
 EXCEPTIONAL_MINIMAL_INDEX_Q = (2, 3, 5, 7, 11)  # PSL(2,q) acts on q points
 
 
@@ -68,6 +67,7 @@ class GroupTable:
         self.identity = identity = buf.index(0, 0, n)  # e_0 e = e_0
         self.inverse = [buf.index(identity, i * n, (i + 1) * n) - i * n
                         for i in range(n)]
+        self.whole = frozenset(range(n))
 
     def mul(self, i, j):
         return self.table[i * self.n + j]
@@ -83,7 +83,9 @@ class GroupTable:
     def closure(self, gens, sub=None):
         """Subgroup generated by `gens`, grown from `sub`, a known
         subgroup of it (default trivial), one right coset sub r s at a
-        time; in a finite group no inverses are needed."""
+        time; in a finite group no inverses are needed.  By Lagrange a
+        subgroup holding more than half the group is the whole group,
+        so the growth stops there."""
         table, n = self.table, self.n
         sub = sub or (self.identity,)
         offsets = [h * n for h in sub]
@@ -95,6 +97,8 @@ class GroupTable:
                 y = table[r * n + s]
                 if y not in seen:
                     seen.update([table[o + y] for o in offsets])
+                    if 2 * len(seen) > n:
+                        return self.whole
                     reps.append(y)
         return frozenset(seen)
 
@@ -126,159 +130,86 @@ def sl2_group_table(m):
 
 
 @dataclass
+class SubgroupClass:
+    """A conjugacy class of subgroups: its representative, its number of
+    conjugates, and elements that generate the representative."""
+    representative: frozenset
+    size: int
+    generators: tuple
+
+
+@dataclass
 class FiniteGroupCensus:
     table: GroupTable
-    subgroups: list            # frozensets of element indices, sorted by (size, repr)
-    method: str
-    generators: dict = dc_field(default_factory=dict)  # subgroup -> known gen set
+    classes: list   # SubgroupClass, sorted by (order, sorted representative)
+    class_of: dict  # every subgroup -> index of its class in `classes`
     _d_cache: dict = dc_field(default_factory=dict)
 
     @property
     def count(self):
-        return len(self.subgroups)
+        return len(self.class_of)
 
     def orders(self):
-        return sorted(len(h) for h in self.subgroups)
+        return sorted(len(h) for h in self.class_of)
 
     def subgroups_of_index(self, idx):
-        return [h for h in self.subgroups if self.table.n == idx * len(h)]
+        return [h for h in self.class_of if self.table.n == idx * len(h)]
 
     def min_generators(self, h, pair_budget=None):
         return _min_generators(self.table, h, self._d_cache, pair_budget)
 
     def rank(self, pair_budget=None):
-        return max(self.min_generators(h, pair_budget) for h in self.subgroups)
-
-    def to_json(self, with_generators=False):
-        out = {
-            "group_order": self.table.n,
-            "method": self.method,
-            "count": self.count,
-            "subgroups": [
-                {"order": len(h), "d": self.min_generators(h)}
-                for h in self.subgroups
-            ],
-        }
-        if with_generators:
-            for rec, h in zip(out["subgroups"], self.subgroups):
-                rec["generators"] = [list(self.table.elements[g])
-                                     for g in self.generators.get(h, ())]
-        return out
+        return max(self.min_generators(c.representative, pair_budget)
+                   for c in self.classes)
 
 
-def subgroup_census(table, method="auto"):
-    """Every subgroup of the group, as frozensets of element indices."""
+def subgroup_census(table):
+    """Every subgroup of the group, as conjugacy classes of frozensets
+    of element indices.
+
+    Each class representative h is extended by one element g per right
+    coset hg, since <h, g> depends only on the coset."""
     budget = _budget(CENSUS_ORDER_BUDGET)
     if table.n > budget:
         raise BudgetExceeded(f"group order {table.n} over census budget {budget}")
-    if method == "auto":
-        method = "complete" if table.n <= COMPLETE_METHOD_MAX else "cyclic-extension"
-    if method == "complete":
-        subs, gens = _census_complete(table)
-    else:
-        subs, gens = _census_cyclic_extension(table)
-    ordered = sorted(subs, key=lambda h: (len(h), sorted(h)))
-    return FiniteGroupCensus(table=table, subgroups=ordered, method=method,
-                             generators=gens)
-
-
-def _census_complete(table):
-    """Close the set of subgroups under one-generator extensions.
-
-    Complete: any subgroup K is reached by adding its generators one at
-    a time to the trivial subgroup.  <H, g> depends only on the coset
-    Hg, so g runs over coset representatives.
-    """
+    n, t = table.n, table.table
+    # x -> s^-1 x s for each generator s
+    rows = [[t[t[table.inverse[s] * n + x] * n + s] for x in range(n)]
+            for s in table.generators]
     trivial = frozenset([table.identity])
-    seen = {trivial}
-    gens = {trivial: ()}
-    work = [trivial]
-    while work:
-        h = work.pop()
-        base = gens[h]
+    found = {trivial}
+    grown = [(trivial, (), [trivial])]  # (representative, generators, orbit)
+    for h, base, _ in grown:  # grows as new classes are found
+        offsets = [x * n for x in h]
         covered = set(h)
-        for g in range(table.n):
+        for g in range(n):
             if g in covered:
                 continue
-            covered.update(table.mul(x, g) for x in h)
+            covered.update([t[o + g] for o in offsets])
             k = table.closure(base + (g,), h)
-            if k not in seen:
-                seen.add(k)
-                gens[k] = base + (g,)
-                work.append(k)
-    return seen, gens
+            if k not in found:
+                orbit = _conjugates(k, rows)
+                found.update(orbit)
+                grown.append((k, base + (g,), orbit))
+    classes, class_of = [], {}
+    for h, gens, orbit in sorted(grown, key=lambda c: (len(c[0]), sorted(c[0]))):
+        class_of.update(dict.fromkeys(orbit, len(classes)))
+        classes.append(SubgroupClass(h, len(orbit), gens))
+    return FiniteGroupCensus(table=table, classes=classes, class_of=class_of)
 
 
-def _census_cyclic_extension(table):
-    """Normalizer-restricted prime-step extensions; finds every soluble
-    subgroup, plus the whole group."""
-    trivial = frozenset([table.identity])
-    whole = frozenset(range(table.n))
-    seen = {trivial, whole}
-    gens = {trivial: (), whole: tuple(table.generators)}
-    work = [trivial]
-    # precompute element orders
-    orders = [table.order_of(i) for i in range(table.n)]
-    primes = {o: [p for p in range(2, o + 1) if o % p == 0 and _is_prime(p)]
-              for o in set(orders)}
-    while work:
-        h = work.pop()
-        hgens = gens[h]
-        for g in _normalizer(table, h, hgens):
-            if g in h:
-                continue
-            # need a prime p with g^p in h
-            for p in primes[orders[g]]:
-                if _power(table, g, p) in h:
-                    k = _extend_by(table, h, g, p)
-                    if k is not None and k not in seen:
-                        seen.add(k)
-                        gens[k] = hgens + (g,)
-                        work.append(k)
-                    break
-    return seen, gens
-
-
-def _normalizer(table, h, hgens):
-    """N(h) in index order.  Conjugating each generator into h maps h
-    onto a subgroup of h of the same order, hence onto h itself; N(h)
-    is a union of right cosets h g, so one g per coset is tested."""
-    n, t, inverse = table.n, table.table, table.inverse
-    core = hgens or tuple(h)
-    offsets = [x * n for x in h]
-    tested = bytearray(n)
-    normal = bytearray(n)
-    for g in range(n):
-        if not tested[g]:
-            flag = all(t[t[g * n + x] * n + inverse[g]] in h for x in core)
-            for o in offsets:
-                tested[t[o + g]] = 1
-                normal[t[o + g]] = flag
-    return [g for g in range(n) if normal[g]]
-
-
-def _power(table, g, e):
-    acc = table.identity
-    base = g
-    while e:
-        if e & 1:
-            acc = table.mul(acc, base)
-        base = table.mul(base, base)
-        e >>= 1
-    return acc
-
-
-def _extend_by(table, h, g, p):
-    """h union h g union ... union h g^(p-1); valid since g normalizes h
-    and g^p lies in h."""
-    out = set(h)
-    acc = g
-    for _ in range(p - 1):
-        out.update(table.mul(x, acc) for x in h)
-        acc = table.mul(acc, g)
-    if len(out) != p * len(h):
-        return None
-    return frozenset(out)
+def _conjugates(h, rows):
+    """The conjugacy class of h, as its orbit under the conjugation
+    `rows` of a generating set."""
+    orbit = [h]
+    seen = {h}
+    for k in orbit:  # grows as new conjugates are found
+        for row in rows:
+            c = frozenset(map(row.__getitem__, k))
+            if c not in seen:
+                seen.add(c)
+                orbit.append(c)
+    return orbit
 
 
 def _min_generators(table, h, cache, pair_budget=None):
@@ -367,7 +298,8 @@ def congruence_kernel(table, m, m_prime):
 
 @dataclass
 class EssentialReport:
-    essential: list
+    essential: list                # class representatives
+    count: int                     # essential subgroups, all conjugates counted
     minimal_index: int
     prime_field: bool
     expected_minimal: int = None   # q + 1 for prime fields
@@ -376,7 +308,8 @@ class EssentialReport:
 
 def essential_subgroups(m, census):
     """Subgroups of SL(2, Z/m) containing no congruence kernel M(m')
-    for a proper divisor level m' | m, m' != m.
+    for a proper divisor level m' | m, m' != m.  Congruence kernels are
+    normal, so being essential is a property of a conjugacy class.
 
     For a prime field F_q the essential subgroups are exactly the
     proper ones, and the classical minimal-index statement (at least
@@ -386,19 +319,19 @@ def essential_subgroups(m, census):
     table = census.table
     kernels = [congruence_kernel(table, m, mp)
                for mp in _divisors(m) if mp != m]
-    essential = []
-    for h in census.subgroups:
-        if any(k <= h for k in kernels):
-            continue
-        essential.append(h)
+    classes = [c for c in census.classes
+               if not any(k <= c.representative for k in kernels)]
+    essential = [c.representative for c in classes]
+    count = sum(c.size for c in classes)
     if not essential:
-        return EssentialReport(essential=[], minimal_index=0,
+        return EssentialReport(essential=[], count=0, minimal_index=0,
                                prime_field=_is_prime(m))
     min_index = min(table.n // len(h) for h in essential)
     prime_field = _is_prime(m)
     expected = m + 1 if prime_field else None
     exceptional = prime_field and m in EXCEPTIONAL_MINIMAL_INDEX_Q
-    return EssentialReport(essential=essential, minimal_index=min_index,
+    return EssentialReport(essential=essential, count=count,
+                           minimal_index=min_index,
                            prime_field=prime_field,
                            expected_minimal=expected,
                            exceptional=exceptional)
@@ -440,7 +373,8 @@ def level_vs_index_check(h_elements, m, census=None, c=1):
 def s_n(census, n):
     """Number of subgroups of index at most n."""
     total = census.table.n
-    return sum(1 for h in census.subgroups if total <= n * len(h))
+    return sum(c.size for c in census.classes
+               if total <= n * len(c.representative))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ of dyadic rationals with lo <= log2(q) <= hi and width below 2^-60.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _floor_log2(num, den):
@@ -19,10 +20,12 @@ def _floor_log2(num, den):
     return m
 
 
+@lru_cache(maxsize=1024)
 def log2_enclosure(q, bits=64):
     """Return (lo, hi) Fractions with lo <= log2(q) <= hi, hi - lo < 2^-bits.
 
-    q is a positive Fraction or int.
+    q is a positive Fraction or int.  The result depends only on the
+    arguments and is immutable, so repeated bounds are computed once.
     """
     q = Fraction(q)
     if q <= 0:

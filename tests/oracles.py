@@ -275,6 +275,49 @@ def group_table_by_products(elements, multiply):
 
 
 # ---------------------------------------------------------------------------
+# All subgroups by one-generator extensions (counting.subgroup_census
+# oracle): no conjugacy classes, closures by plain breadth-first search
+
+def all_subgroups(table):
+    """Set of every subgroup (frozensets of indices) of a group given by
+    `table.n`, `table.identity` and `table.mul`, for |G| <= 720.
+
+    Closes the trivial subgroup under H -> <H, g>: every subgroup is
+    reached by adding its generators one at a time, and <H, g> depends
+    only on the coset Hg, so g runs over coset representatives."""
+    trivial = frozenset([table.identity])
+    gens = {trivial: ()}
+    work = [trivial]
+    while work:
+        h = work.pop()
+        covered = set(h)
+        for g in range(table.n):
+            if g in covered:
+                continue
+            covered.update(table.mul(x, g) for x in h)
+            k = _bfs_closure(table, gens[h] + (g,), h)
+            if k not in gens:
+                gens[k] = gens[h] + (g,)
+                work.append(k)
+    return set(gens)
+
+
+def _bfs_closure(table, gens, start):
+    """Smallest set holding `start` and closed under right
+    multiplication by `gens`: the subgroup <gens> when `start` is a
+    subgroup of it."""
+    seen = set(start)
+    queue = list(seen)
+    for x in queue:
+        for s in gens:
+            y = table.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
 # Multigraphs (anything with num_vertices and an edge list of (u, v)
 # pairs): isomorphism by backtracking over vertex bijections, girth by
 # deleting one edge at a time, b1 of an edge subset by union-find

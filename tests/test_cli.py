@@ -53,6 +53,21 @@ def test_cheeger_input_graph(tmp_path, capsys):
     assert "lo" in out["spectral_bounds"]
 
 
+def test_cheeger_input_missing_field(tmp_path, capsys):
+    path = tmp_path / "nov.json"
+    path.write_text(json.dumps({"edges": [[0, 1]]}))
+    assert main(["cheeger", "--input", str(path)]) == 2
+    assert "/V" in json.loads(capsys.readouterr().err)["detail"]
+    assert main(["cheeger"]) == 2
+
+
+def test_graph_rejects_bad_endpoint(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"V": 2, "edges": [[0, 1], [0, "x"]]}))
+    assert main(["graph", "--input", str(path)]) == 2
+    assert "/edges/1/1" in json.loads(capsys.readouterr().err)["detail"]
+
+
 def test_tower_command(capsys):
     rc = main(["tower", "--n1", "50", "--depth", "5"])
     assert rc == 0
@@ -177,6 +192,7 @@ def test_verify_examples_structure():
     names = [r["name"] for r in results]
     assert "quintic-signature" in names
     assert "gs-threshold-81-80" in names
+    assert "sl2-11-census" in names
     assert all(r["pass"] for r in results)
 
 

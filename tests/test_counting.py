@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import group_table_by_products
+from oracles import all_subgroups, group_table_by_products
 from kll.fpgroups import BudgetExceeded
 from kll.towers import TowerRecord
 from kll.counting import (GroupTable, sl2_group_table, subgroup_census,
@@ -102,27 +102,61 @@ def test_closure_from_known_subgroup():
     for _ in range(40):
         gens = rng.sample(range(table.n), rng.choice((1, 2, 3)))
         k = table.closure(gens)
-        assert k in census.subgroups and set(gens) <= k
+        assert k in census.class_of and set(gens) <= k
         assert all(table.mul(a, s) in k for a in k for s in gens)
-        below = [h for h in census.subgroups if h <= k]
+        below = [h for h in census.class_of if h <= k]
         for sub in rng.sample(below, min(3, len(below))):
             assert table.closure(gens, sub) == k
 
 
-def test_cyclic_extension_whole_group_generators():
-    table = GroupTable(range(8), lambda a, b: a ^ b)
-    census = subgroup_census(table, method="cyclic-extension")
-    whole = frozenset(range(8))
-    assert table.closure(census.generators[whole]) == whole
+def test_class_generators_close_to_representative():
+    tables = [GroupTable(range(8), lambda a, b: a ^ b)]
+    tables += [sl2_group_table(m) for m in (4, 5, 6)]
+    for table in tables:
+        for c in subgroup_census(table).classes:
+            assert table.closure(c.generators) == c.representative
 
 
-def test_census_methods_agree():
-    # the two routes share no enumeration logic; agreement is a strong check
-    for m in (2, 3, 4, 5):
+def test_census_matches_oracle():
+    # the oracle closes every subgroup, not one per class, by plain BFS
+    for m in range(2, 8):
         table = sl2_group_table(m)
-        complete = subgroup_census(table, method="complete")
-        cyclic = subgroup_census(table, method="cyclic-extension")
-        assert set(complete.subgroups) == set(cyclic.subgroups), m
+        assert set(subgroup_census(table).class_of) == all_subgroups(table), m
+
+
+def test_classes_are_conjugacy_classes():
+    for m in range(2, 9):
+        census = subgroup_census(sl2_group_table(m))
+        table = census.table
+        assert sum(c.size for c in census.classes) == census.count
+        for i, c in enumerate(census.classes):
+            conjugates = {
+                frozenset(table.mul(table.mul(table.inverse[x], h), x)
+                          for h in c.representative)
+                for x in range(table.n)}
+            assert len(conjugates) == c.size, (m, i)
+            assert conjugates == {h for h, j in census.class_of.items()
+                                  if j == i}, (m, i)
+
+
+def test_sl2_11_insoluble_subgroups():
+    # the 22 subgroups of order 120 are 2.A5, of index 11 = q
+    census = subgroup_census(sl2_group_table(11))
+    assert census.count == 766
+    assert census.orders().count(120) == 22
+    assert essential_subgroups(11, census).minimal_index == 11
+
+
+def test_sl2_z10_census():
+    # C3 x SL(2, 5) is an insoluble proper subgroup
+    assert subgroup_census(sl2_group_table(10)).count == 818
+
+
+def test_dickson_binary_icosahedral():
+    # Dickson: SL(2, q) contains 2.A5, of order 120, iff q = +-1 mod 10
+    for q in (7, 11, 13):
+        orders = subgroup_census(sl2_group_table(q)).orders()
+        assert (120 in orders) == (q % 10 in (1, 9)), q
 
 
 def test_index2_count_matches_d2():
@@ -137,7 +171,7 @@ def test_lagrange_consistency():
     for m in (2, 3, 4, 5):
         table = sl2_group_table(m)
         census = subgroup_census(table)
-        for h in census.subgroups:
+        for h in census.class_of:
             assert table.n % len(h) == 0
 
 
@@ -231,14 +265,12 @@ def test_min_generators_elementary_abelian():
 
 
 def test_sl2_z8_rank4_certified():
-    # SL(2, Z/8) has order 2^7 * 3 and is soluble, so the cyclic-extension
-    # census is complete: the same 673 subgroups as the (slower) default
-    census = subgroup_census(sl2_group_table(8), method="cyclic-extension")
+    census = subgroup_census(sl2_group_table(8))
     assert census.count == 673
     rep = rank_bound_check(census)
     assert (rep.rank, rep.bound, rep.holds) == (4, 3, False)
     table = census.table
-    top = [h for h in census.subgroups if census.min_generators(h) == 4]
+    top = [h for h in census.class_of if census.min_generators(h) == 4]
     assert sorted(len(h) for h in top) == [16, 32, 32, 32]
     for h in top:  # by brute force: no triple generates, a quadruple does
         assert all(table.closure(t) != h for t in combinations(sorted(h), 3))
