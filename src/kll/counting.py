@@ -21,11 +21,13 @@ from operator import itemgetter
 import random
 
 from .dyadic import Enclosure
-from .fpgroups import BudgetExceeded, _budget
+from .fpgroups import BudgetExceeded
 from .finquot import ModRing, sl2_elements, mat_mul
+from .polys import _prime_factors_int
 
 
 CENSUS_ORDER_BUDGET = 10 ** 4
+GENERATOR_SEARCH_BUDGET = 512  # largest |H| searched exhaustively for d(H)
 EXCEPTIONAL_MINIMAL_INDEX_Q = (2, 3, 5, 7, 11)  # PSL(2,q) acts on q points
 
 
@@ -155,23 +157,24 @@ class FiniteGroupCensus:
     def subgroups_of_index(self, idx):
         return [h for h in self.class_of if self.table.n == idx * len(h)]
 
-    def min_generators(self, h, pair_budget=None):
-        return _min_generators(self.table, h, self._d_cache, pair_budget)
+    def min_generators(self, h):
+        return _min_generators(self.table, h, self._d_cache)
 
-    def rank(self, pair_budget=None):
-        return max(self.min_generators(c.representative, pair_budget)
-                   for c in self.classes)
+    def rank(self):
+        return max(self.min_generators(c.representative) for c in self.classes)
 
 
-def subgroup_census(table):
+def subgroup_census(table, budget=None):
     """Every subgroup of the group, as conjugacy classes of frozensets
-    of element indices.
+    of element indices; BudgetExceeded for a group of order above
+    `budget` (default CENSUS_ORDER_BUDGET).
 
     Each class representative h is extended by one element g per right
     coset hg, since <h, g> depends only on the coset."""
-    budget = _budget(CENSUS_ORDER_BUDGET)
+    if budget is None:
+        budget = CENSUS_ORDER_BUDGET
     if table.n > budget:
-        raise BudgetExceeded(f"group order {table.n} over census budget {budget}")
+        raise BudgetExceeded("census order", budget, table.n)
     n, t = table.n, table.table
     # x -> s^-1 x s for each generator s
     rows = [[t[t[table.inverse[s] * n + x] * n + s] for x in range(n)]
@@ -212,15 +215,15 @@ def _conjugates(h, rows):
     return orbit
 
 
-def _min_generators(table, h, cache, pair_budget=None):
+def _min_generators(table, h, cache):
     """Exact d(H) by incremental generation search.
 
     The cyclic test is exact, and seeded random pairs find most
-    2-generated subgroups at once.  Otherwise, for |H| <= pair_budget,
-    the search is exhaustive: the subgroups generated by k elements of
-    H are the <K, g> with K generated by k - 1 of them and g in H, and
-    <K, g> depends only on the coset Kg, so k grows from 0 until H
-    itself is reached."""
+    2-generated subgroups at once.  Otherwise, for |H| at most
+    GENERATOR_SEARCH_BUDGET, the search is exhaustive: the subgroups
+    generated by k elements of H are the <K, g> with K generated by
+    k - 1 of them and g in H, and <K, g> depends only on the coset Kg,
+    so k grows from 0 until H itself is reached."""
     if h in cache:
         return cache[h]
     size = len(h)
@@ -232,8 +235,6 @@ def _min_generators(table, h, cache, pair_budget=None):
         if table.order_of(g) == size:
             cache[h] = 1
             return 1
-    if pair_budget is None:
-        pair_budget = 512
     rng = random.Random(size * 1009 + members[0])
     tries = min(300, size * size)
     for _ in range(tries):
@@ -241,9 +242,9 @@ def _min_generators(table, h, cache, pair_budget=None):
         if len(table.closure({a, b})) == size:
             cache[h] = 2
             return 2
-    if size > pair_budget:
-        raise BudgetExceeded(f"exhaustive generator search over a subgroup "
-                             f"of order {size} (size bound {pair_budget})")
+    if size > GENERATOR_SEARCH_BUDGET:
+        raise BudgetExceeded("generator search size", GENERATOR_SEARCH_BUDGET,
+                             size)
     layer = {frozenset([table.identity]): ()}  # subgroup -> generators
     k = 0
     while True:
@@ -338,7 +339,7 @@ def essential_subgroups(m, census):
 
 
 def _is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    return _prime_factors_int(n) == [n]
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .gf import GF, ModRing
-from .fpgroups import SubgroupTable, BudgetExceeded, _budget
+from .fpgroups import SubgroupTable, BudgetExceeded
 
 
 class DenominatorNotCoprime(ValueError):
@@ -39,8 +39,7 @@ def _orbit(start, moves, act, budget=None):
                 if y not in seen:
                     seen.add(y)
                     if budget is not None and len(seen) > budget:
-                        raise BudgetExceeded(
-                            f"closure exceeded budget {budget}")
+                        raise BudgetExceeded("closure order", budget, len(seen))
                     nxt.append(y)
         orbit += nxt
         frontier = nxt
@@ -82,7 +81,7 @@ def proj_canonical(ring, x):
 def closure(ring, generators, projective=False, budget=None):
     """BFS closure of determinant-1 generators; returns a frozenset."""
     if budget is None:
-        budget = _budget(DEFAULT_ORDER_BUDGET)
+        budget = DEFAULT_ORDER_BUDGET
     gens = []
     for g in generators:
         g = tuple(g)
@@ -279,7 +278,7 @@ class ProductGroup:
 
     def closure(self, generators, budget=None):
         if budget is None:
-            budget = _budget(DEFAULT_ORDER_BUDGET)
+            budget = DEFAULT_ORDER_BUDGET
         gens = []
         for g in generators:
             g = self.canonical(g)
@@ -289,10 +288,9 @@ class ProductGroup:
 
     def all_elements(self, budget=None):
         if budget is None:
-            budget = _budget(DEFAULT_ORDER_BUDGET)
+            budget = DEFAULT_ORDER_BUDGET
         if self.order() > budget:
-            raise BudgetExceeded(
-                f"product order {self.order()} exceeds budget {budget}")
+            raise BudgetExceeded("product order", budget, self.order())
         per_factor = [psl2_elements(r) if self.projective else sl2_elements(r)
                       for r in self.rings]
         out = [()]

@@ -8,7 +8,6 @@ negative for inverses).  The JSON convention writes words as strings
 with capital letters for inverses: "aabAB" = a a b a^-1 b^-1.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,23 +24,16 @@ class RelatorNotKilled(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration exceeded the configured node budget."""
+    """An enumeration outgrew one of its budgets: `budget` names the
+    quantity capped, `limit` is the cap and `reached` how far the run got."""
+
+    def __init__(self, budget, limit, reached):
+        super().__init__(f"{budget} reached {reached}, over its budget {limit}")
+        self.budget, self.limit, self.reached = budget, limit, reached
 
 
 DEFAULT_MAX_INDEX = 12
 DEFAULT_NODE_BUDGET = 10 ** 7
-
-
-def _budget(default):
-    """The KLL_BUDGET override if set, else `default`; the one reader of
-    KLL_BUDGET for coset-table nodes, closure orders and census orders."""
-    env = os.environ.get("KLL_BUDGET")
-    if not env:
-        return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"KLL_BUDGET must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +431,7 @@ def reidemeister_schreier(sub, transversal="bfs"):
 # ---------------------------------------------------------------------------
 # Low-index subgroup enumeration
 
-def low_index_subgroups(pres, max_index, node_budget=None,
-                        max_index_budget=DEFAULT_MAX_INDEX):
+def low_index_subgroups(pres, max_index, node_budget=None):
     """All subgroups of index <= max_index, as distinct coset tables in
     first-occurrence standard form (conjugates counted separately).
 
@@ -451,10 +442,9 @@ def low_index_subgroups(pres, max_index, node_budget=None,
     subgroup appears exactly once.
     """
     if node_budget is None:
-        node_budget = _budget(DEFAULT_NODE_BUDGET)
-    if max_index > max_index_budget:
-        raise BudgetExceeded(f"max index {max_index} above configured "
-                             f"budget {max_index_budget}")
+        node_budget = DEFAULT_NODE_BUDGET
+    if max_index > DEFAULT_MAX_INDEX:
+        raise BudgetExceeded("max index", DEFAULT_MAX_INDEX, max_index)
     ngens = pres.rank()
     rels = [r for r in pres.relators if r]
     results = []
@@ -532,7 +522,7 @@ def low_index_subgroups(pres, max_index, node_budget=None,
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceeded(f"node budget {node_budget} exceeded")
+            raise BudgetExceeded("coset-table nodes", node_budget, nodes)
         slot = first_undefined()
         if slot is None:
             action = tuple(tuple(fwd[g][c] for c in range(ncosets[0]))

@@ -251,10 +251,9 @@ def _rational_roots(f):
 
 def _next_prime(p):
     q = p + 1
-    while True:
-        if all(q % r for r in range(2, int(q ** 0.5) + 1)):
-            return q
+    while polys._prime_factors_int(q) != [q]:
         q += 1
+    return q
 
 
 def signature(field):

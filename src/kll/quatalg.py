@@ -184,16 +184,8 @@ def _poly_sqrt(q):
 
 def _euler_phi(n):
     out = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for p in set(polys._prime_factors_int(n)):
+        out -= out // p
     return out
 
 

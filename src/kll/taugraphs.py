@@ -265,7 +265,7 @@ class FamilyReport:
         return "\n".join(lines) + "\n"
 
 
-def tau_family_report(graphs, exact_budget=EXACT_VERTEX_BUDGET):
+def tau_family_report(graphs):
     """Cheeger data along a family of coset graphs, with a prefix-only
     verdict: a strictly shrinking sequence ending at half its starting
     value is reported as an h -> 0 trend, otherwise the positive prefix
@@ -277,7 +277,7 @@ def tau_family_report(graphs, exact_budget=EXACT_VERTEX_BUDGET):
         raise ValueError("family must share one generating set size")
     values = []
     for g in graphs:
-        if g.num_vertices <= min(exact_budget, EXACT_VERTEX_BUDGET):
+        if g.num_vertices <= EXACT_VERTEX_BUDGET:
             values.append(CheegerValue(exact=cheeger_exact(g)))
         else:
             lo, hi = cheeger_spectral_bounds(g)

@@ -82,12 +82,13 @@ class TowerBoundReport:
 
 def tower_lower_bound(n1, depth):
     """Iterate the minimal recurrence sequence from n1 and compare each
-    level against 2^i (1 + 24/i).  Requires n1 >= 50."""
+    level against 2^i (1 + 24/i).  Requires n1 >= 50 and depth >= 1."""
     if n1 < 50:
         raise HypothesisViolated(f"n1 = {n1} < 50")
+    if depth < 1:
+        raise ValueError(f"depth = {depth} < 1")
     levels = []
     n = n1
-    inf_q = None
     for i in range(1, depth + 1):
         bound = Fraction(2 ** i) * (1 + Fraction(24, i))
         holds = Fraction(n) >= bound
@@ -95,9 +96,8 @@ def tower_lower_bound(n1, depth):
             level=i, minimal_n=n,
             bound_num=bound.numerator, bound_den=bound.denominator,
             holds=holds))
-        q = Fraction(n, 2 ** i)
-        inf_q = q if inf_q is None else min(inf_q, q)
         n = _minimal_next(n)
+    inf_q = min(Fraction(lv.minimal_n, 2 ** lv.level) for lv in levels)
     return TowerBoundReport(levels=levels, inf_quotient=inf_q)
 
 

@@ -271,9 +271,11 @@ def random_connected_trivalent(num_vertices, rng=None):
 # ---------------------------------------------------------------------------
 # Lemma-style bounds, both read off one breadth-first ball per root
 
-def _ball(adj, root, wanted):
+def _ball(adj, root, wanted, below=None):
     """Breadth-first search from `root`, stopped at the end of the first
-    layer by which `wanted` non-tree edges have appeared.
+    layer by which `wanted` non-tree edges have appeared, or before the
+    first layer k whose walks (2k+1 or longer) cannot be shorter than
+    `below`.
 
     Returns (parent, walks).  parent[v] is (tree parent, edge index), or
     None at the root.  walks lists (length, edge index, u, w) for each
@@ -287,7 +289,8 @@ def _ball(adj, root, wanted):
     parent = {root: None}
     walks = {}
     layer = [root]
-    while layer and len(walks) < wanted:
+    k = 0
+    while layer and len(walks) < wanted and (below is None or 2 * k + 1 < below):
         nxt = []
         for u in layer:
             up = parent[u][1] if parent[u] else None
@@ -301,6 +304,7 @@ def _ball(adj, root, wanted):
                     parent[w] = (u, i)
                     nxt.append(w)
         layer = nxt
+        k += 1
     return parent, sorted(walks.values())
 
 
@@ -329,8 +333,10 @@ def short_cycle(g):
     Every closed walk through a non-tree edge contains a cycle no longer
     than itself, and a root on a shortest cycle meets one of its edges
     as a non-tree edge, so the shortest such walk over all roots is a
-    shortest cycle.  `cycle_vertices` is [u] for a loop, [u, v] for a
-    parallel pair, otherwise the cycle in order.
+    shortest cycle.  Each root's ball stops once no walk it could still
+    find is shorter than the best so far, and a loop ends the search.
+    `cycle_vertices` is [u] for a loop, [u, v] for a parallel pair,
+    otherwise the cycle in order.
 
     `holds` is the exact comparison 9 * 2^g <= 4 (V+2)^2; the reported
     bound value is a certified dyadic enclosure.
@@ -340,9 +346,12 @@ def short_cycle(g):
     adj = g.adjacency()
     best = None
     for root in range(g.num_vertices):
-        parent, walks = _ball(adj, root, 1)
-        if best is None or walks[0][0] < best[0][0]:
+        below = best[0][0] if best else None
+        parent, walks = _ball(adj, root, 1, below)
+        if walks and (below is None or walks[0][0] < below):
             best = walks[0], root, parent
+            if walks[0][0] == 1:  # a loop; nothing is shorter
+                break
     (girth, _, u, w), root, parent = best
     cyc = ([x for x, _ in _path_up(parent, u)] + [root]
            + [x for x, _ in reversed(_path_up(parent, w))])

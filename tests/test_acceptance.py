@@ -8,21 +8,15 @@ import random
 import time
 from fractions import Fraction
 
-from kll import polys
-from kll.numfield import NumberField, signature, split_prime, poly_discriminant
-from kll.quatalg import (tau_n, tau_n_norm, clozel_hypothesis, VIOLATED,
-                         _prime_power)
+from kll.cli import EXAMPLES
+from kll.numfield import NumberField
 from kll.traceorders import (Mat2, verify_trace_identities, build_order,
                              jorgensen_involution)
-from kll.fpgroups import (Presentation, SubgroupTable, d_p,
-                          reidemeister_schreier, gs_chained_threshold,
-                          low_index_subgroups)
+from kll.fpgroups import Presentation
 from kll.orbifold import OrbifoldData, orbifold_presentation, homology_lower_bound
 from kll.trivalent import (generate_connected_trivalent, short_cycle,
-                           b1_two_subgraph, random_connected_trivalent,
-                           _subgraph_b1)
-from kll.towers import tower_lower_bound, auxiliary_inequality_holds
-from kll.finquot import product_surjectivity, normalizer_quotient_order
+                           b1_two_subgraph, _subgraph_b1)
+from kll.finquot import normalizer_quotient_order
 from kll.taugraphs import (CosetGraph, cheeger_exact, cheeger_spectral_bounds,
                            tau_family_report)
 from kll.counting import (sl2_group_table, subgroup_census, rank_bound_check,
@@ -38,68 +32,41 @@ def _report(num, name, started, budget):
     print(f"ACCEPTANCE {num}: PASS {name} ({elapsed:.2f}s < {budget}s)")
 
 
+def _assert_examples(*names):
+    """Run the named `kll verify` examples; each must pass."""
+    for name in names:
+        passed, detail = dict(EXAMPLES)[name]()
+        assert passed, f"{name}: {detail}"
+
+
 def test_criterion_01_quintic():
     t0 = time.time()
-    k = NumberField((1, 0, -2, -1, 0, 1))
-    assert signature(k) == (3, 1)
-    above11 = split_prime(k, 11)
-    deg2 = [p for p in above11 if p.residue_degree == 2]
-    assert len(deg2) == 1
-    assert deg2[0].norm == 121
-    res = clozel_hypothesis(k, deg2)
-    assert res.status == VIOLATED
-    assert res.witness == deg2[0]
+    _assert_examples("quintic-signature", "quintic-norm-121-prime",
+                     "quintic-hypothesis-violated")
     _report(1, "quintic field example", t0, 1.0)
 
 
 def test_criterion_02_pretzel_sextic():
     t0 = time.time()
-    k = NumberField((1, -1, -2, 2, -1, -1, 1))
-    assert signature(k) == (4, 1)
-    disc = poly_discriminant(k)
-    quot = Fraction(disc, -104483)
-    assert quot.denominator == 1
-    assert quot.numerator >= 0
-    assert polys.is_perfect_square(quot.numerator)
+    _assert_examples("sextic-signature", "sextic-discriminant")
     _report(2, "pretzel sextic signature and discriminant", t0, 1.0)
 
 
 def test_criterion_03_tau_table():
     t0 = time.time()
-    assert tau_n(4).rational_value() == -4
-    for n in (3, 4, 5, 7, 8, 9):
-        nm = abs(tau_n_norm(n))
-        p = _prime_power(n)[0]
-        assert nm >= p
-        while nm % p == 0:
-            nm //= p
-        assert nm == 1, f"|N(tau_{n})| is not a power of {p}"
-    for n in (3, 5, 7, 9):
-        assert abs(tau_n_norm(n)) == _prime_power(n)[0]
-    for n in (12, 15, 20):
-        assert abs(tau_n_norm(n)) == 1
-    # discrepancies against the stated norm dichotomy, reported not trusted
-    discrepancies = {n: abs(tau_n_norm(n)) for n in (6, 10)
-                     if abs(tau_n_norm(n)) != 1}
-    assert discrepancies == {6: 3, 10: 5}
+    _assert_examples("tau-4", "tau-norm-table")
     _report(3, "tau_n norm table with n=6,10 discrepancies", t0, 5.0)
 
 
 def test_criterion_04_gs_threshold():
     t0 = time.time()
-    at81 = gs_chained_threshold(81)
-    assert at81.holds and at81.decided and at81.margin_lo > 0
-    at80 = gs_chained_threshold(80)
-    assert (not at80.holds) and at80.decided and at80.margin_hi <= 0
+    _assert_examples("gs-threshold-81-80")
     _report(4, "Golod-Shafarevich margin positive at 81, not at 80", t0, 1.0)
 
 
 def test_criterion_05_tower_bound():
     t0 = time.time()
-    rep = tower_lower_bound(50, 30)
-    assert rep.all_hold()
-    for i in range(1, 65):
-        assert auxiliary_inequality_holds(i)
+    _assert_examples("tower-bound-n1-50")
     _report(5, "tower recurrence bound to depth 30 + auxiliary inequality",
             t0, 1.0)
 
@@ -124,10 +91,7 @@ def test_criterion_06_trivalent_exhaustive():
 
 def test_criterion_07_hall_surjectivity():
     t0 = time.time()
-    s5, t5 = (0, 4, 1, 0), (1, 1, 0, 1)
-    s7, t7 = (0, 6, 1, 0), (1, 1, 0, 1)
-    assert product_surjectivity([5, 7], [(s5, s7), (t5, t7)])
-    assert not product_surjectivity([5, 5], [(s5, s5), (t5, t5)])
+    _assert_examples("hall-product-5x7")
     _report(7, "product surjectivity 10080 onto, diagonal proper", t0, 30.0)
 
 
@@ -202,11 +166,7 @@ def test_criterion_11_counting_suite():
     for m, census in censuses.items():
         idx2 = len(census.subgroups_of_index(2))
         assert idx2 == 2 ** census.table.d2_quotient_rank() - 1
-    star = Presentation.from_strings(["a", "b", "c", "d"],
-                                     ["aa", "bb", "cc", "dd"])
-    tbl = SubgroupTable(star, ((1, 0),) * 4)
-    ker = reidemeister_schreier(tbl).simplified()
-    assert ker.rank() == 3 and not ker.relators
+    _assert_examples("free-product-kernel-rank-3")
     _report(11, "censuses, rank bounds, essential indices, free kernel",
             t0, 600.0)
 

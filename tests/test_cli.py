@@ -216,20 +216,95 @@ def test_output_file(tmp_path):
 def test_budget_exit_code(capsys):
     rc = main(["--budget", "10", "count", "--modulus", "5"])
     assert rc == 3
-    assert "KLL_BUDGET" not in os.environ
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["budget"], err["limit"], err["reached"]) == \
+        ("budget", "census order", 10, 120)
     assert main(["count", "--modulus", "5"]) == 0
 
 
-def test_budget_flag_restores_callers_value(monkeypatch, capsys):
-    monkeypatch.setenv("KLL_BUDGET", "5000")
+def test_budget_caps_quotient_closure(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"primes": [7], "generators": [
+        [[[0, -1], [1, 0]]], [[[1, 1], [0, 1]]]]}))
+    assert main(["--budget", "100", "quotient", "--input", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["budget"], err["limit"], err["reached"]) == \
+        ("closure order", 100, 101)
+    assert main(["quotient", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["closure_order"] == 168
+
+
+def test_budget_leaves_environment_alone(capsys):
+    before = dict(os.environ)
     assert main(["--budget", "10", "count", "--modulus", "5"]) == 3
-    assert os.environ["KLL_BUDGET"] == "5000"
+    assert dict(os.environ) == before
+    assert main(["count", "--modulus", "2"]) == 0
+    assert dict(os.environ) == before
 
 
-def test_non_integer_budget_exit_code(monkeypatch, capsys):
-    monkeypatch.setenv("KLL_BUDGET", "ten")
-    assert main(["count", "--modulus", "5"]) == 2
-    assert "KLL_BUDGET" in json.loads(capsys.readouterr().err)["detail"]
+def test_budget_flag_rejects_non_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "ten", "count", "--modulus", "5"])
+    assert exc.value.code == 2
+
+
+def test_no_module_reads_the_environment():
+    pkg = os.path.dirname(kll.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                assert "os.environ" not in fh.read(), name
+
+
+QUOTIENT_JOB = {
+    "primes": [5, 7],
+    "generators": [[[[0, -1], [1, 0]], [[0, -1], [1, 0]]],
+                   [[[1, 1], [0, 1]], [[1, 1], [0, 1]]]],
+    "klein_four": {"a": [[[0, -1], [1, 0]], [[0, -1], [1, 0]]],
+                   "b": [[[2, 0], [0, 3]], [[2, 3], [3, -2]]]},
+}
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (lambda j: j.update(primes=["x", 7]), "/primes/0"),
+    (lambda j: j.update(primes=[4, 7]), "/primes/0"),
+    (lambda j: j["generators"][1].__setitem__(0, [[1, 1, 0], [0, 1]]),
+     "/generators/1/0"),
+    (lambda j: j["generators"][0][1].__setitem__(0, [0, "-1"]),
+     "/generators/0/1"),
+    (lambda j: j["klein_four"].pop("b"), "/klein_four/b"),
+    (lambda j: j["generators"][0].__setitem__(0, [[0, 1], [1, 0]]),
+     "/generators/0/0"),
+], ids=["prime-not-int", "prime-composite", "matrix-not-2x2",
+        "entry-not-int", "klein-four-without-b", "determinant-not-one"])
+def test_quotient_rejects_bad_job(tmp_path, capsys, edit, pointer):
+    job = json.loads(json.dumps(QUOTIENT_JOB))
+    edit(job)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(job))
+    assert main(["quotient", "--input", str(path)]) == 2
+    assert pointer in json.loads(capsys.readouterr().err)["detail"]
+
+
+def test_order_rejects_missing_matrix(capsys):
+    rc = main(["order", "--poly", "[0,1]", "--matrices",
+               json.dumps({"a": [[[1], [1]], [[0], [1]]]})])
+    assert rc == 2
+    assert "/b" in json.loads(capsys.readouterr().err)["detail"]
+
+
+def test_orbifold_rejects_non_string_relator(tmp_path, capsys):
+    path = tmp_path / "orb.json"
+    path.write_text(json.dumps({
+        "manifold": {"gens": ["a"], "rels": [7]},
+        "locus": {"edges": []}}))
+    assert main(["orbifold", "--input", str(path)]) == 2
+    assert "/manifold/rels/0" in json.loads(capsys.readouterr().err)["detail"]
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_tower_rejects_depth_below_one(capsys, depth):
+    assert main(["tower", "--n1", "50", "--depth", depth]) == 2
 
 
 def test_schema_violation_json_pointer(tmp_path, capsys):

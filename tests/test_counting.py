@@ -243,16 +243,12 @@ def test_s_n_counts():
     assert s_n(census, 6) == 6
 
 
-def test_census_budget(monkeypatch):
-    monkeypatch.setenv("KLL_BUDGET", "10")
-    with pytest.raises(BudgetExceeded):
-        subgroup_census(sl2_group_table(3))
-
-
-def test_non_integer_budget_rejected(monkeypatch):
-    monkeypatch.setenv("KLL_BUDGET", "1e4")
-    with pytest.raises(ValueError, match="KLL_BUDGET"):
-        subgroup_census(sl2_group_table(2))
+def test_census_budget():
+    with pytest.raises(BudgetExceeded) as exc:
+        subgroup_census(sl2_group_table(3), budget=10)
+    assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
+        ("census order", 10, 24)
+    assert subgroup_census(sl2_group_table(3), budget=24).count > 0
 
 
 def test_min_generators_elementary_abelian():

@@ -135,8 +135,14 @@ def test_low_index_free_rank_formula():
 
 
 def test_low_index_budget():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         low_index_subgroups(F2, 3, node_budget=5)
+    assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
+        ("coset-table nodes", 5, 6)
+    with pytest.raises(BudgetExceeded) as exc:
+        low_index_subgroups(F2, 13)
+    assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
+        ("max index", 12, 13)
 
 
 def test_cyclic_tower_free_group():

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 from kll import polys
+from kll.counting import _is_prime
+from kll.numfield import _next_prime
+from kll.quatalg import _euler_phi
 
 from oracles import brute_factor_modp, grid_real_root_count
 
@@ -88,3 +91,26 @@ def test_cauchy_bound_contains_roots():
     b = polys.cauchy_bound(f)
     assert b > 3
     assert polys.count_real_roots(f) == 2
+
+
+def test_trial_division_helpers_match_sieve():
+    n_max = 10 ** 4
+    sieve = [False, False] + [True] * (n_max - 1)
+    phi = list(range(n_max + 1))
+    for p in range(2, n_max + 1):
+        if sieve[p]:
+            for m in range(2 * p, n_max + 1, p):
+                sieve[m] = False
+            for m in range(p, n_max + 1, p):
+                phi[m] -= phi[m] // p
+    primes = [p for p in range(n_max + 1) if sieve[p]]
+    assert [n for n in range(-3, n_max + 1) if _is_prime(n)] == primes
+    assert [_euler_phi(n) for n in range(1, n_max + 1)] == phi[1:]
+    for p, q in zip(primes, primes[1:]):
+        assert _next_prime(p) == q and _next_prime(q - 1) == q
+    m31 = 2 ** 31 - 1
+    assert _is_prime(m31) and _next_prime(m31 - 1) == m31
+    assert not _is_prime(65521 ** 2)
+    assert _euler_phi(65521 ** 2) == 65521 * 65520
+    # past the float range, where n ** 0.5 overflows
+    assert not _is_prime(2 ** 1100) and _euler_phi(2 ** 1100) == 2 ** 1099

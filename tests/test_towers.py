@@ -65,6 +65,9 @@ def test_tower_lower_bound_depth30_exhaustive_range():
 def test_tower_hypothesis_violated():
     with pytest.raises(HypothesisViolated):
         tower_lower_bound(49, 5)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth"):
+            tower_lower_bound(50, depth)
 
 
 def test_auxiliary_inequality_up_to_64():
