@@ -342,14 +342,19 @@ def cmd_cheeger(args):
         _validate_graph(obj)
         g = taugraphs.CosetGraph(obj["V"], tuple(tuple(e) for e in obj["edges"]))
     report = {"V": g.num_vertices}
+    bounds = None
     try:
-        report["h"] = _rat(taugraphs.cheeger_exact(g))
-    except taugraphs.TooLargeForExact:
-        lo, hi = taugraphs.cheeger_spectral_bounds(g)
-        report["h_bounds"] = _enc(lo, hi)
+        h = taugraphs.cheeger_exact(g, args.budget)
+        report["h"] = _rat(h)
+        report["h_set"] = list(h.minimiser)
+    except fpgroups.BudgetExceeded as exc:
+        bounds = taugraphs.cheeger_spectral_bounds(g)
+        report["h_bounds"] = _enc(*bounds)
+        report["exact_budget"] = {"budget": exc.budget, "limit": exc.limit,
+                                  "reached": exc.reached}
     if args.spectral:
-        lo, hi = taugraphs.cheeger_spectral_bounds(g)
-        report["spectral_bounds"] = _enc(lo, hi)
+        bounds = bounds or taugraphs.cheeger_spectral_bounds(g)
+        report["spectral_bounds"] = _enc(*bounds)
     _emit(report, args.output)
     return 0
 
@@ -530,8 +535,9 @@ def build_parser():
                      "trivalent-graph lemmas, cover towers, finite quotients, "
                      "Cheeger constants, subgroup counting"))
     ap.add_argument("--budget", type=int, default=None,
-                    help="cap the group order of the count census and the "
-                         "closure orders of quotient")
+                    help="cap the group order of the count census, the "
+                         "closure orders of quotient and the connected sets "
+                         "cheeger enumerates for an exact h")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="number field arithmetic")

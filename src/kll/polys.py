@@ -6,7 +6,7 @@ All rational arithmetic uses Fraction; nothing here touches floats.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 import random
 
 
@@ -172,20 +172,46 @@ def sturm_sequence(f):
     return [s for s in seq if not is_zero(s)]
 
 
-def _sign_changes(values):
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+def sturm_chain(f):
+    """Sturm chain of the squarefree part of f, each member multiplied by
+    the positive lcm of its denominators and divided by the positive gcd
+    of the result: integer polynomials with the signs of the chain."""
+    g = poly_gcd(f, derivative(f))
+    if degree(g) > 0:
+        f = divmod_exact(f, g)[0]
+    chain = []
+    for s in sturm_sequence(f):
+        den = lcm(*(a.denominator for a in s))
+        ints = [int(a * den) for a in s]
+        content = gcd(*ints)
+        chain.append([a // content for a in ints])
+    return chain
+
+
+def sign_changes_at(chain, num, den=1):
+    """Sign changes of an integer Sturm chain at num/den, den > 0.
+
+    Homogeneous Horner gives den^deg(s) * s(num/den), an integer with
+    the sign of s(num/den); zeros are skipped."""
+    changes, last = 0, 0
+    for s in chain:
+        acc, power = 0, 1
+        for a in reversed(s):
+            acc = acc * num + a * power
+            power *= den
+        if acc:
+            if last and (acc > 0) != (last > 0):
+                changes += 1
+            last = acc
+    return changes
 
 
 def sturm_count(f, a, b):
     """Number of distinct real roots of f in (a, b].  f need not be squarefree."""
-    g = poly_gcd(f, derivative(f))
-    if degree(g) > 0:
-        f = divmod_exact(f, g)[0]
-    seq = sturm_sequence(f)
-    va = _sign_changes([evaluate(s, Fraction(a)) for s in seq])
-    vb = _sign_changes([evaluate(s, Fraction(b)) for s in seq])
-    return va - vb
+    chain = sturm_chain(f)
+    a, b = Fraction(a), Fraction(b)
+    return (sign_changes_at(chain, a.numerator, a.denominator)
+            - sign_changes_at(chain, b.numerator, b.denominator))
 
 
 def cauchy_bound(f):

@@ -1,11 +1,16 @@
 """Schreier coset graphs and Cheeger constants.
 
-cheeger_exact minimizes |boundary A| / |A| over all admissible vertex
-subsets by Gray-code enumeration with incremental boundary updates.
-Loops never contribute to a boundary; a generator fixing a coset adds
-a loop (degree 2) and nothing else.  Spectral bounds come from the
-exact characteristic polynomial of the combinatorial Laplacian with
-Sturm-certified eigenvalue isolation.
+cheeger_exact minimizes |boundary A| / |A| over connected vertex sets
+with |A| <= |V|/2 only: a disconnected set is a disjoint union whose
+ratio is a mediant of its parts' ratios, never below the smaller one.
+Each connected set is reached once, from its least vertex, by an
+include/exclude branch on frontier vertices, with incremental boundary
+updates; EXACT_SET_BUDGET caps the sets enumerated.  Loops never
+contribute to a boundary; a generator fixing a coset adds a loop
+(degree 2) and nothing else.  Spectral bounds come from the exact
+characteristic polynomial of the combinatorial Laplacian with
+Sturm-certified eigenvalue isolation, bisecting at dyadic points on an
+integer Sturm chain.
 """
 
 from dataclasses import dataclass
@@ -13,17 +18,15 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg, polys
-
-
-class TooLargeForExact(ValueError):
-    """Vertex count above the exhaustive enumeration budget."""
+from .fpgroups import BudgetExceeded
 
 
 class Disconnected(ValueError):
     pass
 
 
-EXACT_VERTEX_BUDGET = 26
+# connected sets cheeger_exact may enumerate before giving up
+EXACT_SET_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -102,56 +105,104 @@ class CosetGraph:
         return {"V": self.num_vertices, "edges": [list(e) for e in self.edges]}
 
 
-def cheeger_exact(graph):
-    """min |dA| / |A| over 0 < |A| <= |V|/2, exact Fraction.
+class CheegerConstant(Fraction):
+    """An exact Cheeger constant h, compared and printed as a Fraction,
+    carrying `minimiser`: the sorted vertices of the first set A found
+    with |dA| / |A| = h and 0 < |A| <= |V|/2."""
 
-    Enumerates subsets containing vertex 0 in Gray-code order (the
-    boundary is symmetric under complement, so this covers every
-    admissible subset) and updates the boundary incrementally.
+    __slots__ = ("minimiser",)
+
+    def __new__(cls, numerator, denominator, minimiser):
+        self = super().__new__(cls, numerator, denominator)
+        self.minimiser = tuple(minimiser)
+        return self
+
+    # immutable; Fraction's own copy and pickle hooks would drop `minimiser`
+    def __reduce__(self):
+        return (type(self), (self.numerator, self.denominator, self.minimiser))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def cheeger_exact(graph, budget=None):
+    """min |dA| / |A| over 0 < |A| <= |V|/2, as a CheegerConstant.
+
+    Only connected sets A are enumerated.  If A = A1 + A2 with no edge
+    between the parts, then |dA| = |dA1| + |dA2| and |A| = |A1| + |A2|,
+    so |dA| / |A| is a mediant of the parts' ratios and never below the
+    smaller one; each part is again admissible.  Each connected set is
+    reached once, from its least vertex: a depth-first include/exclude
+    branch over the frontier vertices above that root (an explicit
+    stack, so the depth is not bounded by the recursion limit).  The
+    boundary is updated incrementally with edge multiplicities; loops
+    never lie in a boundary.  More than `budget` sets (default
+    EXACT_SET_BUDGET) raises BudgetExceeded("cheeger sets", ...).
     """
+    if budget is None:
+        budget = EXACT_SET_BUDGET
     n = graph.num_vertices
-    if n > EXACT_VERTEX_BUDGET:
-        raise TooLargeForExact(f"|V| = {n} > {EXACT_VERTEX_BUDGET}")
     if n < 2:
         raise ValueError("need at least 2 vertices")
     # incident non-loop edges with multiplicity, per vertex
-    inc = [{} for _ in range(n)]
+    mult = [{} for _ in range(n)]
     for u, v in graph.edges:
-        if u == v:
+        if u != v:
+            mult[u][v] = mult[u].get(v, 0) + 1
+            mult[v][u] = mult[v].get(u, 0) + 1
+    inc = [sorted(d.items()) for d in mult]
+    deg = [sum(d.values()) for d in mult]
+    half = n // 2
+    inside = [0] * n   # edges from each vertex into the current set A
+    members = []       # A, in the order its vertices were included
+    best_num, best_den, best_set = sum(deg) + 1, 1, ()
+    sets = 0
+    for root in range(n):
+        sets += 1
+        if sets > budget:
+            raise BudgetExceeded("cheeger sets", budget, sets)
+        if deg[root] * best_den < best_num:
+            best_num, best_den, best_set = deg[root], 1, (root,)
+        if half < 2:
             continue
-        inc[u][v] = inc[u].get(v, 0) + 1
-        inc[v][u] = inc[v].get(u, 0) + 1
-    inc = [sorted(d.items()) for d in inc]
-
-    in_a = [False] * n
-    in_a[0] = True
-    size = 1
-    boundary = sum(m for _, m in inc[0])
-    best_num, best_den = boundary, 1  # A = {0}
-
-    total = 1 << (n - 1)
-    gray = 0
-    for m in range(1, total):
-        bit = (m & -m).bit_length() - 1
-        v = bit + 1
-        gray ^= 1 << bit
-        if in_a[v]:
-            in_a[v] = False
-            size -= 1
-            for u, mult in inc[v]:
-                boundary += mult if in_a[u] else -mult
-        else:
-            in_a[v] = True
-            size += 1
-            for u, mult in inc[v]:
-                boundary -= mult if in_a[u] else -mult
-        if size == n:
-            continue
-        side = size if 2 * size <= n else n - size
-        # compare boundary/side < best
-        if boundary * best_den < best_num * side:
-            best_num, best_den = boundary, side
-    return Fraction(best_num, best_den)
+        members.append(root)
+        for u, m in inc[root]:
+            inside[u] += m
+        # frame: [frontier vertices above root not yet branched on,
+        #         next one to include, boundary of A]
+        stack = [[[u for u, _ in inc[root] if u > root], 0, deg[root]]]
+        while stack:
+            frame = stack[-1]
+            frontier, i, boundary = frame
+            if i == len(frontier):
+                stack.pop()
+                for u, m in inc[members.pop()]:
+                    inside[u] -= m
+                continue
+            frame[1] = i + 1
+            w = frontier[i]
+            b = boundary + deg[w] - 2 * inside[w]
+            size = len(members) + 1
+            sets += 1
+            if sets > budget:
+                raise BudgetExceeded("cheeger sets", budget, sets)
+            if b * best_den < best_num * size:
+                best_num, best_den = b, size
+                best_set = tuple(members) + (w,)
+            if size == half:
+                continue
+            # neighbours of w that are neither in A nor next to it
+            fresh = [u for u, _ in inc[w] if u > root and not inside[u]]
+            members.append(w)
+            for u, m in inc[w]:
+                inside[u] += m
+            stack.append([frontier[i + 1:] + fresh, 0, b])
+        if best_num == 0:
+            break
+    return CheegerConstant(best_num, best_den, sorted(best_set))
 
 
 def _laplacian(graph):
@@ -184,29 +235,21 @@ def lambda2_enclosure(graph, precision_bits=30):
     q = cp[1:]
     if q[0] == 0:
         raise Disconnected("zero eigenvalue is not simple")
-    # one Sturm chain, evaluated at bisection endpoints
-    g = polys.poly_gcd(q, polys.derivative(q))
-    if polys.degree(g) > 0:
-        q = polys.divmod_exact(q, g)[0]
-    chain = polys.sturm_sequence(q)
-
-    def count(a, b):
-        va = polys._sign_changes([polys.evaluate(s, a) for s in chain])
-        vb = polys._sign_changes([polys.evaluate(s, b) for s in chain])
-        return va - vb
-
-    hi = Fraction(2 * graph.max_degree() + 1)
-    lo = Fraction(0)
-    if count(lo, hi) < 1:
+    # one integer Sturm chain, evaluated once per midpoint num / 2^k: lo
+    # only moves past no root, so the sign-change count at lo stays that at 0
+    chain = polys.sturm_chain(q)
+    lo, hi, k = 0, 2 * graph.max_degree() + 1, 0
+    at_zero = polys.sign_changes_at(chain, 0)
+    if at_zero - polys.sign_changes_at(chain, hi) < 1:
         raise ArithmeticError("no positive eigenvalue below 2*dmax")
-    width_target = Fraction(1, 2 ** precision_bits)
-    while hi - lo > width_target:
-        mid = (lo + hi) / 2
-        if count(lo, mid) >= 1:
+    while (hi - lo) << precision_bits > 1 << k:
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        if at_zero - polys.sign_changes_at(chain, mid, 1 << k) >= 1:
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
 
 
 def _sqrt_upper(f):
@@ -277,9 +320,9 @@ def tau_family_report(graphs):
         raise ValueError("family must share one generating set size")
     values = []
     for g in graphs:
-        if g.num_vertices <= EXACT_VERTEX_BUDGET:
+        try:
             values.append(CheegerValue(exact=cheeger_exact(g)))
-        else:
+        except BudgetExceeded:
             lo, hi = cheeger_spectral_bounds(g)
             values.append(CheegerValue(lower=lo, upper=hi))
     inf_lower = min(v.best_lower() for v in values)

@@ -403,3 +403,148 @@ def edge_subgraph_betti(edges, indices):
         root[find(u)] = find(v)
     comps = len({find(x) for x in list(root)})
     return len(indices) - len(root) + comps, comps
+
+
+# ---------------------------------------------------------------------------
+# Cheeger constants by every vertex subset (taugraphs.cheeger_exact
+# oracle) and the boundary of one subset
+
+def boundary_size(g, vertices):
+    """Edges of g with exactly one end in `vertices`; loops never count."""
+    inside = set(vertices)
+    return sum(1 for u, v in g.edges if (u in inside) != (v in inside))
+
+
+def cheeger_by_subsets(g):
+    """min |dA| / min(|A|, |V - A|) over every proper subset A that
+    contains vertex 0 (the boundary is symmetric under complement), in
+    Gray-code order with incremental boundary updates."""
+    n = g.num_vertices
+    inc = [{} for _ in range(n)]
+    for u, v in g.edges:
+        if u == v:
+            continue
+        inc[u][v] = inc[u].get(v, 0) + 1
+        inc[v][u] = inc[v].get(u, 0) + 1
+    inc = [sorted(d.items()) for d in inc]
+
+    in_a = [False] * n
+    in_a[0] = True
+    size = 1
+    boundary = sum(m for _, m in inc[0])
+    best_num, best_den = boundary, 1  # A = {0}
+    for m in range(1, 1 << (n - 1)):
+        v = (m & -m).bit_length()  # the Gray code flips bit v - 1
+        if in_a[v]:
+            in_a[v] = False
+            size -= 1
+            for u, mult in inc[v]:
+                boundary += mult if in_a[u] else -mult
+        else:
+            in_a[v] = True
+            size += 1
+            for u, mult in inc[v]:
+                boundary -= mult if in_a[u] else -mult
+        if size == n:
+            continue
+        side = size if 2 * size <= n else n - size
+        if boundary * best_den < best_num * side:
+            best_num, best_den = boundary, side
+    return Fraction(best_num, best_den)
+
+
+# ---------------------------------------------------------------------------
+# Sturm counting evaluated in Fraction (polys.sturm_count oracle) and the
+# smallest positive Laplacian eigenvalue by bisection on it
+# (taugraphs.lambda2_enclosure oracle)
+
+def _trim(f):
+    f = [Fraction(c) for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _divmod_q(f, g):
+    f, g = _trim(f), _trim(g)
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g):
+        c = f[-1] / g[-1]
+        d = len(f) - len(g)
+        q[d] = c
+        for i, b in enumerate(g):
+            f[i + d] -= c * b
+        f = _trim(f)
+    return _trim(q), f
+
+
+def _fraction_sturm_chain(f):
+    """Sturm chain of f / gcd(f, f'), every member in Fraction."""
+    f = _trim(f)
+    df = _trim([i * c for i, c in enumerate(f)][1:])
+    a, b = f, df
+    while b:
+        a, b = b, _divmod_q(a, b)[1]
+    if len(a) > 1:
+        f = _divmod_q(f, a)[0]
+    chain = [f, _trim([i * c for i, c in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        r = [-c for c in _divmod_q(chain[-2], chain[-1])[1]]
+        if not r:
+            break
+        chain.append(r)
+    return [s for s in chain if s]
+
+
+def _fraction_sign_changes(chain, x):
+    values = []
+    for s in chain:
+        acc = Fraction(0)
+        for c in reversed(s):
+            acc = acc * x + c
+        if acc != 0:
+            values.append(acc > 0)
+    return sum(1 for i in range(len(values) - 1) if values[i] != values[i + 1])
+
+
+def fraction_sturm_count(f, a, b):
+    """Distinct real roots of f in (a, b], every chain value a Fraction."""
+    chain = _fraction_sturm_chain(f)
+    return (_fraction_sign_changes(chain, Fraction(a))
+            - _fraction_sign_changes(chain, Fraction(b)))
+
+
+def lambda2_by_fraction_sturm(g, precision_bits=30):
+    """(lo, hi] holding the smallest positive Laplacian eigenvalue of a
+    connected multigraph: det(xI - L) by interpolation, divided by x,
+    then bisection from (0, 2 d_max + 1] (a loop adds 2 to a degree) at
+    Fraction midpoints, counting roots in (lo, mid] with both ends
+    evaluated."""
+    n = g.num_vertices
+    lap = [[0] * n for _ in range(n)]
+    degree = [0] * n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+        if u != v:
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+            lap[u][u] += 1
+            lap[v][v] += 1
+    q = char_poly_by_interpolation(lap)[1:]
+    chain = _fraction_sturm_chain(q)
+
+    def count(a, b):
+        return (_fraction_sign_changes(chain, a)
+                - _fraction_sign_changes(chain, b))
+
+    lo = Fraction(0)
+    hi = Fraction(2 * max(degree) + 1)
+    assert count(lo, hi) >= 1
+    while hi - lo > Fraction(1, 2 ** precision_bits):
+        mid = (lo + hi) / 2
+        if count(lo, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

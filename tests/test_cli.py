@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import kll
+from kll import taugraphs
 from kll.cli import main, verify_paper_examples
+
+from oracles import boundary_size
 
 # the child imports the same kll as this process, installed or not
 SRC = os.path.dirname(os.path.dirname(kll.__file__))
@@ -40,6 +44,11 @@ def test_cheeger_cycle(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["h"] == "2/3"
+    # the witness set attains h, checked by the oracle's own boundary count
+    cycle = taugraphs.CosetGraph.cycle(6)
+    assert 0 < len(out["h_set"]) <= 3
+    assert Fraction(boundary_size(cycle, out["h_set"]),
+                    len(out["h_set"])) == Fraction(out["h"])
 
 
 def test_cheeger_input_graph(tmp_path, capsys):
@@ -232,6 +241,18 @@ def test_budget_caps_quotient_closure(tmp_path, capsys):
         ("closure order", 100, 101)
     assert main(["quotient", "--input", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["closure_order"] == 168
+
+
+def test_budget_caps_cheeger_sets(capsys):
+    assert main(["--budget", "10", "cheeger", "--cycle", "30"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "h" not in out and "h_set" not in out
+    assert Fraction(out["h_bounds"]["lo"]) <= Fraction(2, 15) \
+        <= Fraction(out["h_bounds"]["hi"])
+    assert out["exact_budget"] == {"budget": "cheeger sets", "limit": 10,
+                                   "reached": 11}
+    assert main(["cheeger", "--cycle", "30"]) == 0
+    assert json.loads(capsys.readouterr().out)["h"] == "2/15"
 
 
 def test_budget_leaves_environment_alone(capsys):

@@ -1,11 +1,20 @@
+import pickle
+import random
+import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
-from kll.fpgroups import Presentation, cyclic_quotient_table
-from kll.taugraphs import (CosetGraph, cheeger_exact, cheeger_spectral_bounds,
-                           lambda2_enclosure, char_poly_laplacian,
-                           tau_family_report, TooLargeForExact, Disconnected)
+from kll import polys
+from kll.fpgroups import BudgetExceeded, Presentation, cyclic_quotient_table
+from kll.taugraphs import (CheegerValue, CosetGraph, cheeger_exact,
+                           cheeger_spectral_bounds, lambda2_enclosure,
+                           char_poly_laplacian, tau_family_report,
+                           Disconnected)
+
+from oracles import (boundary_size, cheeger_by_subsets, fraction_sturm_count,
+                     lambda2_by_fraction_sturm)
 
 
 def test_cycle_formula_3_to_24():
@@ -20,8 +29,26 @@ def test_named_exact_values():
 
 
 def test_exact_budget():
-    with pytest.raises(TooLargeForExact):
-        cheeger_exact(CosetGraph.cycle(30))
+    with pytest.raises(BudgetExceeded) as exc:
+        cheeger_exact(CosetGraph.cycle(30), budget=100)
+    assert (exc.value.budget, exc.value.limit) == ("cheeger sets", 100)
+
+
+def test_cheeger_constant_keeps_its_minimiser():
+    h = cheeger_exact(CosetGraph.cycle(6))
+    for kept in (pickle.loads(pickle.dumps(h)),
+                 asdict(CheegerValue(exact=h))["exact"]):
+        assert kept == Fraction(2, 3) and kept.minimiser == h.minimiser
+
+
+def test_search_depth_not_bounded_by_recursion_limit():
+    # the C400 search reaches sets of 200 vertices
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        assert cheeger_exact(CosetGraph.cycle(400)) == Fraction(1, 100)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_loops_never_in_boundary():
@@ -120,6 +147,65 @@ def test_projective_line_family_bounded_below():
     fam = tau_family_report(graphs)
     assert fam.inf_lower > Fraction(1, 4)
     assert fam.verdict == "consistent with (tau) on prefix"
+
+
+def test_projective_line_family_exact_to_24_vertices():
+    graphs = [_psl2_projective_line_graph(p) for p in (13, 17, 19, 23)]
+    fam = tau_family_report(graphs)
+    assert all(v.exact is not None and v.lower is None for v in fam.values)
+
+
+def _random_cubic(v, rng):
+    """A cubic multigraph (loops and parallel edges allowed) from a
+    random pairing of 3v half-edges."""
+    stubs = [x for x in range(v) for _ in range(3)]
+    rng.shuffle(stubs)
+    return CosetGraph(v, tuple(zip(stubs[::2], stubs[1::2])))
+
+
+def _random_looped_multigraph(n, rng):
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randint(n, 3 * n))]
+    edges += [(x, x) for x in range(n) if rng.random() < 0.3]
+    return CosetGraph(n, tuple(edges))
+
+
+def _oracle_corpus():
+    rng = random.Random(8)
+    corpus = [CosetGraph.cycle(n) for n in range(2, 19)]
+    corpus += [CosetGraph.complete(n) for n in range(2, 8)]
+    corpus.append(CosetGraph(4, CosetGraph.complete(4).edges * 2))
+    corpus.append(CosetGraph(6, ((0, 1), (1, 2), (2, 0),
+                                 (3, 4), (4, 5), (5, 3))))
+    corpus += [_random_looped_multigraph(n, rng) for n in range(2, 15)]
+    corpus += [_random_cubic(v, rng) for v in (4, 6, 8, 10, 12, 14, 16, 18)]
+    corpus += [_psl2_projective_line_graph(p)
+               for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+    return corpus
+
+
+def test_cheeger_matches_subset_oracle_with_witness():
+    for g in _oracle_corpus():
+        h = cheeger_by_subsets(g)
+        exact = cheeger_exact(g)
+        assert exact == h, g
+        witness = exact.minimiser
+        assert list(witness) == sorted(set(witness))
+        assert 0 < len(witness) <= g.num_vertices // 2
+        assert Fraction(boundary_size(g, witness), len(witness)) == h
+
+
+def test_spectral_kernels_match_fraction_oracles():
+    for g in _oracle_corpus():
+        if not g.is_connected():
+            continue
+        assert lambda2_enclosure(g) == lambda2_by_fraction_sturm(g), g
+        cp = char_poly_laplacian(g)
+        dmax = g.max_degree()
+        for a, b in ((-1, 0), (0, 1), (Fraction(1, 3), Fraction(7, 2)),
+                     (1, 2 * dmax), (Fraction(-5, 7), 2 * dmax + 1)):
+            assert polys.sturm_count(cp, a, b) == \
+                fraction_sturm_count(cp, a, b), (g, a, b)
 
 
 def test_family_requires_same_generator_count():
