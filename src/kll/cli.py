@@ -41,74 +41,140 @@ def _load_json(path):
 
 def _parse_field(poly_str):
     coeffs = json.loads(poly_str)
-    return numfield.NumberField(tuple(int(c) for c in coeffs))
+    if not (type(coeffs) is list and all(type(c) is int for c in coeffs)):
+        raise ValueError(f"bad polynomial {poly_str}: expected a list of "
+                         "JSON integers")
+    return numfield.NumberField(tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Input formats: each validator below is the one statement of its format.
+# A value is rejected with its JSON pointer before any domain constructor
+# sees it; types match exactly, so a JSON true is no integer and 0.5 no
+# rational.  Keys a format does not name are ignored.
+
+def _check(ok, pointer, expected):
+    if not ok:
+        raise ValueError(f"bad value at {pointer}: expected {expected}")
 
 
 def _require(obj, key, pointer, kind=None):
     """Fetch obj[key], reporting missing/mistyped fields by JSON pointer."""
-    if not isinstance(obj, dict) or key not in obj:
+    if type(obj) is not dict or key not in obj:
         raise ValueError(f"missing field at {pointer}/{key}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ValueError(f"wrong type at {pointer}/{key}: "
-                         f"expected {kind.__name__}")
+    _check(kind is None or type(val) is kind, f"{pointer}/{key}",
+           kind and kind.__name__)
     return val
 
 
+def _validate_graph(obj):
+    """{"V": n >= 1, "edges": [[u, v], ...]} with 0 <= u, v < n."""
+    v = _require(obj, "V", "", int)
+    _check(v >= 1, "/V", "a positive integer")
+    for i, e in enumerate(_require(obj, "edges", "", list)):
+        _check(type(e) is list and len(e) == 2, f"/edges/{i}", "[u, v]")
+        for j, u in enumerate(e):
+            _check(type(u) is int and 0 <= u < v, f"/edges/{i}/{j}",
+                   f"an integer in [0, {v})")
+
+
 def _validate_orbifold(obj):
+    """{"manifold": {"gens": [...], "rels": [...]}, "locus": {"vertices":
+    [...], "edges": [{"id", "ends", "order", "meridian", "core"?}]}}.
+
+    Generators are distinct lowercase letters; every relator, meridian
+    and core is a word in them and their capitals (inverses); each edge
+    joins two listed vertices and has order >= 2.
+    """
     manifold = _require(obj, "manifold", "", dict)
-    for key in ("gens", "rels"):
-        words = _require(manifold, key, "/manifold", list)
-        for i, w in enumerate(words):
-            if not isinstance(w, str):
-                raise ValueError(f"wrong type at /manifold/{key}/{i}: "
-                                 "expected str")
+    gens = _require(manifold, "gens", "/manifold", list)
+    _check(gens, "/manifold/gens", "at least one generator")
+    for i, g in enumerate(gens):
+        _check(type(g) is str and len(g) == 1 and "a" <= g <= "z"
+               and g not in gens[:i], f"/manifold/gens/{i}",
+               "a lowercase letter not listed before")
+    letters = set(gens) | {g.upper() for g in gens}
+
+    def word(w, pointer):
+        _check(type(w) is str and set(w) <= letters, pointer,
+               f"a word in {''.join(gens)} and their inverses")
+
+    for i, r in enumerate(_require(manifold, "rels", "/manifold", list)):
+        word(r, f"/manifold/rels/{i}")
     locus = _require(obj, "locus", "", dict)
-    edges = _require(locus, "edges", "/locus", list)
-    for i, ed in enumerate(edges):
+    vertices = locus.get("vertices", [])
+    _check(type(vertices) is list and all(type(u) is str for u in vertices),
+           "/locus/vertices", "a list of vertex names")
+    for i, ed in enumerate(_require(locus, "edges", "/locus", list)):
         ptr = f"/locus/edges/{i}"
         _require(ed, "id", ptr, str)
-        _require(ed, "ends", ptr, list)
-        _require(ed, "order", ptr, int)
-        _require(ed, "meridian", ptr, str)
+        ends = _require(ed, "ends", ptr, list)
+        _check(len(ends) == 2, f"{ptr}/ends", "two vertex names")
+        _check(_require(ed, "order", ptr, int) >= 2, f"{ptr}/order",
+               "an integer >= 2")
+        word(_require(ed, "meridian", ptr), f"{ptr}/meridian")
+        if "core" in ed:
+            word(ed["core"], f"{ptr}/core")
+        for j, u in enumerate(ends):
+            _check(u in vertices, f"{ptr}/ends/{j}",
+                   "a name in /locus/vertices")
 
 
-def _validate_graph(obj):
-    v = _require(obj, "V", "", int)
-    edges = _require(obj, "edges", "", list)
-    for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2):
-            raise ValueError(f"wrong shape at /edges/{i}: expected [u, v]")
-        for j, u in enumerate(e):
-            if type(u) is not int or not 0 <= u < v:  # JSON true is no vertex
-                raise ValueError(f"bad vertex at /edges/{i}/{j}: expected "
-                                 f"an integer in [0, {v})")
+def _validate_2x2(m, pointer, entry_ok, expected):
+    """[[a, b], [c, d]] whose entries each pass entry_ok."""
+    _check(type(m) is list and len(m) == 2 and all(
+        type(row) is list and len(row) == 2 for row in m),
+        pointer, "[[a, b], [c, d]]")
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            _check(entry_ok(x), f"{pointer}/{i}/{j}", expected)
+
+
+def _is_rational(x):
+    """A JSON integer, or a string naming an exact rational like "2/3"."""
+    if type(x) is str:
+        try:
+            Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return type(x) is int
+
+
+def _validate_matrices(obj, degree):
+    """{"a": M, "b": M}: 2x2 matrices over the field of the given degree,
+    each entry a rational or a list of at most `degree` rational
+    coefficients in the power basis."""
+    for key in ("a", "b"):
+        _validate_2x2(
+            _require(obj, key, "", list), f"/{key}",
+            lambda x: _is_rational(x) or type(x) is list and len(x) <= degree
+            and all(map(_is_rational, x)),
+            f"a rational, or a list of at most {degree} of them")
 
 
 def _validate_matrix_tuple(tup, pointer, primes):
     """One 2x2 integer matrix of determinant 1 mod p per prime p."""
-    if not isinstance(tup, list) or len(tup) != len(primes):
-        raise ValueError(f"wrong shape at {pointer}: need one matrix per prime")
+    _check(type(tup) is list and len(tup) == len(primes), pointer,
+           "one matrix per prime")
     for j, (m, p) in enumerate(zip(tup, primes)):
-        if not (isinstance(m, list) and len(m) == 2 and all(
-                isinstance(row, list) and len(row) == 2
-                and all(type(x) is int for x in row) for row in m)):
-            raise ValueError(f"bad matrix at {pointer}/{j}: expected "
-                             "[[a, b], [c, d]] with integer entries")
+        _validate_2x2(m, f"{pointer}/{j}", lambda x: type(x) is int,
+                      "an integer")
         (a, b), (c, d) = m
-        if (a * d - b * c) % p != 1:
-            raise ValueError(f"bad matrix at {pointer}/{j}: determinant "
-                             f"is not 1 mod {p}")
+        _check((a * d - b * c) % p == 1, f"{pointer}/{j}",
+               f"determinant 1 mod {p}")
 
 
 def _validate_quotient_job(obj):
+    """{"primes": [p, ...], "generators": [tuple, ...], "klein_four"?:
+    {"a": tuple, "b": tuple}}, a tuple holding one matrix per prime."""
     primes = _require(obj, "primes", "", list)
+    _check(primes, "/primes", "at least one prime")
     for i, p in enumerate(primes):
-        if type(p) is not int or not counting._is_prime(p):
-            raise ValueError(f"bad prime at /primes/{i}: expected a prime "
-                             "integer")
-    gens = _require(obj, "generators", "", list)
-    for i, tup in enumerate(gens):
+        _check(type(p) is int and polys.is_prime(p), f"/primes/{i}",
+               "a prime integer")
+    for i, tup in enumerate(_require(obj, "generators", "", list)):
         _validate_matrix_tuple(tup, f"/generators/{i}", primes)
     if "klein_four" in obj:
         kf = _require(obj, "klein_four", "", dict)
@@ -183,8 +249,8 @@ def cmd_algebra(args):
 def _parse_matrix(field, obj):
     rows = []
     for row in obj:
-        rows.append([field.element([Fraction(str(c)) for c in entry])
-                     if isinstance(entry, list) else Fraction(str(entry))
+        rows.append([field.element([Fraction(c) for c in entry])
+                     if isinstance(entry, list) else Fraction(entry)
                      for entry in row])
     return traceorders.Mat2.from_rows(field, rows)
 
@@ -194,8 +260,8 @@ def cmd_order(args):
     if not args.input and not args.matrices:
         raise ValueError("pass --input or --matrices")
     spec = _load_json(args.input) if args.input else json.loads(args.matrices)
-    a = _parse_matrix(field, _require(spec, "a", "", list))
-    b = _parse_matrix(field, _require(spec, "b", "", list))
+    _validate_matrices(spec, field.degree)
+    a, b = _parse_matrix(field, spec["a"]), _parse_matrix(field, spec["b"])
     report = {"trace_identities": traceorders.verify_trace_identities(a, b)}
     try:
         order = traceorders.build_order(a, b)
@@ -361,6 +427,8 @@ def cmd_cheeger(args):
 
 def cmd_count(args):
     m = args.modulus
+    # the closed-form order meets the budget before the n^2 table is built
+    counting.check_census_order(counting.sl2_order(m), args.budget)
     table = counting.sl2_group_table(m)
     census = counting.subgroup_census(table, args.budget)
     rank = counting.rank_bound_check(census)

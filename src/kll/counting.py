@@ -23,7 +23,7 @@ import random
 from .dyadic import Enclosure
 from .fpgroups import BudgetExceeded
 from .finquot import ModRing, sl2_elements, mat_mul
-from .polys import _prime_factors_int
+from .polys import _prime_factors_int, is_prime
 
 
 CENSUS_ORDER_BUDGET = 10 ** 4
@@ -125,6 +125,23 @@ class GroupTable:
         return r
 
 
+def sl2_order(m):
+    """|SL(2, Z/m)| = m^3 prod_{p | m} (1 - p^-2), without the elements."""
+    n = m ** 3
+    for p in set(_prime_factors_int(m)):
+        n = n // (p * p) * (p * p - 1)
+    return n
+
+
+def check_census_order(n, budget=None):
+    """BudgetExceeded for a census of a group of order n above `budget`
+    (default CENSUS_ORDER_BUDGET)."""
+    if budget is None:
+        budget = CENSUS_ORDER_BUDGET
+    if n > budget:
+        raise BudgetExceeded("census order", budget, n)
+
+
 def sl2_group_table(m):
     ring = ModRing(m)
     els = sl2_elements(ring)
@@ -171,10 +188,7 @@ def subgroup_census(table, budget=None):
 
     Each class representative h is extended by one element g per right
     coset hg, since <h, g> depends only on the coset."""
-    if budget is None:
-        budget = CENSUS_ORDER_BUDGET
-    if table.n > budget:
-        raise BudgetExceeded("census order", budget, table.n)
+    check_census_order(table.n, budget)
     n, t = table.n, table.table
     # x -> s^-1 x s for each generator s
     rows = [[t[t[table.inverse[s] * n + x] * n + s] for x in range(n)]
@@ -326,9 +340,9 @@ def essential_subgroups(m, census):
     count = sum(c.size for c in classes)
     if not essential:
         return EssentialReport(essential=[], count=0, minimal_index=0,
-                               prime_field=_is_prime(m))
+                               prime_field=is_prime(m))
     min_index = min(table.n // len(h) for h in essential)
-    prime_field = _is_prime(m)
+    prime_field = is_prime(m)
     expected = m + 1 if prime_field else None
     exceptional = prime_field and m in EXCEPTIONAL_MINIMAL_INDEX_Q
     return EssentialReport(essential=essential, count=count,
@@ -336,10 +350,6 @@ def essential_subgroups(m, census):
                            prime_field=prime_field,
                            expected_minimal=expected,
                            exceptional=exceptional)
-
-
-def _is_prime(n):
-    return _prime_factors_int(n) == [n]
 
 
 @dataclass

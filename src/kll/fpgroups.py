@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .dyadic import Enclosure
 from .linalg import rank_modp
+from .polys import is_prime
 
 
 class NotSurjective(ValueError):
@@ -39,25 +40,18 @@ DEFAULT_NODE_BUDGET = 10 ** 7
 # ---------------------------------------------------------------------------
 # Words
 
-def parse_word(s, generators=None):
+def parse_word(s, generators="abcdefghijklmnopqrstuvwxyz"):
     """String with capitals-as-inverses -> signed integer tuple.
 
-    Letters are resolved against the generator name list when given,
-    else against position in the alphabet.
+    A letter names a generator of the list, by default its position in
+    the alphabet; a letter outside the list is a ValueError.
     """
-    index = {}
-    if generators is not None:
-        for i, name in enumerate(generators, start=1):
-            index[name] = i
+    index = {name: i for i, name in enumerate(generators, start=1)}
     out = []
     for ch in s:
-        low = ch.lower()
-        if low in index:
-            g = index[low]
-        elif ch.isalpha():
-            g = ord(low) - ord("a") + 1
-        else:
-            raise ValueError(f"bad word character {ch!r}")
+        g = index.get(ch.lower())
+        if g is None:
+            raise ValueError(f"word {s!r}: {ch!r} is not a generator")
         out.append(g if ch.islower() else -g)
     return free_reduce(tuple(out))
 
@@ -218,6 +212,8 @@ def _renumber_without(gens, rels, dead):
 
 def d_p(pres, p):
     """dim H_1(<X|R>; F_p) = |X| - rank_p(abelianized relator matrix)."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     rows = pres.abelianized_matrix()
     return pres.rank() - rank_modp(rows, pres.rank(), p)
 

@@ -251,7 +251,7 @@ def _rational_roots(f):
 
 def _next_prime(p):
     q = p + 1
-    while polys._prime_factors_int(q) != [q]:
+    while not polys.is_prime(q):
         q += 1
     return q
 
@@ -303,6 +303,8 @@ def split_prime(field, p):
     If p^2 divides disc(min_poly), Dedekind's criterion is applied; when it
     fails, NonMonogenicPrime is raised and the caller must supply data.
     """
+    if not polys.is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     f = list(field.min_poly)
     disc = polys.discriminant(f)
     if disc % p == 0 and disc % (p * p) == 0:

@@ -15,6 +15,7 @@ from math import gcd
 from .fpgroups import (Presentation, parse_word, free_reduce, d_p,
                        RelatorNotKilled)
 from .linalg import integer_kernel, mat_mul, rank
+from .polys import is_prime
 
 
 class EmptyLocus(ValueError):
@@ -159,6 +160,8 @@ class Stratification:
 
 def stratify(locus, p):
     """Subgraph of edges with order divisible by p, partitioned by chi."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     kept = [e for e in locus.edges if e.order % p == 0]
     vs = sorted({v for e in kept for v in e.ends}, key=str)
     comps = _components(tuple(vs), tuple(kept))

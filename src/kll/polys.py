@@ -329,6 +329,11 @@ def sub_modp(f, g, p):
     return normalize(out)
 
 
+def is_prime(n):
+    """Trial division up to isqrt(n); False for every n < 2."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 def _prime_factors_int(n):
     out = []
     d = 2

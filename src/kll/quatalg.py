@@ -125,6 +125,8 @@ def hilbert_symbol_qp(a, b, p):
     if p == INFINITE_PLACE:
         return RAMIFIED if (a < 0 and b < 0) else SPLIT
     p = int(p)
+    if not polys.is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     an = _normalize_at_p(a, p)
     bn = _normalize_at_p(b, p)
     if p == 2:

@@ -16,10 +16,10 @@ from oracles import boundary_size
 SRC = os.path.dirname(os.path.dirname(kll.__file__))
 
 
-def run_cli(args, tmp_path=None):
+def run_cli(args, timeout=None):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "kll.cli"] + args,
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": path})
     return proc
 
@@ -123,20 +123,22 @@ def test_order_command(capsys):
     assert out["involution"]["exists"] is True
 
 
+ORBIFOLD = {
+    "manifold": {"gens": ["a", "b"], "rels": []},
+    "locus": {
+        "vertices": ["u", "v"],
+        "edges": [
+            {"id": "e0", "ends": ["u", "v"], "order": 2, "meridian": "a"},
+            {"id": "e1", "ends": ["u", "v"], "order": 2, "meridian": "b"},
+            {"id": "e2", "ends": ["u", "v"], "order": 2, "meridian": "AB"},
+        ],
+    },
+}
+
+
 def test_orbifold_command(tmp_path, capsys):
-    obj = {
-        "manifold": {"gens": ["a", "b"], "rels": []},
-        "locus": {
-            "vertices": ["u", "v"],
-            "edges": [
-                {"id": "e0", "ends": ["u", "v"], "order": 2, "meridian": "a"},
-                {"id": "e1", "ends": ["u", "v"], "order": 2, "meridian": "b"},
-                {"id": "e2", "ends": ["u", "v"], "order": 2, "meridian": "AB"},
-            ],
-        },
-    }
     path = tmp_path / "orb.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(ORBIFOLD))
     rc = main(["orbifold", "--input", str(path), "--prime", "2"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
@@ -339,6 +341,79 @@ def test_schema_violation_json_pointer(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "/locus/edges/0/meridian" in err
 
+
+def _orbifold(edit):
+    obj = json.loads(json.dumps(ORBIFOLD))
+    edit(obj)
+    return ["orbifold", "--input", obj]
+
+
+def _edge0(**fields):
+    return _orbifold(lambda o: o["locus"]["edges"][0].update(fields))
+
+
+def _locus(**fields):
+    return _orbifold(lambda o: o["locus"].update(fields))
+
+
+def _gens(gens):
+    return _orbifold(lambda o: o["manifold"].update(gens=gens))
+
+
+B = [[[1], [0]], [[1], [1]]]
+FIELD = ["field", "--poly", "[1,0,1]"]
+SYMBOL = ["algebra", "--symbol", "3", "5"]
+
+
+# Each bad input exits 2 (3 for the budget) at once, with one JSON line
+# on stderr whose detail names the fault, by JSON pointer where the fault
+# is in a document.
+@pytest.mark.parametrize("argv, code, detail", [
+    (_locus(vertices=5), 2, "/locus/vertices"),
+    (_locus(vertices="uv"), 2, "/locus/vertices"),
+    (_edge0(core=5), 2, "/locus/edges/0/core"),
+    (_edge0(core="zz"), 2, "/locus/edges/0/core"),
+    (_edge0(ends=[["u"], "v"]), 2, "/locus/edges/0/ends/0"),
+    (_edge0(ends=["u", "w"]), 2, "/locus/edges/0/ends/1"),
+    (_edge0(order=1), 2, "/locus/edges/0/order"),
+    (_gens(["ab", "b"]), 2, "/manifold/gens/0"),
+    (_gens(["a", "a"]), 2, "/manifold/gens/1"),
+    (_gens(["x", "y"]), 2, "/locus/edges/0/meridian"),
+    (_gens([]), 2, "/manifold/gens"),
+    (["order", "--poly", "[0,1]", "--matrices",
+      json.dumps({"a": [1, 2], "b": B})], 2, "/a"),
+    (["order", "--poly", "[0,1]", "--matrices",
+      json.dumps({"a": [[1, 0.5], [0, 1]], "b": B})], 2, "/a/0/1"),
+    (["graph", "--input", {"V": 0, "edges": []}], 2, "/V"),
+    (["quotient", "--input", {"primes": [], "generators": []}], 2,
+     "/primes"),
+    (FIELD + ["--prime", "1"], 2, "p = 1 is not a prime"),
+    (FIELD + ["--prime", "-5"], 2, "p = -5 is not a prime"),
+    (["algebra", "--symbol", "1", "1", "--prime", "1"], 2, "p = 1 is not"),
+    (SYMBOL + ["--prime", "4"], 2, "p = 4 is not a prime"),
+    (SYMBOL + ["--prime", "9"], 2, "p = 9 is not a prime"),
+    (_orbifold(lambda o: None) + ["--prime", "1"], 2, "p = 1 is not"),
+    (["field", "--poly", "[1.5,0,1]"], 2, "JSON integers"),
+    (["field", "--poly", "[true,1]"], 2, "JSON integers"),
+    (["count", "--modulus", "23"], 3, "census order reached 12144"),
+], ids=["vertices-int", "vertices-string", "core-int", "core-unknown-letter",
+        "end-not-a-name", "end-unknown-vertex", "order-below-2",
+        "multi-letter-generator", "duplicate-generator",
+        "meridian-not-a-generator", "no-generators", "order-matrix-shape",
+        "order-float-entry", "graph-no-vertices", "quotient-no-primes",
+        "field-prime-1", "field-prime-negative", "symbol-prime-1",
+        "symbol-prime-4", "symbol-prime-9", "orbifold-prime-1",
+        "poly-float", "poly-bool", "count-over-budget"])
+def test_bad_input_exits_with_json(tmp_path, argv, code, detail):
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"input{i}.json"
+            path.write_text(json.dumps(arg))
+            argv = argv[:i] + [str(path)] + argv[i + 1:]
+    proc = run_cli(argv, timeout=10)  # a hang fails, as a timeout
+    assert (proc.returncode, proc.stdout) == (code, "")
+    [line] = proc.stderr.splitlines()
+    assert detail in json.loads(line)["detail"]
 
 def test_no_floats_anywhere(capsys):
     rc = main(["field", "--poly", "[1,0,-2,-1,0,1]", "--prime", "11"])

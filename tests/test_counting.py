@@ -7,9 +7,10 @@ import pytest
 from oracles import all_subgroups, group_table_by_products
 from kll.fpgroups import BudgetExceeded
 from kll.towers import TowerRecord
-from kll.counting import (GroupTable, sl2_group_table, subgroup_census,
-                          rank_bound_check, essential_subgroups,
-                          congruence_kernel, level_vs_index_check, s_n,
+from kll.counting import (GroupTable, sl2_group_table, sl2_order,
+                          subgroup_census, rank_bound_check,
+                          essential_subgroups, congruence_kernel,
+                          level_vs_index_check, s_n,
                           sn_vs_cn_table, _pow2_floor, _min_generators,
                           EXCEPTIONAL_MINIMAL_INDEX_Q)
 
@@ -20,6 +21,12 @@ def test_sl2_z2_census_is_s3():
     census = subgroup_census(table)
     assert census.count == 6
     assert census.orders() == [1, 2, 2, 2, 3, 6]
+
+
+
+def test_sl2_order_closed_form_matches_table():
+    for m in range(2, 13):
+        assert sl2_order(m) == sl2_group_table(m).n, m
 
 
 def test_sl2_z3_census():

@@ -26,6 +26,13 @@ def test_word_parsing_roundtrip():
     assert parse_word("aA") == ()
 
 
+def test_words_resolve_by_generator_name():
+    assert parse_word("yX", ["x", "y"]) == (2, -1)
+    for word in ("a", "xz", "x1"):
+        with pytest.raises(ValueError, match="is not a generator"):
+            parse_word(word, ["x", "y"])
+
+
 def test_json_roundtrip():
     p = Presentation.from_strings(["a", "b"], ["aabAB"])
     assert Presentation.from_json(p.to_json()) == p

@@ -3,11 +3,15 @@ generated graphs and census bounds together."""
 
 from fractions import Fraction
 
+import pytest
+
 from kll.fpgroups import (Presentation, SubgroupTable, d_p,
                           reidemeister_schreier, cyclic_quotient_table,
                           intersection_table)
+from kll.numfield import NumberField, split_prime
+from kll.quatalg import hilbert_symbol_qp
 from kll.trivalent import generate_connected_trivalent
-from kll.orbifold import LocusEdge, SingularLocus
+from kll.orbifold import LocusEdge, SingularLocus, stratify
 from kll.counting import (sl2_group_table, subgroup_census, s_n,
                           distinct_prime_factor_sweep)
 
@@ -85,3 +89,16 @@ def test_distinct_prime_factor_sweep_small():
     assert violations == 11772
     assert argmax == 30030
     assert ratio > 1
+
+
+@pytest.mark.parametrize("p", [1, 4, -5])
+def test_prime_kernels_reject_non_primes(p):
+    # each kernel that assumes a prime says so, instead of hanging or
+    # printing a verdict for a composite
+    circle = SingularLocus(("w",), (LocusEdge("c", ("w", "w"), 2),))
+    for kernel in (lambda: split_prime(NumberField((1, 0, 1)), p),
+                   lambda: hilbert_symbol_qp(3, 5, p),
+                   lambda: stratify(circle, p),
+                   lambda: d_p(Presentation.free(2), p)):
+        with pytest.raises(ValueError, match=f"p = {p} is not a prime"):
+            kernel()

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 from kll import polys
-from kll.counting import _is_prime
 from kll.numfield import _next_prime
 from kll.quatalg import _euler_phi
 
@@ -104,13 +103,13 @@ def test_trial_division_helpers_match_sieve():
             for m in range(p, n_max + 1, p):
                 phi[m] -= phi[m] // p
     primes = [p for p in range(n_max + 1) if sieve[p]]
-    assert [n for n in range(-3, n_max + 1) if _is_prime(n)] == primes
+    assert [n for n in range(-3, n_max + 1) if polys.is_prime(n)] == primes
     assert [_euler_phi(n) for n in range(1, n_max + 1)] == phi[1:]
     for p, q in zip(primes, primes[1:]):
         assert _next_prime(p) == q and _next_prime(q - 1) == q
     m31 = 2 ** 31 - 1
-    assert _is_prime(m31) and _next_prime(m31 - 1) == m31
-    assert not _is_prime(65521 ** 2)
+    assert polys.is_prime(m31) and _next_prime(m31 - 1) == m31
+    assert not polys.is_prime(65521 ** 2)
     assert _euler_phi(65521 ** 2) == 65521 * 65520
     # past the float range, where n ** 0.5 overflows
-    assert not _is_prime(2 ** 1100) and _euler_phi(2 ** 1100) == 2 ** 1099
+    assert not polys.is_prime(2 ** 1100) and _euler_phi(2 ** 1100) == 2 ** 1099
