@@ -17,6 +17,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import isqrt
 from operator import itemgetter
 import random
 
@@ -543,7 +544,7 @@ def distinct_prime_factor_sweep(limit):
     if limit < 4:
         raise ValueError("limit must be >= 4")
     spf = list(range(limit + 1))  # smallest prime factor sieve
-    for p in range(2, int(limit ** 0.5) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if spf[p] == p:
             for q in range(p * p, limit + 1, p):
                 if spf[q] == q:

@@ -108,6 +108,8 @@ class Presentation:
         rels = tuple(free_reduce(tuple(r)) for r in self.relators)
         object.__setattr__(self, "relators", rels)
         ng = len(self.generators)
+        if len(set(self.generators)) != ng:
+            raise ValueError("duplicate generator names")
         for r in rels:
             if any(abs(x) > ng or x == 0 for x in r):
                 raise ValueError("relator uses an unknown generator")
@@ -389,7 +391,7 @@ def reidemeister_schreier(sub, transversal="bfs"):
         for g in range(1, ngens + 1):
             if (c, g) not in is_tree:
                 gen_index[(c, g)] = len(names) + 1
-                names.append(f"{pres.generators[g - 1]}{c}" if n > 1
+                names.append(f"{pres.generators[g - 1]}_{c}" if n > 1
                              else pres.generators[g - 1])
 
     def rewrite(coset, word):
@@ -646,7 +648,7 @@ class LargenessDatum:
 @dataclass
 class LargenessReport:
     abelian_ok: bool
-    growth_values: list      # log2([H:J]) / [G:H] enclosure midpoints, exact where possible
+    growth_values: list      # log2([H:J]) / [G:H] enclosure midpoints, for display
     growth_increasing: bool
     sup_quotient: Fraction
     last_quotient: Fraction
@@ -660,22 +662,27 @@ def largeness_conditions(data):
     """Consistency of the three largeness conditions on a finite prefix.
 
     (i) abelianity flags; (ii) log[H:J]/[G:H] increasing and eventually
-    positive; (iii) d(J/K)/[G:J] bounded away from zero on the prefix
-    (the last value must stay within half of the running maximum).
+    positive, decided exactly on the integer indices; (iii) d(J/K)/[G:J]
+    bounded away from zero on the prefix (the last value must stay
+    within half of the running maximum).
     Verdicts are about the prefix only, never the infinite tower.
     """
     if not data:
         raise ValueError("empty data list")
     abelian_ok = all(rec.abelian for rec in data)
     growth = []
+    ratios = []
     for rec in data:
-        if rec.index_j % rec.index_h != 0:
-            raise ValueError("index_j must be a multiple of index_h")
+        if rec.index_h < 1 or rec.index_j < 1 or rec.index_j % rec.index_h:
+            raise ValueError("index_j must be a positive multiple of index_h")
         ratio = rec.index_j // rec.index_h
         enc = Enclosure.log2(ratio) if ratio > 1 else Enclosure(0)
         growth.append((enc.lo + enc.hi) / 2 / rec.index_h)
-    increasing = all(growth[i] < growth[i + 1] for i in range(len(growth) - 1))
-    positive_tail = growth[-1] > 0
+        ratios.append((ratio, rec.index_h))
+    # log2(r)/h < log2(r')/h'  iff  r^h' < r'^h, decided on integers
+    increasing = all(r ** h2 < r2 ** h
+                     for (r, h), (r2, h2) in zip(ratios, ratios[1:]))
+    positive_tail = ratios[-1][0] > 1
     quotients = [Fraction(rec.d_quotient, rec.index_j) for rec in data]
     sup_q = max(quotients)
     last_q = quotients[-1]

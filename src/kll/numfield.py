@@ -28,7 +28,9 @@ class NumberField:
     min_poly: tuple
 
     def __post_init__(self):
-        mp = tuple(int(c) for c in self.min_poly)
+        mp = tuple(self.min_poly)
+        if any(type(c) is not int for c in mp):
+            raise ValueError("defining polynomial needs integer coefficients")
         object.__setattr__(self, "min_poly", mp)
         if len(mp) < 2:
             raise ValueError("defining polynomial must have degree >= 1")

@@ -11,6 +11,7 @@ polynomial of 2cos(2pi/n).
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import polys
 from .numfield import (NumberField, PrimeIdeal, local_quadratic_subextension,
@@ -20,11 +21,6 @@ RAMIFIED = "Ramified"
 SPLIT = "Split"
 
 INFINITE_PLACE = "inf"
-
-# pi with 128 fractional bits, used for the numerical root-matching guard
-_PI_NUM = 0x3243F6A8885A308D313198A2E03707344
-_PI_BITS = 128
-
 
 def _valuation(n, p):
     if n == 0:
@@ -149,41 +145,6 @@ def base_change_status(a, b, prime):
 # ---------------------------------------------------------------------------
 # tau_n = 4cos^2(2pi/n) - 4 over Q(cos 2pi/n)
 
-def _chebyshev_like(n):
-    """D_n with D_n(2cos t) = 2cos(nt); integer coefficients."""
-    d0, d1 = [2], [0, 1]
-    if n == 0:
-        return d0
-    for _ in range(n - 1):
-        d0, d1 = d1, polys.sub(polys.shift(d1, 1), d0)
-    return d1
-
-
-def _poly_sqrt(q):
-    """Exact square root of a monic even-degree integer polynomial."""
-    dq = polys.degree(q)
-    if dq % 2:
-        raise ValueError("odd degree cannot be a square")
-    m = dq // 2
-    r = [0] * (m + 1)
-    r[m] = 1
-    for j in range(1, m + 1):
-        # match coefficient of x^(2m - j)
-        acc = 0
-        for i in range(m - j + 1, m + 1):
-            k = 2 * m - j - i
-            if 0 <= k <= m:
-                acc += r[i] * r[k]
-        target = q[2 * m - j]
-        num = target - acc
-        if num % 2:
-            raise ValueError("not a perfect square polynomial")
-        r[m - j] = num // 2
-    if polys.mul(r, r) != polys.normalize(list(q)):
-        raise ValueError("not a perfect square polynomial")
-    return r
-
-
 def _euler_phi(n):
     out = n
     for p in set(polys._prime_factors_int(n)):
@@ -191,62 +152,47 @@ def _euler_phi(n):
     return out
 
 
-_TWO_COS_CACHE = {1: [-2, 1], 2: [2, 1]}
+@lru_cache(maxsize=None)
+def _cyclotomic(n):
+    """Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, constant term first."""
+    rem = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            rem, r = polys.divmod_exact(rem, _cyclotomic(d))
+            if r:
+                raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1")
+    return tuple(int(c) for c in rem)
 
 
 def two_cos_minpoly(n):
     """Minimal polynomial of 2cos(2pi/n) over Q, constant term first.
 
-    Extracted from the recursion D_n(x) - 2 = (x-2)(x+2)^[2|n] *
-    prod_{d | n, d >= 3} psi_d(x)^2, then checked numerically at the
-    actual root to 60-bit precision.
+    For n >= 3, Phi_n is palindromic of degree 2m with m = phi(n)/2, so
+    x^-m Phi_n(x) = c_m + sum_k c_(m+k) (x^k + x^-k), and with
+    D_k(x + 1/x) = x^k + x^-k this is psi_n(x + 1/x) (Watkins-Zeitlin).
+    The certificate x^m psi_n(x + 1/x) = Phi_n(x) is checked exactly;
+    it puts 2cos(2pi/n) among the roots of the monic psi_n, whose degree
+    phi(n)/2 = [Q(cos 2pi/n) : Q] then makes it minimal.
     """
-    if n in _TWO_COS_CACHE:
-        return list(_TWO_COS_CACHE[n])
-    rem = polys.sub(_chebyshev_like(n), [2])
-    rem = polys.divmod_exact(rem, [-2, 1])[0]
-    if n % 2 == 0:
-        rem = polys.divmod_exact(rem, [2, 1])[0]
-    for d in range(3, n):
-        if n % d == 0:
-            psi_d = two_cos_minpoly(d)
-            rem = polys.divmod_exact(rem, polys.mul(psi_d, psi_d))[0]
-    rem = [int(c) for c in rem]
-    psi = _poly_sqrt(rem)
+    if n <= 2:
+        return [-2, 1] if n == 1 else [2, 1]  # 2cos(2pi/n) = +-2
+    phi = _cyclotomic(n)
+    m = polys.degree(phi) // 2
+    psi = [phi[m]]
+    d_prev, d_k = [2], [0, 1]  # D_0, D_1; D_(k+1) = x D_k - D_(k-1)
+    for k in range(1, m + 1):
+        psi = polys.add(psi, polys.scale(d_k, phi[m + k]))
+        d_prev, d_k = d_k, polys.sub(polys.shift(d_k, 1), d_prev)
     if polys.degree(psi) != _euler_phi(n) // 2:
         raise ArithmeticError(f"wrong degree for minimal polynomial at n={n}")
-    _verify_root_numerically(psi, n)
-    _TWO_COS_CACHE[n] = list(psi)
-    return list(psi)
-
-
-def _cos_dyadic(t, terms=40):
-    """cos(t) for a Fraction t with |t| <= 2.2, by Taylor series; exact Fraction.
-
-    Truncation error is below t^(2*terms)/(2*terms)!, far under 2^-100.
-    """
-    acc = Fraction(0)
-    term = Fraction(1)
-    t2 = t * t
-    for k in range(terms):
-        acc += term
-        term = -term * t2 / ((2 * k + 1) * (2 * k + 2))
-    return acc
-
-
-def _verify_root_numerically(psi, n, bits=60):
-    """Guard: psi must vanish at 2cos(2pi/n) to ~bits of precision."""
-    two_pi = Fraction(2 * _PI_NUM, 1 << _PI_BITS)
-    t = two_pi / n
-    # reduce to |t| <= 2.2 by symmetry cos(t) = -cos(pi - t) when t > pi/2
-    if t > Fraction(22, 10):
-        c = -_cos_dyadic(Fraction(_PI_NUM, 1 << _PI_BITS) - t)
-    else:
-        c = _cos_dyadic(t)
-    val = polys.evaluate(psi, 2 * c)
-    size = 1 + max(abs(x) for x in psi)
-    if abs(val) * (1 << bits) > size:
-        raise ArithmeticError(f"minimal polynomial failed root check at n={n}")
+    # x^m psi(x + 1/x) = sum_j psi_j x^(m-j) (x^2 + 1)^j
+    lhs, power = [], [1]
+    for j, c in enumerate(psi):
+        lhs = polys.add(lhs, polys.scale(polys.shift(power, m - j), c))
+        power = polys.mul(power, [1, 0, 1])
+    if lhs != list(phi):
+        raise ArithmeticError(f"minimal polynomial certificate fails at n={n}")
+    return psi
 
 
 def tau_field(n):
@@ -264,14 +210,12 @@ def tau_n(n):
 
 
 def tau_n_norm(n):
-    """Field norm of tau_n down to Q, by resultant against x^2 - 4."""
+    """Field norm of tau_n down to Q: with tau_n = (c - 2)(c + 2) and
+    psi_n monic, it is psi_n(2) psi_n(-2)."""
     if n < 3:
         raise ValueError("n >= 3 required")
     psi = two_cos_minpoly(n)
-    res = polys.resultant(psi, [-4, 0, 1])
-    if res.denominator != 1:
-        raise ArithmeticError("norm of an algebraic integer must be rational integer")
-    return res.numerator
+    return polys.evaluate(psi, 2) * polys.evaluate(psi, -2)
 
 
 # ---------------------------------------------------------------------------

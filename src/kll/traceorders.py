@@ -8,6 +8,7 @@ are decided by exact proportionality of matrices over the field.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .linalg import rref
 from .numfield import NumberField, FieldElement
@@ -201,35 +202,61 @@ def build_order(a, b):
     """R_k[1, a, b, ab] with the full 16-product closure certificate.
 
     Requires non-commuting unimodular a, b with integral tr(a), tr(b),
-    tr(ab); every structure coefficient is verified integral.
+    tr(ab).  By Cayley-Hamilton (x^2 = tr(x) x - 1) every product of
+    basis elements is an integer polynomial in those traces times the
+    basis, so the structure constants are integral; each of the nine
+    products without 1 is checked as an exact matrix identity.  The
+    basis spans exactly when tr[a, b] - 2 is nonzero.
     """
     field = a.field
-    if not (a.det() - field.one()).is_zero() or not (b.det() - field.one()).is_zero():
-        raise NonUnimodular("generators must have determinant 1")
-    if (a * b - b * a).is_zero():
+    _require_unimodular(a, b)
+    ab = a * b
+    if (ab - b * a).is_zero():
         raise CommutingGenerators("generators commute")
-    for t in (a.trace(), b.trace(), (a * b).trace()):
+    ta, tb, tab = a.trace(), b.trace(), ab.trace()
+    for t in (ta, tb, tab):
         if not t.is_integral():
             raise NonIntegralTraces(f"trace {t} is not an algebraic integer")
-    basis = (Mat2.identity(field), a, b, a * b)
-    constants = {}
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            coords = _solve_in_basis(basis, bi * bj)
-            if coords is None:
-                raise CommutingGenerators("basis does not span the algebra")
-            for c in coords:
-                if not c.is_integral():
-                    raise NonIntegralTraces(
-                        f"structure constant {c} at ({i},{j}) not integral")
-            constants[(i, j)] = coords
+    if _fricke_discriminant(ta, tb, tab).is_zero():
+        raise CommutingGenerators("basis does not span the algebra")
+    basis = (Mat2.identity(field), a, b, ab)
+    zero, one = field.zero(), field.one()
+    e = [[one if k == i else zero for k in range(4)] for i in range(4)]
+    constants = {(i, 0): e[i] for i in range(4)} | {(0, j): e[j] for j in range(4)}
+    products = {
+        (1, 1): [-one, ta, zero, zero],           # a^2 = ta a - 1
+        (1, 2): e[3],
+        (1, 3): [zero, zero, -one, ta],           # a ab = ta ab - b
+        (2, 1): [tab - ta * tb, tb, ta, -one],    # ba = tab - ta tb + tb a + ta b - ab
+        (2, 2): [-one, zero, tb, zero],           # b^2 = tb b - 1
+        (2, 3): [-ta, one, tab, zero],            # bab = -ta + a + tab b
+        (3, 1): [-tb, tab, one, zero],            # aba = -tb + tab a + b
+        (3, 2): [zero, -one, zero, tb],           # ab b = tb ab - a
+        (3, 3): [-one, zero, zero, tab],          # (ab)^2 = tab ab - 1
+    }
+    for (i, j), coords in products.items():
+        combo = reduce(Mat2.__add__, (m.scale(c) for m, c in zip(basis, coords)))
+        if combo != basis[i] * basis[j]:
+            raise ArithmeticError(f"Cayley-Hamilton identity fails at ({i},{j})")
+    constants.update(products)
     return ElementaryOrder(field=field, basis=basis, structure_constants=constants)
+
+
+def _require_unimodular(a, b):
+    one = a.field.one()
+    if not (a.det() - one).is_zero() or not (b.det() - one).is_zero():
+        raise NonUnimodular("generators must have determinant 1")
+
+
+def _fricke_discriminant(ta, tb, tab):
+    """tr[a, b] - 2 = ta^2 + tb^2 + tab^2 - ta tb tab - 4 (Fricke)."""
+    return ta * ta + tb * tb + tab * tab - ta * tb * tab - 4
 
 
 def order_discriminant_from_pair(a, b):
     """tr([a,b]) - 2, the generator of the order discriminant ideal."""
-    comm = a * b * a.inverse() * b.inverse()
-    return comm.trace() - a.field.element([2])
+    _require_unimodular(a, b)
+    return _fricke_discriminant(a.trace(), b.trace(), (a * b).trace())
 
 
 def order_discriminant(order):

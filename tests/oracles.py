@@ -548,3 +548,62 @@ def lambda2_by_fraction_sturm(g, precision_bits=30):
         else:
             lo = mid
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Minimal polynomial of 2cos(2pi/n) by stripping D_n(x) - 2 and taking an
+# exact square root (quatalg.two_cos_minpoly oracle)
+
+def _exact_quotient(f, g):
+    q, r = _divmod_q(f, g)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _square(f):
+    out = [0] * (2 * len(f) - 1)
+    for i, a in enumerate(f):
+        for k, b in enumerate(f):
+            out[i + k] += a * b
+    return out
+
+
+def _int_poly_sqrt(q):
+    """Square root of a monic integer polynomial of even degree, by
+    matching coefficients from the top down."""
+    m = (len(q) - 1) // 2
+    r = [0] * m + [1]
+    for j in range(1, m + 1):
+        acc = sum(r[i] * r[2 * m - j - i] for i in range(m - j + 1, m + 1)
+                  if 2 * m - j - i <= m)
+        num = q[2 * m - j] - acc
+        if num % 2:
+            raise ArithmeticError("not a perfect square")
+        r[m - j] = num // 2
+    if _square(r) != list(q):
+        raise ArithmeticError("not a perfect square")
+    return r
+
+
+def two_cos_minpoly_by_square_root(n):
+    """psi_n from D_n(x) - 2 = (x - 2)(x + 2)^[2|n] prod_{d|n, d>=3} psi_d^2,
+    where D_n(2cos t) = 2cos(nt): divide out the known factors and take
+    the exact square root of what is left."""
+    if n <= 2:
+        return [-2, 1] if n == 1 else [2, 1]
+    d0, d1 = [2], [0, 1]
+    for _ in range(n - 1):
+        nxt = [0] + d1
+        for i, c in enumerate(d0):
+            nxt[i] -= c
+        d0, d1 = d1, nxt
+    rem = list(d1)
+    rem[0] -= 2
+    rem = _exact_quotient(rem, [-2, 1])
+    if n % 2 == 0:
+        rem = _exact_quotient(rem, [2, 1])
+    for d in range(3, n):
+        if n % d == 0:
+            rem = _exact_quotient(rem, _square(two_cos_minpoly_by_square_root(d)))
+    return _int_poly_sqrt([int(c) for c in rem])

@@ -11,6 +11,8 @@ from kll.fpgroups import (Presentation, SubgroupTable, parse_word,
                           largeness_conditions, LargenessDatum,
                           NotSurjective, RelatorNotKilled, BudgetExceeded)
 
+from kll.orbifold import OrbifoldData
+
 from oracles import d_p_from_smith, count_index_le2_subgroups
 
 F2 = Presentation.free(2)
@@ -85,6 +87,21 @@ def test_reidemeister_schreier_star4_kernel():
     simplified = ker.simplified()
     assert simplified.rank() == 3
     assert not simplified.relators
+
+
+def test_presentation_rejects_duplicate_generators():
+    with pytest.raises(ValueError, match="duplicate"):
+        Presentation.from_strings(["a", "a"], ["aa"])
+    with pytest.raises(ValueError, match="duplicate"):
+        OrbifoldData.from_json({"manifold": {"gens": ["a", "a"], "rels": []},
+                                "locus": {"vertices": [], "edges": []}})
+
+
+def test_reidemeister_schreier_names_are_distinct():
+    # generator x1 at coset 12 and x11 at coset 2 must not share a name
+    table = cyclic_quotient_table(Presentation.free(30), [1] * 30, 12)
+    sub = reidemeister_schreier(table)
+    assert len(set(sub.generators)) == sub.rank() == 12 * 29 + 1
 
 
 def test_rs_transversal_invariance():
@@ -224,3 +241,12 @@ def test_largeness_conditions_trivial_growth_fails():
             for i in range(1, 6)]
     rep = largeness_conditions(data)
     assert not rep.growth_increasing
+
+
+def test_largeness_growth_decided_on_integers():
+    # log2(7)/1 = log2(49)/2 exactly: equal, so not increasing
+    tie = [LargenessDatum(1, 7, 1), LargenessDatum(2, 98, 2)]
+    assert not largeness_conditions(tie).growth_increasing
+    # 7^2 < 50: increasing, and the last ratio 50 > 1
+    up = [LargenessDatum(1, 7, 1), LargenessDatum(2, 100, 2)]
+    assert largeness_conditions(up).growth_increasing

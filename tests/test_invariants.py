@@ -91,6 +91,22 @@ def test_distinct_prime_factor_sweep_small():
     assert ratio > 1
 
 
+class _ExactInt(int):
+    """An int that refuses to become a float."""
+
+    def __float__(self):
+        raise TypeError("float conversion")
+
+    def __pow__(self, exponent, modulo=None):
+        if not isinstance(exponent, int):
+            raise TypeError("non-integer power")
+        return int(self).__pow__(exponent, modulo)
+
+
+def test_distinct_prime_factor_sweep_sieves_without_floats():
+    assert distinct_prime_factor_sweep(_ExactInt(1000)) == distinct_prime_factor_sweep(1000)
+
+
 @pytest.mark.parametrize("p", [1, 4, -5])
 def test_prime_kernels_reject_non_primes(p):
     # each kernel that assumes a prime says so, instead of hanging or

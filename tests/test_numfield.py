@@ -33,6 +33,12 @@ def test_signature_rejects_reducible():
         signature(NumberField((-1, 0, 1)))  # x^2 - 1 has rational roots
 
 
+@pytest.mark.parametrize("coeffs", [(1.5, 0, 1), (True, 0, 1), (Fraction(1), 0, 1)])
+def test_number_field_rejects_non_integer_coefficients(coeffs):
+    with pytest.raises(ValueError, match="integer coefficients"):
+        NumberField(coeffs)
+
+
 def test_repeated_factor_rejected():
     with pytest.raises(ReduciblePolynomial):
         NumberField((1, 2, 1))  # (x+1)^2

@@ -11,7 +11,7 @@ from kll.quatalg import (hilbert_symbol_qp, base_change_status, tau_n,
                          RAMIFIED, SPLIT, SATISFIED, VIOLATED,
                          INFINITE_PLACE, _normalize_at_p)
 
-from oracles import exhaustive_hilbert_split
+from oracles import exhaustive_hilbert_split, two_cos_minpoly_by_square_root
 
 
 def test_hilbert_symbol_named_cases():
@@ -133,12 +133,16 @@ def test_tau_norm_units():
         assert abs(tau_n_norm(n)) == 1
 
 
+def test_two_cos_minpoly_matches_square_root_oracle():
+    for n in range(1, 61):
+        assert two_cos_minpoly(n) == two_cos_minpoly_by_square_root(n), n
+
+
 def test_tau_norm_resultant_vs_evaluation_oracle():
-    # N(c^2 - 4) = psi(2) psi(-2) since c^2 - 4 = (c-2)(c+2)
+    # N(c^2 - 4) = Res(psi, x^2 - 4) for monic psi
     for n in range(3, 31):
         psi = two_cos_minpoly(n)
-        expected = polys.evaluate(psi, 2) * polys.evaluate(psi, -2)
-        assert tau_n_norm(n) == expected, n
+        assert tau_n_norm(n) == polys.resultant(psi, [-4, 0, 1]), n
 
 
 def test_tau_norm_dichotomy_discrepancies():

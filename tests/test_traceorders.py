@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from kll.numfield import NumberField
+from kll import traceorders
+from kll.numfield import FieldElement, NumberField
 from kll.traceorders import (Mat2, verify_trace_identities, build_order,
-                             order_discriminant, jorgensen_involution,
-                             klein_four_relations, proportional,
+                             order_discriminant, order_discriminant_from_pair,
+                             jorgensen_involution, klein_four_relations,
+                             proportional, _solve_in_basis,
                              NonUnimodular, CommutingGenerators,
                              NonIntegralTraces, CommonFixedPoint,
                              RelationFailure)
 
 Q = NumberField((0, 1))
 QSQRT2M = NumberField((2, 0, 1))   # Q(sqrt(-2))
+CUBIC = NumberField((-1, -1, 0, 1))  # x^3 - x - 1
 
 
 def _rand_unimodular(field, rng, length=4):
@@ -96,6 +99,68 @@ def test_build_order_random_closure_integral():
             for coords in order.structure_constants.values():
                 assert all(c.is_integral() for c in coords)
             built += 1
+
+
+def _noncommuting_pairs(rng, count):
+    for field in (Q, QSQRT2M, CUBIC):
+        built = 0
+        while built < count:
+            a = _rand_unimodular(field, rng)
+            b = _rand_unimodular(field, rng)
+            if (a * b - b * a).is_zero():
+                continue
+            built += 1
+            yield a, b
+
+
+def test_structure_constants_match_linear_solve():
+    # the Cayley-Hamilton table against solving basis_i basis_j = sum c_k basis_k
+    for a, b in _noncommuting_pairs(random.Random(73), 10):
+        order = build_order(a, b)
+        for (i, j), coords in order.structure_constants.items():
+            want = _solve_in_basis(order.basis, order.basis[i] * order.basis[j])
+            assert coords == want, (i, j)
+
+
+def test_fricke_discriminant_matches_commutator_trace():
+    for a, b in _noncommuting_pairs(random.Random(79), 10):
+        comm = a * b * a.inverse() * b.inverse()
+        assert order_discriminant_from_pair(a, b) == comm.trace() - 2
+
+
+def test_order_discriminant_rejects_nonunimodular():
+    a = Mat2.from_rows(Q, [[2, 0], [0, 1]])
+    with pytest.raises(NonUnimodular):
+        order_discriminant_from_pair(a, Mat2.identity(Q))
+
+
+def test_build_order_rejects_common_fixed_point():
+    # non-commuting upper-triangular pair over Q(sqrt 2): tr[a, b] = 2
+    k = NumberField((-2, 0, 1))
+    u = k.element([1, 1])  # 1 + sqrt 2, a unit
+    a = Mat2.from_rows(k, [[u, 0], [0, u.inverse()]])
+    b = Mat2.from_rows(k, [[1, 1], [0, 1]])
+    with pytest.raises(CommutingGenerators, match="basis does not span"):
+        build_order(a, b)
+
+
+def test_build_order_uses_identities_not_solves(monkeypatch):
+    calls = []
+    original = FieldElement.is_integral
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    def no_solve(*args):
+        raise AssertionError("build_order solved a linear system")
+
+    monkeypatch.setattr(FieldElement, "is_integral", counted)
+    monkeypatch.setattr(traceorders, "rref", no_solve)
+    for a, b in _noncommuting_pairs(random.Random(83), 3):
+        calls.clear()
+        build_order(a, b)
+        assert len(calls) == 3
 
 
 def test_discriminant_vanishes_iff_commuting():
