@@ -216,9 +216,9 @@ def cmd_field(args):
 def cmd_algebra(args):
     report = {}
     if args.dihedral is not None:
-        report["dihedral"] = quatalg.dihedral_ramification_analysis(
-            args.dihedral).to_json()
-        report["tau_norm"] = str(quatalg.tau_n_norm(args.dihedral))
+        dihedral = quatalg.dihedral_ramification_analysis(args.dihedral)
+        report["dihedral"] = dihedral.to_json()
+        report["tau_norm"] = str(dihedral.norm)
     if args.symbol:
         a, b = (Fraction(s) for s in args.symbol)
         places = {}

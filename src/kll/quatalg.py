@@ -210,11 +210,15 @@ def tau_n(n):
 
 
 def tau_n_norm(n):
-    """Field norm of tau_n down to Q: with tau_n = (c - 2)(c + 2) and
-    psi_n monic, it is psi_n(2) psi_n(-2)."""
+    """Field norm of tau_n down to Q (see `_tau_norm`)."""
     if n < 3:
         raise ValueError("n >= 3 required")
-    psi = two_cos_minpoly(n)
+    return _tau_norm(two_cos_minpoly(n))
+
+
+def _tau_norm(psi):
+    """N(tau_n) from psi_n: with tau_n = (c - 2)(c + 2) and psi_n monic,
+    it is psi_n(2) psi_n(-2)."""
     return polys.evaluate(psi, 2) * polys.evaluate(psi, -2)
 
 
@@ -359,8 +363,8 @@ def dihedral_ramification_analysis(inp):
     n = inp.n if isinstance(inp, DihedralSymbolInput) else int(inp)
     if n < 3:
         raise ValueError("n >= 3 required")
-    norm = tau_n_norm(n)
     psi = tuple(two_cos_minpoly(n))
+    norm = _tau_norm(psi)
     is_unit = abs(norm) == 1
     pp = _prime_power(n)
 

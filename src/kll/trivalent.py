@@ -12,7 +12,6 @@ dyadic enclosures of the bound values are reported alongside.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .dyadic import log2_enclosure
 
@@ -39,7 +38,7 @@ class TrivalentGraph:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError("edge endpoint out of range")
             deg[u] += 1
-            deg[v] += 1 if u != v else 1  # loop counted twice via two slots
+            deg[v] += 1  # a loop (u == v) is counted twice: two slots
         for v, d in enumerate(deg):
             if d != 3:
                 raise ValueError(f"vertex {v} has degree {d}, not 3")
@@ -116,31 +115,42 @@ def _refined_colors(g):
 
 
 def _refine_from(colors, neigh, loops, n):
-    """Refine a coloring to stability (classes renumbered canonically)."""
+    """Refine a coloring to stability (classes renumbered canonically).
+
+    A round only splits classes, since each signature starts with the
+    old color, so a round that makes no new class is stable."""
+    classes = len(set(colors))
     while True:
         sigs = [(colors[v], loops[v],
                  tuple(sorted((colors[w], m) for w, m in neigh[v])))
                 for v in range(n)]
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
+        colors = [palette[s] for s in sigs]
+        if len(palette) == classes:
             return colors
-        colors = new
+        classes = len(palette)
 
 
-@lru_cache(maxsize=200000)
-def canonical_form(g):
+def canonical_form(g, labellings=False):
     """Canonical edge tuple by individualization-refinement.
 
     The minimum over all discrete refinements of the relabeled sorted
-    edge list; equal canonical forms iff isomorphic."""
+    edge list; equal canonical forms iff isomorphic.
+
+    With labellings=True the result is (form, labellings): every leaf
+    whose relabeled edge list is the form, each a list that gives vertex
+    v the label labelling[v].  Refinement commutes with relabeling, so
+    Aut(g) permutes the leaves, and two leaves with the same form differ
+    by an automorphism: for any one of them lambda, the list is exactly
+    {lambda o s : s in Aut(g)}, one labelling per automorphism.
+    """
     n = g.num_vertices
     mult = _edge_multiset(g)
     base, neigh, loops = _refined_colors(g)
     best = None
+    leaves = []
 
-    def leaf_form(colors):
-        rank = {v: colors[v] for v in range(n)}
+    def leaf_form(rank):
         out = []
         for (u, v), m in mult.items():
             a, b = rank[u], rank[v]
@@ -159,7 +169,9 @@ def canonical_form(g):
         if target is None:
             form = leaf_form(colors)
             if best is None or form < best:
-                best = form
+                best, leaves[:] = form, [colors]
+            elif form == best:
+                leaves.append(colors)
             return
         for v in range(n):
             if colors[v] != target:
@@ -168,11 +180,13 @@ def canonical_form(g):
             rec(_refine_from(split, neigh, loops, n))
 
     rec(base)
-    return (n, best)
+    return ((n, best), leaves) if labellings else (n, best)
 
 
 # ---------------------------------------------------------------------------
-# Generation: connected cubic multigraphs up to isomorphism
+# Generation: connected cubic multigraphs up to isomorphism, by canonical
+# construction path (McKay, J. Algorithms 1998; for cubic graphs
+# Brinkmann, Goedgebeur & McKay, DMTCS 2011)
 
 def _base_graphs():
     theta = TrivalentGraph(2, ((0, 1), (0, 1), (0, 1)))
@@ -180,75 +194,199 @@ def _base_graphs():
     return [theta, dumbbell]
 
 
-def _augment_edge_pair(g, i, j):
-    """Subdivide edges i, j and join the two new vertices."""
+def _moves(g):
+    """One move of g per Aut(g)-orbit, on edges taken as vertex pairs:
+    ("loop", e) hangs a loop vertex off a new vertex on e; ("double", e)
+    subdivides e twice and doubles the middle edge; ("pair", e, f), e <= f,
+    subdivides e and f and joins the two new vertices (e == f takes two
+    parallel copies)."""
+    mult = _edge_multiset(g)
+    edges = sorted(mult)
+    moves = [("loop", e) for e in edges] + [("double", e) for e in edges]
+    moves += [("pair", e, f) for k, e in enumerate(edges) for f in edges[k:]
+              if e != f or mult[e] > 1]
+    _, labellings = canonical_form(g, labellings=True)
+    back = [0] * g.num_vertices
+    for v, label in enumerate(labellings[0]):
+        back[label] = v
+    autos = [[back[label] for label in lab] for lab in labellings]
+    seen = set()
+    for move in moves:
+        if move not in seen:
+            seen.update(_move_image(move, s) for s in autos)
+            yield move
+
+
+def _move_image(move, s):
+    kind, *edges = move
+    return (kind, *sorted(tuple(sorted((s[a], s[b]))) for a, b in edges))
+
+
+def _apply(g, move):
+    """The child of g under `move`; its new vertices are V and V + 1."""
     n = g.num_vertices
     w, x = n, n + 1
-    edges = [e for k, e in enumerate(g.edges) if k not in (i, j)]
-    if i == j:
-        a, b = g.edges[i]
-        edges += [(a, w), (w, x), (x, b), (w, x)]
+    kind, *old = move
+    edges = list(g.edges)
+    for e in old:
+        edges.remove(e)
+    a, b = old[0]
+    if kind == "loop":
+        edges += [(a, w), (b, w), (w, x), (x, x)]
+    elif kind == "double":
+        edges += [(a, w), (b, x), (w, x), (w, x)]
     else:
-        a, b = g.edges[i]
-        c, d = g.edges[j]
-        edges += [(a, w), (w, b), (c, x), (x, d), (w, x)]
-    return TrivalentGraph(n + 2, tuple(edges))
+        c, d = old[1]
+        edges += [(a, w), (b, w), (c, x), (d, x), (w, x)]
+    # every vertex already has degree 3 and every pair is sorted, so the
+    # check in TrivalentGraph.__post_init__ is skipped
+    child = object.__new__(TrivalentGraph)
+    object.__setattr__(child, "num_vertices", n + 2)
+    object.__setattr__(child, "edges", tuple(edges))
+    return child
 
 
-def _augment_lollipop(g, i):
-    """Subdivide edge i and hang a loop vertex off the new vertex."""
-    n = g.num_vertices
-    w, x = n, n + 1
-    a, b = g.edges[i]
-    edges = [e for k, e in enumerate(g.edges) if k != i]
-    edges += [(a, w), (w, b), (w, x), (x, x)]
-    return TrivalentGraph(n + 2, tuple(edges))
+def _bridges(adj):
+    """The bridges of a connected multigraph, as vertex pairs (u, v) with
+    u < v, by one lowlink depth-first search; `adj` is as from
+    `TrivalentGraph.adjacency`."""
+    order = [-1] * len(adj)
+    low = [0] * len(adj)
+    order[0] = 0
+    stack = [(0, None, iter(adj[0]))]
+    visited = 1
+    bridges = set()
+    while stack:
+        u, via, it = stack[-1]
+        for w, i in it:
+            if i == via:
+                continue
+            if order[w] < 0:
+                order[w] = low[w] = visited
+                visited += 1
+                stack.append((w, i, iter(adj[w])))
+                break
+            low[u] = min(low[u], order[w])
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] > order[p]:
+                    bridges.add((min(p, u), max(p, u)))
+    return bridges
 
 
-def generate_connected_trivalent(max_vertices, simple_only=False):
+def _reductions(g, nbrs):
+    """The reductions of g, V >= 4, of the first kind it has.
+
+    ("loop", x) removes the loop vertex x and smooths its neighbour;
+    ("edge", w, x), w < x, deletes one w-x edge between loop-free
+    vertices, not a bridge, and smooths w and x.  Each leaves a
+    connected cubic multigraph on V - 2 vertices, and they undo the
+    moves "loop" and "double" or "pair".  The kinds rank loops first,
+    then doubled edges, then single edges (which alone can be bridges),
+    so only a graph with neither needs its bridges.
+    """
+    loops = [("loop", u) for u, v in g.edges if u == v]
+    if loops:
+        return loops
+    pairs = {(u, v) for u, v in g.edges}
+    doubles = [("edge", w, x) for w, x in pairs if nbrs[w].count(x) > 1]
+    if doubles:
+        return doubles
+    bridges = _bridges(g.adjacency())
+    return [("edge", w, x) for w, x in pairs if (w, x) not in bridges]
+
+
+def _labelled(reduction, label):
+    return tuple(sorted(label[v] for v in reduction[1:]))
+
+
+def _is_canonical(g, undo):
+    """Whether the reduction `undo` of g lies in the Aut(g)-orbit of its
+    canonical reduction: the least by kind (`_reductions`), then by an
+    invariant key, then by the refined vertex colours of its vertices,
+    then, only if that still ties, by their labels under a canonical
+    labelling.  The key is minus the number of common neighbours of w
+    and x, then the sorted numbers of vertices within distance 2 of the
+    reduction's vertices.  Every key is invariant under isomorphism, so
+    the tied set is a union of Aut(g)-orbits, and undo is in the least
+    orbit iff some canonical labelling (together they are a coset of
+    Aut(g)) gives it the least labels."""
+    nbrs = [[] for _ in range(g.num_vertices)]
+    for u, v in g.edges:
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    tied = _reductions(g, nbrs)
+    if undo not in tied:
+        return False
+    sizes = {}
+
+    def near(v):
+        if v not in sizes:
+            ball = set(nbrs[v])
+            for u in nbrs[v]:
+                ball.update(nbrs[u])
+            ball.discard(v)
+            sizes[v] = len(ball)
+        return sizes[v]
+
+    def key(r):
+        if r[0] == "loop":
+            return (0, near(r[1]), near(nbrs[r[1]][0]))
+        _, w, x = r
+        return (-len(set(nbrs[w]) & set(nbrs[x])), *sorted((near(w), near(x))))
+
+    mine = key(undo)
+    keys = [key(r) for r in tied]
+    if min(keys) < mine:
+        return False
+    tied = [r for r, k in zip(tied, keys) if k == mine]
+    if len(tied) > 1:
+        colors = _refined_colors(g)[0]
+        least = min(_labelled(r, colors) for r in tied)
+        if _labelled(undo, colors) != least:
+            return False
+        tied = [r for r in tied if _labelled(r, colors) == least]
+    if len(tied) == 1:
+        return True
+    _, labellings = canonical_form(g, labellings=True)
+    least = min(_labelled(r, labellings[0]) for r in tied)
+    return any(_labelled(undo, lab) == least for lab in labellings)
+
+
+def generate_connected_trivalent(max_vertices):
     """All connected trivalent multigraphs with <= max_vertices vertices,
     one per isomorphism class, grouped {V: [graphs]}.
 
-    Augmentation: every connected cubic multigraph on V >= 4 vertices
-    arises from one on V - 2 by either inserting an edge between two
-    subdivision points or inserting a loop lollipop, so closing the two
-    2-vertex base graphs under both moves reaches every one.  Duplicates
-    are removed by keeping one graph per `canonical_form` in a set.
+    Canonical construction path (McKay 1998).  Every connected cubic
+    multigraph on V >= 4 vertices has a reduction (`_reductions`) to one
+    on V - 2: a loop vertex can be removed, and otherwise any edge on a
+    cycle can be deleted.  Each class at V - 2 is kept once, and each of
+    its moves is tried once per Aut-orbit (`_moves`); a child is kept
+    only if the reduction that undoes its move is in the Aut-orbit of
+    its canonical reduction (`_is_canonical`).  A class then comes out
+    exactly once: only from the class of its canonical reduction, and
+    two kept children of one parent that are isomorphic would map one
+    undoing reduction onto the other, and so one move onto the other by
+    an automorphism of the parent.  No set of forms is kept across
+    parents, and nothing is cached across calls.
     """
     if max_vertices < 2:
         return {}
-    out = {2: list(_base_graphs())}
-    v = 2
-    while v + 2 <= max_vertices:
-        seen_labeled = set()
-        seen_canonical = set()
+    out = {2: _base_graphs()}
+    for v in range(2, max_vertices - 1, 2):
         found = []
         for g in out[v]:
-            ne = g.num_edges
-            children = []
-            for i in range(ne):
-                children.append(_augment_lollipop(g, i))
-                for j in range(i, ne):
-                    children.append(_augment_edge_pair(g, i, j))
-            for child in children:
-                if child.edges in seen_labeled:
-                    continue
-                seen_labeled.add(child.edges)
-                form = canonical_form(child)
-                if form not in seen_canonical:
-                    seen_canonical.add(form)
+            for move in _moves(g):
+                child = _apply(g, move)
+                undo = ("loop", v + 1) if move[0] == "loop" else ("edge", v, v + 1)
+                if _is_canonical(child, undo):
                     found.append(child)
-        v += 2
-        out[v] = found
-    if simple_only:
-        out = {k: [g for g in graphs if _is_simple(g)] for k, graphs in out.items()}
+        out[v + 2] = found
     return out
-
-
-def _is_simple(g):
-    mult = _edge_multiset(g)
-    return all(m == 1 for m in mult.values()) and \
-        all(u != v for u, v in mult)
 
 
 def random_connected_trivalent(num_vertices, rng=None):

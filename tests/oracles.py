@@ -319,8 +319,8 @@ def _bfs_closure(table, gens, start):
 
 # ---------------------------------------------------------------------------
 # Multigraphs (anything with num_vertices and an edge list of (u, v)
-# pairs): isomorphism by backtracking over vertex bijections, girth by
-# deleting one edge at a time, b1 of an edge subset by union-find
+# pairs): isomorphism by backtracking over vertex bijections, girth and
+# bridges by deleting one edge at a time, b1 of an edge subset by union-find
 
 def _multiplicities(edges):
     mult = {}
@@ -387,6 +387,28 @@ def girth_by_edge_deletion(g):
     return best
 
 
+def bridges_by_edge_deletion(g):
+    """{(u, v)}, u < v, for each edge whose deletion alone leaves the
+    vertices reachable from 0 fewer than all."""
+    out = set()
+    for k, (u, v) in enumerate(g.edges):
+        adj = [[] for _ in range(g.num_vertices)]
+        for j, (a, b) in enumerate(g.edges):
+            if j != k:
+                adj[a].append(b)
+                adj[b].append(a)
+        seen = {0}
+        queue = [0]
+        for x in queue:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if len(seen) < g.num_vertices:
+            out.add((min(u, v), max(u, v)))
+    return out
+
+
 def edge_subgraph_betti(edges, indices):
     """(b1, number of components) of the subgraph formed by the chosen
     edges and their endpoints."""
@@ -404,6 +426,72 @@ def edge_subgraph_betti(edges, indices):
     comps = len({find(x) for x in list(root)})
     return len(indices) - len(root) + comps, comps
 
+
+
+# ---------------------------------------------------------------------------
+# Connected cubic multigraphs by closing the two 2-vertex graphs under
+# both moves, one per canonical form in a global set
+# (trivalent.generate_connected_trivalent oracle)
+
+def _augment_edge_pair(graph, g, i, j):
+    """Subdivide edges i, j and join the two new vertices."""
+    n = g.num_vertices
+    w, x = n, n + 1
+    edges = [e for k, e in enumerate(g.edges) if k not in (i, j)]
+    if i == j:
+        a, b = g.edges[i]
+        edges += [(a, w), (w, x), (x, b), (w, x)]
+    else:
+        a, b = g.edges[i]
+        c, d = g.edges[j]
+        edges += [(a, w), (w, b), (c, x), (x, d), (w, x)]
+    return graph(n + 2, tuple(edges))
+
+
+def _augment_lollipop(graph, g, i):
+    """Subdivide edge i and hang a loop vertex off the new vertex."""
+    n = g.num_vertices
+    w, x = n, n + 1
+    a, b = g.edges[i]
+    edges = [e for k, e in enumerate(g.edges) if k != i]
+    edges += [(a, w), (w, b), (w, x), (x, x)]
+    return graph(n + 2, tuple(edges))
+
+
+def cubic_multigraphs_by_global_forms(max_vertices, graph, canonical_form):
+    """{V: [graphs]} for V <= max_vertices: every labelled child of
+    every kept graph under both moves is canonicalised, and one graph
+    is kept per form in a set shared by all parents.  `graph(V, edges)`
+    builds a graph; `canonical_form(g)` is equal exactly on isomorphic
+    graphs."""
+    if max_vertices < 2:
+        return {}
+    theta = graph(2, ((0, 1), (0, 1), (0, 1)))
+    dumbbell = graph(2, ((0, 0), (1, 1), (0, 1)))
+    out = {2: [theta, dumbbell]}
+    v = 2
+    while v + 2 <= max_vertices:
+        seen_labeled = set()
+        seen_canonical = set()
+        found = []
+        for g in out[v]:
+            ne = len(g.edges)
+            children = []
+            for i in range(ne):
+                children.append(_augment_lollipop(graph, g, i))
+                for j in range(i, ne):
+                    children.append(_augment_edge_pair(graph, g, i, j))
+            for child in children:
+                if child.edges in seen_labeled:
+                    continue
+                seen_labeled.add(child.edges)
+                form = canonical_form(child)
+                if form not in seen_canonical:
+                    seen_canonical.add(form)
+                    found.append(child)
+        v += 2
+        out[v] = found
+    return out
 
 # ---------------------------------------------------------------------------
 # Cheeger constants by every vertex subset (taugraphs.cheeger_exact

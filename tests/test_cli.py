@@ -111,6 +111,23 @@ def test_algebra_clozel(capsys):
     assert out["clozel"]["witness"]["f"] == 2
 
 
+def test_algebra_dihedral_derives_psi_once(capsys, monkeypatch):
+    from kll import quatalg
+    calls = []
+    derive = quatalg.two_cos_minpoly
+
+    def counted(n):
+        calls.append(n)
+        return derive(n)
+
+    monkeypatch.setattr(quatalg, "two_cos_minpoly", counted)
+    rc = main(["algebra", "--dihedral", "9"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert calls == [9]
+    assert out["tau_norm"] == out["dihedral"]["norm"] == "-3"
+
+
 def test_order_command(capsys):
     matrices = json.dumps({"a": [[[1], [1]], [[0], [1]]],
                            "b": [[[1], [0]], [[1], [1]]]})

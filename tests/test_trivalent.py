@@ -1,13 +1,15 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from kll.trivalent import (TrivalentGraph, short_cycle, b1_two_subgraph,
                            generate_connected_trivalent,
                            random_connected_trivalent, canonical_form,
-                           FirstBettiTooSmall, _subgraph_b1)
+                           FirstBettiTooSmall, _subgraph_b1, _bridges)
 
-from oracles import (edge_subgraph_betti, girth_by_edge_deletion,
+from oracles import (bridges_by_edge_deletion, cubic_multigraphs_by_global_forms,
+                     edge_subgraph_betti, girth_by_edge_deletion,
                      multigraphs_isomorphic)
 
 K4 = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -97,12 +99,65 @@ def test_generation_all_connected_trivalent():
         assert len(forms) == len(graphs)
 
 
+def test_generation_matches_global_forms_oracle():
+    gen = generate_connected_trivalent(10)
+    old = cubic_multigraphs_by_global_forms(10, TrivalentGraph, canonical_form)
+    assert {v: len(gs) for v, gs in gen.items()} == \
+        {v: len(gs) for v, gs in old.items()}
+    for v, graphs in gen.items():
+        # children built by a move skip the degree check; rebuilding
+        # each through it must give the same graph
+        assert all(TrivalentGraph(v, g.edges) == g for g in graphs)
+        forms = {canonical_form(g) for g in graphs}
+        assert len(forms) == len(graphs)
+        assert forms == {canonical_form(g) for g in old[v]}
+
+
 def test_simple_only_filter():
-    gen = generate_connected_trivalent(8, simple_only=True)
+    gen = generate_connected_trivalent(8)
+    simple = {v: [g for g in graphs
+                  if len(set(g.edges)) == len(g.edges)
+                  and all(a != b for a, b in g.edges)]
+              for v, graphs in gen.items()}
     # simple connected cubic graphs: K4 on 4, two on 6, five on 8
-    assert len(gen[4]) == 1
-    assert len(gen[6]) == 2
-    assert len(gen[8]) == 5
+    assert len(simple[4]) == 1
+    assert len(simple[6]) == 2
+    assert len(simple[8]) == 5
+
+
+def test_bridges_against_deletion_oracle():
+    gen = generate_connected_trivalent(8)
+    rng = random.Random(127)
+    graphs = [g for v in gen.values() for g in v]
+    graphs += [random_connected_trivalent(v, rng) for v in (12, 16, 24) for _ in range(4)]
+    assert any(bridges_by_edge_deletion(g) for g in graphs)
+    for g in graphs:
+        assert _bridges(g.adjacency()) == bridges_by_edge_deletion(g)
+
+
+def _automorphisms_by_permutations(g):
+    edges = sorted(g.edges)
+    return [p for p in permutations(range(g.num_vertices))
+            if sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges) == edges]
+
+
+def test_canonical_labellings_are_a_coset_of_aut():
+    # the generator takes Aut(g) and its orbit tests from these labellings
+    rng = random.Random(113)
+    gen = generate_connected_trivalent(6)
+    for g in (g for v in gen.values() for g in v):
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        relab = TrivalentGraph(g.num_vertices,
+                               tuple((perm[u], perm[v]) for u, v in g.edges))
+        form, labellings = canonical_form(relab, labellings=True)
+        assert form == canonical_form(relab)
+        assert len(set(map(tuple, labellings))) == len(labellings)
+        assert len(labellings) == len(_automorphisms_by_permutations(relab))
+        for lab in labellings:
+            image = TrivalentGraph(relab.num_vertices,
+                                   tuple((lab[u], lab[v]) for u, v in relab.edges))
+            assert (image.num_vertices, tuple(sorted(image.edges))) == form
 
 
 def test_isomorphic_and_canonical_agree():
