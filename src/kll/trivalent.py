@@ -131,18 +131,18 @@ def _refine_from(colors, neigh, loops, n):
         classes = len(palette)
 
 
-def canonical_form(g, labellings=False):
-    """Canonical edge tuple by individualization-refinement.
+def canonical_form(g):
+    """(form, labellings): a canonical edge tuple by
+    individualization-refinement, and the labellings that give it.
 
-    The minimum over all discrete refinements of the relabeled sorted
-    edge list; equal canonical forms iff isomorphic.
-
-    With labellings=True the result is (form, labellings): every leaf
-    whose relabeled edge list is the form, each a list that gives vertex
-    v the label labelling[v].  Refinement commutes with relabeling, so
-    Aut(g) permutes the leaves, and two leaves with the same form differ
-    by an automorphism: for any one of them lambda, the list is exactly
-    {lambda o s : s in Aut(g)}, one labelling per automorphism.
+    The form is the minimum over all discrete refinements of the
+    relabeled sorted edge list; equal forms iff isomorphic.  The
+    labellings are every leaf whose relabeled edge list is the form,
+    each a list that gives vertex v the label labelling[v].  Refinement
+    commutes with relabeling, so Aut(g) permutes the leaves, and two
+    leaves with the same form differ by an automorphism: for any one of
+    them lambda, the list is exactly {lambda o s : s in Aut(g)}, one
+    labelling per automorphism.
     """
     n = g.num_vertices
     mult = _edge_multiset(g)
@@ -180,7 +180,7 @@ def canonical_form(g, labellings=False):
             rec(_refine_from(split, neigh, loops, n))
 
     rec(base)
-    return ((n, best), leaves) if labellings else (n, best)
+    return (n, best), leaves
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def _moves(g):
     moves = [("loop", e) for e in edges] + [("double", e) for e in edges]
     moves += [("pair", e, f) for k, e in enumerate(edges) for f in edges[k:]
               if e != f or mult[e] > 1]
-    _, labellings = canonical_form(g, labellings=True)
+    _, labellings = canonical_form(g)
     back = [0] * g.num_vertices
     for v, label in enumerate(labellings[0]):
         back[label] = v
@@ -306,14 +306,13 @@ def _labelled(reduction, label):
 def _is_canonical(g, undo):
     """Whether the reduction `undo` of g lies in the Aut(g)-orbit of its
     canonical reduction: the least by kind (`_reductions`), then by an
-    invariant key, then by the refined vertex colours of its vertices,
-    then, only if that still ties, by their labels under a canonical
-    labelling.  The key is minus the number of common neighbours of w
-    and x, then the sorted numbers of vertices within distance 2 of the
-    reduction's vertices.  Every key is invariant under isomorphism, so
-    the tied set is a union of Aut(g)-orbits, and undo is in the least
-    orbit iff some canonical labelling (together they are a coset of
-    Aut(g)) gives it the least labels."""
+    invariant key, then, only on a tie, by the labels of its vertices
+    under a canonical labelling.  The key is minus the number of common
+    neighbours of w and x, then the sorted numbers of vertices within
+    distance 2 of the reduction's vertices.  Every key is invariant
+    under isomorphism, so the tied set is a union of Aut(g)-orbits, and
+    undo is in the least orbit iff some canonical labelling (together
+    they are a coset of Aut(g)) gives it the least labels."""
     nbrs = [[] for _ in range(g.num_vertices)]
     for u, v in g.edges:
         if u != v:
@@ -344,15 +343,9 @@ def _is_canonical(g, undo):
     if min(keys) < mine:
         return False
     tied = [r for r, k in zip(tied, keys) if k == mine]
-    if len(tied) > 1:
-        colors = _refined_colors(g)[0]
-        least = min(_labelled(r, colors) for r in tied)
-        if _labelled(undo, colors) != least:
-            return False
-        tied = [r for r in tied if _labelled(r, colors) == least]
     if len(tied) == 1:
         return True
-    _, labellings = canonical_form(g, labellings=True)
+    _, labellings = canonical_form(g)
     least = min(_labelled(r, labellings[0]) for r in tied)
     return any(_labelled(undo, lab) == least for lab in labellings)
 
