@@ -379,11 +379,12 @@ def cmd_quotient(args):
     primes = spec["primes"]
     gens = [_flatten(tup) for tup in spec["generators"]]
     report = {"primes": primes}
-    grp = finquot.ProductGroup(primes, projective=True)
-    sub = grp.closure(gens, args.budget)
-    report["closure_order"] = len(sub)
+    grp = finquot.ProductGroup(primes)
+    order = (grp.order() if finquot.hall_onto(primes, gens, args.budget)
+             else len(grp.closure(gens, args.budget)))
+    report["closure_order"] = order
     report["product_order"] = grp.order()
-    report["surjective"] = len(sub) == grp.order()
+    report["surjective"] = order == grp.order()
     if "klein_four" in spec:
         kf = spec["klein_four"]
         rep = finquot.normalizer_quotient_order(

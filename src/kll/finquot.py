@@ -1,14 +1,16 @@
 """Finite matrix groups SL(2, q) and PSL(2, q), reduction of number-field
-matrices modulo a prime, product surjectivity by closure enumeration,
-the Klein-four normalizer bound, and pullback coset tables for covers.
+matrices modulo a prime, product quotients decided from per-factor data,
+and pullback coset tables for covers.
 
 Matrices are flat tuples (a, b, c, d) of ring-element encodings; the
-projective canonical representative of M is min(M, -M).  All orders
-are computed by exact closure enumeration under an explicit budget.
+projective canonical representative of M is min(M, -M).  Orders come
+from closure enumeration under an explicit budget, but no verdict on a
+product of PSL(2, p_i) enumerates the product.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations, islice, product
+from math import gcd, prod
 
 from .gf import GF, ModRing
 from .fpgroups import SubgroupTable, BudgetExceeded
@@ -26,11 +28,11 @@ DEFAULT_ORDER_BUDGET = 10 ** 7
 
 
 def _orbit(start, moves, act, budget=None):
-    """Breadth-first orbit of `start` under act(x, move), in discovery
-    order; BudgetExceeded once it holds more than `budget` points."""
+    """Breadth-first orbit of `start` under act(x, move), yielded in
+    discovery order; BudgetExceeded once it passes `budget` points."""
     seen = {start}
-    orbit = [start]
     frontier = [start]
+    yield start
     while frontier:
         nxt = []
         for x in frontier:
@@ -41,9 +43,8 @@ def _orbit(start, moves, act, budget=None):
                     if budget is not None and len(seen) > budget:
                         raise BudgetExceeded("closure order", budget, len(seen))
                     nxt.append(y)
-        orbit += nxt
+                    yield y
         frontier = nxt
-    return orbit
 
 
 def mat_mul(ring, x, y):
@@ -114,11 +115,6 @@ def sl2_elements(ring):
 
 def psl2_elements(ring):
     return sorted({proj_canonical(ring, m) for m in sl2_elements(ring)})
-
-
-def sl2_order_formula(p, f=1):
-    q = p ** f
-    return q * (q * q - 1)
 
 
 def psl2_order_formula(p, f=1):
@@ -245,25 +241,18 @@ def _check_relators(ring, presentation, images, projective):
 # Products of PSL(2, p_i)
 
 class ProductGroup:
-    """Direct product of PSL(2, p_i) (or SL); elements are tuples of
-    per-factor canonical matrices."""
+    """Direct product of PSL(2, p_i); elements are tuples of per-factor
+    canonical matrices."""
 
-    def __init__(self, primes, projective=True):
+    def __init__(self, primes):
         self.primes = list(primes)
         self.rings = [ModRing(p) for p in self.primes]
-        self.projective = projective
 
     def order(self):
-        total = 1
-        for p in self.primes:
-            total *= (psl2_order_formula(p) if self.projective
-                      else sl2_order_formula(p))
-        return total
+        return prod(psl2_order_formula(p) for p in self.primes)
 
     def canonical(self, tup):
-        if self.projective:
-            return tuple(proj_canonical(r, m) for r, m in zip(self.rings, tup))
-        return tuple(tuple(m) for m in tup)
+        return tuple(proj_canonical(r, m) for r, m in zip(self.rings, tup))
 
     def multiply(self, x, y):
         return self.canonical(tuple(
@@ -276,7 +265,8 @@ class ProductGroup:
     def identity(self):
         return self.canonical(tuple(mat_identity(r) for r in self.rings))
 
-    def closure(self, generators, budget=None):
+    def orbit(self, generators, budget=None):
+        """The subgroup the generators span, yielded breadth-first."""
         if budget is None:
             budget = DEFAULT_ORDER_BUDGET
         gens = []
@@ -284,106 +274,115 @@ class ProductGroup:
             g = self.canonical(g)
             gens.append(g)
             gens.append(self.inverse(g))
-        return frozenset(_orbit(self.identity(), gens, self.multiply, budget))
+        return _orbit(self.identity(), gens, self.multiply, budget)
+
+    def closure(self, generators, budget=None):
+        return frozenset(self.orbit(generators, budget))
 
     def all_elements(self, budget=None):
         if budget is None:
             budget = DEFAULT_ORDER_BUDGET
         if self.order() > budget:
             raise BudgetExceeded("product order", budget, self.order())
-        per_factor = [psl2_elements(r) if self.projective else sl2_elements(r)
-                      for r in self.rings]
-        out = [()]
-        for factor in per_factor:
-            out = [t + (m,) for t in out for m in factor]
-        return out
+        return list(product(*map(psl2_elements, self.rings)))
 
 
-def product_surjectivity(primes, generator_tuples, projective=True, budget=None):
+def hall_onto(primes, generator_tuples, budget=None):
+    """True when Hall's lemma proves that the tuples generate all of
+    prod PSL(2, p_i), p_i >= 5: a subgroup of a product of nonabelian
+    simple groups is everything iff it maps onto each factor and pair of
+    factors (P. Hall, The Eulerian functions of a group, 1936).  A pair
+    of distinct p is then onto (Goursat); a subdirect subgroup of S x S
+    is S x S or of order |S|, so an equal pair's closure stops past |S|.
+    False for a proper subgroup or when some p < 5.
+    """
+    for i, p in enumerate(primes):
+        image = closure(ModRing(p), [g[i] for g in generator_tuples],
+                        projective=True, budget=budget)
+        if p < 5 or len(image) != psl2_order_formula(p):
+            return False
+    for (i, p), (j, q) in combinations(enumerate(primes), 2):
+        if p == q:
+            pair = ProductGroup([p, p]).orbit(
+                [(g[i], g[j]) for g in generator_tuples], budget)
+            if next(islice(pair, psl2_order_formula(p), None), None) is None:
+                return False
+    return True
+
+
+def product_surjectivity(primes, generator_tuples, budget=None):
     """Is the subgroup generated by the tuples the whole product?
 
     generator_tuples: one tuple of per-factor matrices per generator.
-    Decided by exact closure enumeration against the product order.
+    Enumerates the closure only when `hall_onto` does not prove it onto.
     """
-    grp = ProductGroup(primes, projective=projective)
-    sub = grp.closure(generator_tuples, budget)
-    return len(sub) == grp.order()
+    if hall_onto(primes, generator_tuples, budget):
+        return True
+    grp = ProductGroup(primes)
+    return len(grp.closure(generator_tuples, budget)) == grp.order()
 
 
 @dataclass
 class NormalizerReport:
     subgroup_order: int
     witness_order: int
-    quotient_order: int       # |N(H)/H|, exact or a lower bound
+    quotient_order: int       # |N(H)/H|
     bound: int                # 4^(n-1)
     holds: bool
     exact: bool
 
 
 def normalizer_quotient_order(primes, a_tuple, b_tuple, budget=None):
-    """|N(H)/H| for H = <A, B> inside prod PSL(2, p_i), A = (A_1..A_n),
-    B = (B_1..B_n), against the lower bound 4^(n-1).
-
-    The witness subgroup generated by single-slot insertions of A_i and
-    B_i always normalizes H; when the product order is within budget the
-    normalizer is computed exactly by enumeration, otherwise the witness
-    gives a flagged lower bound.
+    """Exact |N(H)/H| for H = {1, A, B, AB} inside prod PSL(2, p_i),
+    against the lower bound 4^(n-1); each slot must hold a Klein
+    four-group, so the witness prod <A_i, B_i> has order 4^n.  g
+    normalizes H iff (gAg^-1, gBg^-1) is in H x H, which splits over the
+    factors: one pass over each PSL(2, p_i) (closed from S and T under
+    `budget`) counts the g_i sending (A_i, B_i) to each pair, and
+    |N(H)| = sum over (h, k) in H x H of prod_i count_i(h_i, k_i).
     """
-    grp = ProductGroup(primes, projective=True)
-    n = len(grp.primes)
-    a = grp.canonical(a_tuple)
-    b = grp.canonical(b_tuple)
+    grp = ProductGroup(primes)
     ident = grp.identity()
+    # 1 * t reduces the entries of t mod p_i and picks its sign class
+    a, b = (grp.multiply(ident, t) for t in (a_tuple, b_tuple))
     ab = grp.multiply(a, b)
-    for i in range(n):
-        for name, tup in (("A", a), ("B", b), ("AB", ab)):
-            if tup[i] == ident[i]:
-                raise ValueError(f"{name}_{i + 1} is trivial; the Klein-four "
-                                 "image degenerates in that slot")
-    H = grp.closure([a, b], budget)
-    witness_gens = []
-    for i in range(n):
-        wa = list(ident)
-        wa[i] = a[i]
-        wb = list(ident)
-        wb[i] = b[i]
-        witness_gens.append(tuple(wa))
-        witness_gens.append(tuple(wb))
-    W = grp.closure(witness_gens, budget)
-    bound = 4 ** (n - 1)
-    try:
-        everything = grp.all_elements(budget)
-        normalizer = []
-        H_set = H
-        for g in everything:
-            ginv = grp.inverse(g)
-            if all(grp.multiply(grp.multiply(g, h), ginv) in H_set for h in (a, b)):
-                normalizer.append(g)
-        # closure under the group op is automatic for a normalizer
-        quotient = len(normalizer) // len(H)
-        return NormalizerReport(subgroup_order=len(H), witness_order=len(W),
-                                quotient_order=quotient, bound=bound,
-                                holds=quotient >= bound, exact=True)
-    except BudgetExceeded:
-        inter = len(W & H)
-        quotient_lb = len(W) // inter
-        return NormalizerReport(subgroup_order=len(H), witness_order=len(W),
-                                quotient_order=quotient_lb, bound=bound,
-                                holds=quotient_lb >= bound, exact=False)
+    for i, (p, ring) in enumerate(zip(grp.primes, grp.rings)):
+        x, y, one = a[i], b[i], ident[i]
+        xx, yy, yx = (proj_canonical(ring, mat_mul(ring, u, v))
+                      for u, v in ((x, x), (y, y), (y, x)))
+        if one in (x, y, ab[i]) or xx != one or yy != one or ab[i] != yx:
+            raise ValueError(f"slot {i + 1}: A_{i + 1}, B_{i + 1} are not "
+                             "commuting involutions spanning a Klein "
+                             f"four-group in PSL(2, {p})")
+    counts = []
+    for i, (p, ring) in enumerate(zip(grp.primes, grp.rings)):
+        count = {}
+        for g in closure(ring, [(0, p - 1, 1, 0), (1, 1, 0, 1)],
+                         projective=True, budget=budget):
+            key = tuple(proj_canonical(ring, mat_mul(
+                ring, mat_mul(ring, g, m), mat_inv_sl(ring, g)))
+                for m in (a[i], b[i]))
+            count[key] = count.get(key, 0) + 1
+        counts.append(count)
+    H = (ident, a, b, ab)
+    order = sum(prod(c.get((h[i], k[i]), 0) for i, c in enumerate(counts))
+                for h in H for k in H)
+    n, quotient = len(grp.primes), order // len(H)
+    return NormalizerReport(subgroup_order=len(H), witness_order=4 ** n,
+                            quotient_order=quotient, bound=4 ** (n - 1),
+                            holds=quotient >= 4 ** (n - 1), exact=True)
 
 
 # ---------------------------------------------------------------------------
 # Pullback coset tables
 
-def pullback_cover_table(pres, phi_images, subgroup, group=None):
-    """Coset table of phi^{-1}(H) for phi: G -> finite matrix group.
+def pullback_cover_table(pres, phi_images, subgroup, group):
+    """Coset table of phi^{-1}(H) for phi: G -> `group`, a
+    FiniteMatrixGroup.
 
-    phi_images: per-generator matrices (flat tuples over `group`'s ring,
-    or a FiniteMatrixGroup is built from them).  subgroup: iterable of
-    elements of the image group, closed under multiplication.
+    phi_images: per-generator matrices, flat tuples over `group`'s ring.
+    subgroup: iterable of elements of `group`, closed under multiplication.
     """
-    if group is None:
-        raise ValueError("supply the FiniteMatrixGroup the images live in")
     images = [group.canonical(m) for m in phi_images]
     invs = [group.inverse(m) for m in images]
     # relators must act trivially
@@ -405,8 +404,8 @@ def pullback_cover_table(pres, phi_images, subgroup, group=None):
     def coset_key(g):
         return min(group.multiply(h, g) for h in H)
 
-    reps = _orbit(coset_key(ident), images + invs,
-                  lambda rep, m: coset_key(group.multiply(rep, m)))
+    reps = list(_orbit(coset_key(ident), images + invs,
+                       lambda rep, m: coset_key(group.multiply(rep, m))))
     index_of = {key: i for i, key in enumerate(reps)}
     action = []
     for g, m in enumerate(images):

@@ -11,7 +11,6 @@ polynomial of 2cos(2pi/n).
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
 
 from . import polys
 from .numfield import (NumberField, PrimeIdeal, local_quadratic_subextension,
@@ -152,16 +151,17 @@ def _euler_phi(n):
     return out
 
 
-@lru_cache(maxsize=None)
 def _cyclotomic(n):
     """Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, constant term first."""
-    rem = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            rem, r = polys.divmod_exact(rem, _cyclotomic(d))
+    phi = {}
+    for m in (d for d in range(1, n + 1) if n % d == 0):
+        rem = [-1] + [0] * (m - 1) + [1]
+        for d in [d for d in phi if m % d == 0]:
+            rem, r = polys.divmod_exact(rem, phi[d])
             if r:
-                raise ArithmeticError(f"Phi_{d} does not divide x^{n} - 1")
-    return tuple(int(c) for c in rem)
+                raise ArithmeticError(f"Phi_{d} does not divide x^{m} - 1")
+        phi[m] = tuple(int(c) for c in rem)
+    return phi[n]
 
 
 def two_cos_minpoly(n):

@@ -695,3 +695,66 @@ def two_cos_minpoly_by_square_root(n):
         if n % d == 0:
             rem = _exact_quotient(rem, _square(two_cos_minpoly_by_square_root(d)))
     return _int_poly_sqrt([int(c) for c in rem])
+
+
+# ---------------------------------------------------------------------------
+# Whole-product enumeration in prod PSL(2, p_i)
+
+def _proj(m, p):
+    """The sign class of a 2x2 matrix mod p: min(M, -M), entries reduced."""
+    m = tuple(v % p for v in m)
+    return min(m, tuple(-v % p for v in m))
+
+
+def _proj_mul(x, y, p):
+    a, b, c, d = x
+    e, f, g, h = y
+    m = ((a * e + b * g) % p, (a * f + b * h) % p,
+         (c * e + d * g) % p, (c * f + d * h) % p)
+    return min(m, (-m[0] % p, -m[1] % p, -m[2] % p, -m[3] % p))
+
+
+def psl2_by_scan(p):
+    """PSL(2, p) as one matrix of each sign class of determinant 1."""
+    return sorted({_proj(m, p) for m in product(range(p), repeat=4)
+                   if (m[0] * m[3] - m[1] * m[2]) % p == 1})
+
+
+def product_closure(primes, generators):
+    """The subgroup of prod PSL(2, p_i) that tuples of matrices generate,
+    by breadth-first search with right multiplication by the generators
+    (in a finite group the monoid they generate is the subgroup)."""
+    moves = [tuple(_proj(m, p) for m, p in zip(g, primes))
+             for g in generators]
+    start = tuple(_proj((1, 0, 0, 1), p) for p in primes)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for m in moves:
+                y = tuple(_proj_mul(u, v, p) for u, v, p in zip(x, m, primes))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _conjugate(g, h, p):
+    a, b, c, d = g
+    return _proj_mul(_proj_mul(g, h, p), (d, -b, -c, a), p)
+
+
+def product_normalizer_order(primes, a, b):
+    """(|N(H)|, |H|) for H = <A, B> in prod PSL(2, p_i), testing every
+    element g of the product: g normalizes H iff gAg^-1 and gBg^-1 lie
+    in H."""
+    H = product_closure(primes, [a, b])
+    gens = [tuple(_proj(m, p) for m, p in zip(t, primes)) for t in (a, b)]
+    count = 0
+    for g in product(*map(psl2_by_scan, primes)):
+        if all(tuple(_conjugate(gi, hi, p)
+                     for gi, hi, p in zip(g, h, primes)) in H for h in gens):
+            count += 1
+    return count, len(H)

@@ -24,6 +24,7 @@ from kll.counting import (sl2_group_table, subgroup_census, rank_bound_check,
 
 from oracles import d_p_from_smith
 from test_orbifold import _random_realizable_instance, theta_locus
+from test_finquot import klein_four
 
 
 def _report(num, name, started, budget):
@@ -104,7 +105,14 @@ def test_criterion_08_normalizer_bound():
     assert rep.witness_order == 2 ** 4
     assert rep.quotient_order >= 4
     assert rep.holds
-    _report(8, "Klein-four normalizer bound in PSL(2,5) x PSL(2,7)", t0, 60.0)
+    # six factors: 4^5 (A4 : V4), as 5, 11, 13, 19 are +-3 mod 8
+    primes = [5, 7, 11, 13, 17, 19]
+    a, b = zip(*map(klein_four, primes))
+    rep = normalizer_quotient_order(primes, a, b)
+    assert rep.exact and rep.holds
+    assert (rep.witness_order, rep.quotient_order) == (4 ** 6, 3 * 4 ** 5)
+    _report(8, "Klein-four normalizer bound in PSL(2,5) x PSL(2,7) and "
+            "over six factors", t0, 60.0)
 
 
 def test_criterion_09_homology_bound_suite():

@@ -326,6 +326,19 @@ def test_quotient_rejects_bad_job(tmp_path, capsys, edit, pointer):
     assert pointer in json.loads(capsys.readouterr().err)["detail"]
 
 
+def test_quotient_rejects_non_klein_four(tmp_path, capsys):
+    job = json.loads(json.dumps(QUOTIENT_JOB))
+    job["klein_four"]["b"][1] = [[1, 1], [0, 1]]   # of order 7, not 2
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(job))
+    assert main(["quotient", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["detail"].startswith("slot 2: A_2, B_2 are not commuting")
+
+
 def test_order_rejects_missing_matrix(capsys):
     rc = main(["order", "--poly", "[0,1]", "--matrices",
                json.dumps({"a": [[[1], [1]], [[0], [1]]]})])

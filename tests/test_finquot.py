@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 
@@ -6,11 +8,13 @@ from kll.numfield import NumberField, split_prime
 from kll.traceorders import Mat2
 from kll.fpgroups import Presentation, BudgetExceeded, reidemeister_schreier, d_p
 from kll.finquot import (ModRing, closure, sl2_elements, psl2_elements,
-                         sl2_order_formula, psl2_order_formula,
+                         psl2_order_formula,
                          FiniteMatrixGroup, reduce_mod_prime,
                          product_surjectivity, normalizer_quotient_order,
-                         pullback_cover_table, ProductGroup,
+                         hall_onto, pullback_cover_table, ProductGroup,
                          DenominatorNotCoprime, RelatorViolated)
+
+from oracles import product_closure, product_normalizer_order, psl2_by_scan
 
 S5, T5 = (0, 4, 1, 0), (1, 1, 0, 1)
 S7, T7 = (0, 6, 1, 0), (1, 1, 0, 1)
@@ -22,7 +26,7 @@ def test_sl2_psl2_orders_small_primes():
     for p in (3, 5, 7, 11, 13):
         ring = ModRing(p)
         assert len(closure(ring, [(0, p - 1, 1, 0), (1, 1, 0, 1)])) == \
-            sl2_order_formula(p)
+            p * (p * p - 1)
         assert len(closure(ring, [(0, p - 1, 1, 0), (1, 1, 0, 1)],
                            projective=True)) == psl2_order_formula(p)
 
@@ -103,19 +107,75 @@ def test_product_surjectivity_single_factor():
 
 
 def test_hall_property_random_triples():
-    # per-factor surjections onto distinct simple factors are jointly onto
+    # random generator pairs of PSL(2,5)^2: Hall's verdict against the
+    # closure, with both verdicts occurring
     rng = random.Random(109)
-    grp5 = closure(ModRing(5), [S5, T5], projective=True)
-    grp7 = closure(ModRing(7), [S7, T7], projective=True)
-    els5, els7 = sorted(grp5), sorted(grp7)
-    tried = 0
-    while tried < 6:
-        g5a = rng.choice(els5)
-        g7a = rng.choice(els7)
-        gens = [(S5, S7), (T5, T7), (g5a, g7a)]
-        # the first two already surject each factor
-        assert product_surjectivity([5, 7], gens)
-        tried += 1
+    els = psl2_by_scan(5)
+    verdicts = set()
+    for _ in range(6):
+        gens = [(rng.choice(els), rng.choice(els)) for _ in range(2)]
+        onto = product_surjectivity([5, 5], gens)
+        assert onto == (len(product_closure([5, 5], gens)) == 3600)
+        verdicts.add(onto)
+    assert verdicts == {True, False}
+
+
+def _twist(m, d, p):
+    """diag(d, 1) m diag(d, 1)^-1 mod p, an outer automorphism of
+    PSL(2, p) when d is not a square mod p."""
+    a, b, c, e = m
+    return (a, b * d % p, c * pow(d, -1, p) % p, e)
+
+
+def test_hall_outer_twisted_diagonal_not_onto():
+    gens = [(S5, _twist(S5, 2, 5)), (T5, _twist(T5, 2, 5))]
+    assert not hall_onto([5, 5], gens)
+    assert not product_surjectivity([5, 5], gens)
+    sub = ProductGroup([5, 5]).closure(gens)
+    assert len(sub) == len(product_closure([5, 5], gens)) == 60
+
+
+def test_hall_three_equal_factors():
+    st = (0, 6, 1, 6)                     # S7 T7, of order 3
+    onto = [(S7, T7, st), (T7, S7, T7)]
+    assert hall_onto([7, 7, 7], onto)
+    assert product_surjectivity([7, 7, 7], onto)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        pair = [(g[i], g[j]) for g in onto]
+        assert len(product_closure([7, 7], pair)) == 168 ** 2
+    # slot 3 repeats slot 1 under an outer automorphism
+    proper = [(S7, T7, _twist(S7, 3, 7)), (T7, S7, _twist(T7, 3, 7))]
+    assert not hall_onto([7, 7, 7], proper)
+    assert not product_surjectivity([7, 7, 7], proper)
+    assert len(product_closure([7, 7, 7], proper)) == 168 ** 2
+
+
+@pytest.mark.parametrize("primes, onto", [
+    ([3, 5], True), ([2, 7], True), ([3, 3], False), ([2, 3], True)])
+def test_hall_small_factor_takes_closure_path(primes, onto):
+    # PSL(2, 2) and PSL(2, 3) are not simple, so Hall's lemma is silent
+    gens = [tuple((0, p - 1, 1, 0) for p in primes),
+            tuple((1, 1, 0, 1) for p in primes)]
+    assert not hall_onto(primes, gens)
+    order = len(product_closure(primes, gens))
+    assert (order == ProductGroup(primes).order()) is onto
+    assert product_surjectivity(primes, gens) is onto
+    assert len(ProductGroup(primes).closure(gens)) == order
+
+
+def klein_four(p):
+    """Commuting involutions S = (0, -1, 1, 0) and (x, y, y, -x) of
+    PSL(2, p), x^2 + y^2 = -1 mod p, spanning a Klein four-group."""
+    x, y = next((x, y) for x in range(p) for y in range(p)
+                if (x * x + y * y + 1) % p == 0)
+    return (0, p - 1, 1, 0), (x, y, y, -x % p)
+
+
+def _closed_form(primes):
+    """4^(n-1) |N(V4)/V4| in PSL(2, p): S4 / V4 when every p = +-1 mod 8,
+    else A4 / V4."""
+    return 4 ** (len(primes) - 1) * (
+        6 if all(p % 8 in (1, 7) for p in primes) else 3)
 
 
 def test_normalizer_quotient_exact():
@@ -123,8 +183,32 @@ def test_normalizer_quotient_exact():
     assert rep.exact
     assert rep.subgroup_order == 4
     assert rep.witness_order == 16
-    assert rep.quotient_order >= 4
+    assert rep.quotient_order == 12
     assert rep.holds
+
+
+@pytest.mark.parametrize("primes", [[5, 7], [5, 11], [7, 7], [5, 5]])
+def test_normalizer_matches_product_enumeration(primes):
+    pairs = [klein_four(p) for p in primes]
+    if primes[0] == primes[1]:
+        pairs[1] = pairs[1][::-1]         # A and B swap roles in slot 2
+    a, b = zip(*pairs)
+    n_order, h_order = product_normalizer_order(primes, a, b)
+    rep = normalizer_quotient_order(primes, a, b)
+    assert (rep.subgroup_order, rep.quotient_order, rep.exact) == \
+        (h_order, n_order // h_order, True)
+
+
+@pytest.mark.parametrize("primes", [
+    [5, 7, 11, 13], [5, 7, 11, 13, 17, 19], [7, 17, 23], [3, 7]])
+def test_normalizer_matches_closed_form(primes):
+    t0 = time.time()
+    a, b = zip(*map(klein_four, primes))
+    rep = normalizer_quotient_order(primes, a, b)
+    assert time.time() - t0 < 1.0
+    assert rep.exact and rep.holds
+    assert rep.witness_order == 4 ** len(primes)
+    assert rep.quotient_order == _closed_form(primes)
 
 
 def test_normalizer_single_factor_trivial_bound():
@@ -139,12 +223,21 @@ def test_normalizer_rejects_degenerate_slot():
         normalizer_quotient_order([5, 7], (A1, ident), (B1, B2))
 
 
-def test_normalizer_budget_fallback_lower_bound():
-    rep = normalizer_quotient_order([5, 7], (A1, A2), (B1, B2), budget=5000)
-    assert not rep.exact
-    assert rep.witness_order == 16
-    assert rep.quotient_order >= 4
-    assert rep.holds
+@pytest.mark.parametrize("b2", [(1, 1, 0, 1), (0, 3, 2, 0)],
+                         ids=["not-an-involution", "not-commuting"])
+def test_normalizer_rejects_non_klein_four(b2):
+    with pytest.raises(ValueError, match=re.escape(
+            "slot 2: A_2, B_2 are not commuting involutions spanning a "
+            "Klein four-group in PSL(2, 7)")):
+        normalizer_quotient_order([5, 7], (A1, A2), (B1, b2))
+
+
+def test_normalizer_budget_caps_factor_closure():
+    # PSL(2, 5) fits in the budget; the PSL(2, 7) pass does not
+    with pytest.raises(BudgetExceeded) as exc:
+        normalizer_quotient_order([5, 7], (A1, A2), (B1, B2), budget=100)
+    assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
+        ("closure order", 100, 101)
 
 
 def test_pullback_cover_table_z2():
