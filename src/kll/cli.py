@@ -428,17 +428,15 @@ def cmd_cheeger(args):
 
 def cmd_count(args):
     m = args.modulus
-    # the closed-form order meets the budget before the n^2 table is built
-    counting.check_census_order(counting.sl2_order(m), args.budget)
-    table = counting.sl2_group_table(m)
-    census = counting.subgroup_census(table, args.budget)
+    census = counting.sl2_census(m, args.budget)
     rank = counting.rank_bound_check(census)
     ess = counting.essential_subgroups(m, census)
-    d2 = table.d2_quotient_rank()
+    # -I = S^2 is a square, so a PSL table has the same d2 as SL
+    d2 = census.table.d2_quotient_rank()
     index2 = len(census.subgroups_of_index(2))
     report = {
         "modulus": m,
-        "group_order": table.n,
+        "group_order": census.order,
         "subgroups": census.count,
         "rank": {"value": rank.rank, "bound": rank.bound, "holds": rank.holds},
         "essential": {
@@ -556,7 +554,7 @@ def _free_product_kernel():
 
 def _sl2_11_census():
     """Minimal proper index q = 11, the exceptional case, from 2.A5."""
-    census = counting.subgroup_census(counting.sl2_group_table(11))
+    census = counting.sl2_census(11)
     ess = counting.essential_subgroups(11, census)
     return (census.count == 766 and ess.minimal_index == 11,
             {"subgroups": census.count, "minimal_index": ess.minimal_index})

@@ -11,11 +11,33 @@ trivial group by adding its generators one at a time, and if
 K_i^x = R then <K_i, g>^x = <R, g^x> is reached from R.  s_n and the
 essential subgroups weight each representative by its class size, and
 d(H) is a conjugacy invariant, so the rank runs over representatives.
+
+For an odd prime power m = p^k the census runs on PSL(2, Z/m), whose
+table has a quarter of the entries, and is lifted to SL(2, Z/m)
+(`sl2_census`).  -I is the only involution of SL(2, Z/m): g^2 = I and
+Cayley-Hamilton g^2 - (tr g) g + I = 0 give (tr g) g = 2I; 2 is a
+unit, so tr g is one too and g is a scalar c with c^2 = det g = 1, and
+c = +-1 in the cyclic group (Z/m)^*.  So a subgroup of even order
+holds an involution (Cauchy), which is -I, and is the preimage H~ of
+its image H, while a subgroup of odd order meets {+-I} trivially and
+is the odd-order subgroup of index 2 in the preimage of its image.  Hence s(SL) = s(PSL) + s_odd(PSL): each
+subgroup H of PSL stands for H~, of order 2|H| and index [PSL : H],
+and each H of odd order also for its odd-order lift, of order |H| and
+index 2[PSL : H].  Both maps commute with conjugation, so class sizes
+carry over.  Ranks carry over too.  If |H| is even, the lifts of
+generators of H generate a subgroup L of H~ onto H; an involution of H
+lifts to an element of L whose square is -I, so L = H~ and
+d(H~) = d(H).  If |H| is odd, H~ = H x C_2, and d(H x C_2) = d(H)
+for H != 1 (put -I on a generator of odd order), while d({+-I}) = 1.
+The odd-order lift is isomorphic to H.  A congruence kernel M(m') lies
+in a lifted subgroup exactly when its image lies in H: for m' > 1 it
+is a p-group, so it sits in the odd-order part of any preimage holding
+it, and M(1) = SL maps onto PSL, which has even order.
 """
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from math import isqrt
 from operator import itemgetter
@@ -23,7 +45,7 @@ import random
 
 from .dyadic import Enclosure
 from .fpgroups import BudgetExceeded
-from .finquot import ModRing, sl2_elements, mat_mul
+from .finquot import ModRing, sl2_elements, psl2_elements, mat_mul, proj_canonical
 from .polys import _prime_factors_int, is_prime
 
 
@@ -149,13 +171,37 @@ def sl2_group_table(m):
     return GroupTable(els, lambda a, b: mat_mul(ring, a, b))
 
 
+def psl2_group_table(m):
+    """PSL(2, Z/m), each element the least of its matrices +-x."""
+    ring = ModRing(m)
+    return GroupTable(psl2_elements(ring),
+                      lambda a, b: proj_canonical(ring, mat_mul(ring, a, b)))
+
+
+def sl2_census(m, budget=None):
+    """Every subgroup of SL(2, Z/m) up to conjugacy; BudgetExceeded when
+    |SL(2, Z/m)| is above `budget` (default CENSUS_ORDER_BUDGET),
+    before any table is built.
+
+    For an odd prime power m the census runs on PSL(2, Z/m) and is
+    lifted (module docstring); otherwise it runs on SL(2, Z/m)."""
+    check_census_order(sl2_order(m), budget)
+    primes = set(_prime_factors_int(m))
+    if len(primes) != 1 or 2 in primes:
+        return subgroup_census(sl2_group_table(m), budget)
+    return LiftedCensus(subgroup_census(psl2_group_table(m), budget))
+
+
 @dataclass
 class SubgroupClass:
     """A conjugacy class of subgroups: its representative, its number of
-    conjugates, and elements that generate the representative."""
+    conjugates, elements that generate the representative, and the
+    order of its subgroups (for a lifted class, of the SL(2, Z/m)
+    subgroups that the PSL(2, Z/m) representative stands for)."""
     representative: frozenset
     size: int
     generators: tuple
+    order: int
 
 
 @dataclass
@@ -164,6 +210,11 @@ class FiniteGroupCensus:
     classes: list   # SubgroupClass, sorted by (order, sorted representative)
     class_of: dict  # every subgroup -> index of its class in `classes`
     _d_cache: dict = dc_field(default_factory=dict)
+    projective = False  # the table is the censused group itself
+
+    @property
+    def order(self):
+        return self.table.n
 
     @property
     def count(self):
@@ -212,8 +263,54 @@ def subgroup_census(table, budget=None):
     classes, class_of = [], {}
     for h, gens, orbit in sorted(grown, key=lambda c: (len(c[0]), sorted(c[0]))):
         class_of.update(dict.fromkeys(orbit, len(classes)))
-        classes.append(SubgroupClass(h, len(orbit), gens))
+        classes.append(SubgroupClass(h, len(orbit), gens, len(h)))
     return FiniteGroupCensus(table=table, classes=classes, class_of=class_of)
+
+
+@dataclass
+class LiftedCensus:
+    """The census of SL(2, Z/p^k), p odd, read off `quotient`, a census
+    of PSL(2, Z/p^k) (module docstring).  Each class of `quotient`
+    gives the class of its preimages, and an odd-order class also the
+    class of its odd-order lifts; both keep its representative H, an
+    image in `table`, and differ in `order`: 2|H| against |H|."""
+    quotient: FiniteGroupCensus
+    classes: list = dc_field(init=False)
+    projective = True  # the table is the censused group mod {+-I}
+
+    def __post_init__(self):
+        self.classes = []
+        for c in self.quotient.classes:
+            self.classes.append(replace(c, order=2 * c.order))
+            if c.order % 2:
+                self.classes.append(c)
+
+    @property
+    def table(self):
+        return self.quotient.table
+
+    @property
+    def order(self):
+        return 2 * self.table.n
+
+    @property
+    def count(self):
+        return sum(c.size for c in self.classes)
+
+    def orders(self):
+        return sorted(c.order for c in self.classes for _ in range(c.size))
+
+    def subgroups_of_index(self, idx):
+        """The subgroups of index idx, each given by its image in
+        `table`: preimages of the H of index idx, then odd-order lifts
+        of the H of odd order and index idx / 2."""
+        n, subs = self.table.n, self.quotient.class_of
+        return ([h for h in subs if n == idx * len(h)]
+                + [h for h in subs if len(h) % 2 and 2 * n == idx * len(h)])
+
+    def rank(self):
+        # a lift of H needs d(H) generators, but {+-I}, over H = 1, needs 1
+        return max(1, self.quotient.rank())
 
 
 def _conjugates(h, rows):
@@ -301,20 +398,21 @@ def _divisors(m):
     return out
 
 
-def congruence_kernel(table, m, m_prime):
-    """M(m') = ker(SL(2,Z/m) -> SL(2,Z/m')) as a frozenset of indices."""
-    out = set()
-    for i, el in enumerate(table.elements):
-        a, b, c, d = el
-        if (a % m_prime, b % m_prime, c % m_prime, d % m_prime) == \
-                (1 % m_prime, 0, 0, 1 % m_prime):
-            out.add(i)
-    return frozenset(out)
+def congruence_kernel(table, m, m_prime, projective=False):
+    """M(m') = ker(SL(2,Z/m) -> SL(2,Z/m')) as a frozenset of indices;
+    with `projective`, its image in a PSL(2, Z/m) table, the +-x with
+    x = +-I mod m'."""
+    units = {(1 % m_prime, 0, 0, 1 % m_prime)}
+    if projective:
+        units.add((-1 % m_prime, 0, 0, -1 % m_prime))
+    return frozenset(i for i, (a, b, c, d) in enumerate(table.elements)
+                     if (a % m_prime, b % m_prime, c % m_prime, d % m_prime)
+                     in units)
 
 
 @dataclass
 class EssentialReport:
-    essential: list                # class representatives
+    essential: list                # class representatives (images if lifted)
     count: int                     # essential subgroups, all conjugates counted
     minimal_index: int
     prime_field: bool
@@ -325,15 +423,15 @@ class EssentialReport:
 def essential_subgroups(m, census):
     """Subgroups of SL(2, Z/m) containing no congruence kernel M(m')
     for a proper divisor level m' | m, m' != m.  Congruence kernels are
-    normal, so being essential is a property of a conjugacy class.
+    normal, so being essential is a property of a conjugacy class.  A
+    lifted census decides it on the images in its PSL(2, Z/m) table.
 
     For a prime field F_q the essential subgroups are exactly the
     proper ones, and the classical minimal-index statement (at least
     q + 1, with finitely many exceptional q) is evaluated against the
     hard-coded exceptional set {2, 3, 5, 7, 11}.
     """
-    table = census.table
-    kernels = [congruence_kernel(table, m, mp)
+    kernels = [congruence_kernel(census.table, m, mp, census.projective)
                for mp in _divisors(m) if mp != m]
     classes = [c for c in census.classes
                if not any(k <= c.representative for k in kernels)]
@@ -342,7 +440,7 @@ def essential_subgroups(m, census):
     if not essential:
         return EssentialReport(essential=[], count=0, minimal_index=0,
                                prime_field=is_prime(m))
-    min_index = min(table.n // len(h) for h in essential)
+    min_index = min(census.order // c.order for c in classes)
     prime_field = is_prime(m)
     expected = m + 1 if prime_field else None
     exceptional = prime_field and m in EXCEPTIONAL_MINIMAL_INDEX_Q
@@ -364,7 +462,10 @@ class LevelIndexReport:
 
 def level_vs_index_check(h_elements, m, census=None, c=1):
     """Minimal divisor level m' | m with M(m') contained in H, and the
-    comparison N(level) <= c * [SL(2,Z/m) : H]."""
+    comparison N(level) <= c * [SL(2,Z/m) : H].  H is given by indices
+    in the SL(2, Z/m) table, so a lifted census is refused."""
+    if census is not None and census.projective:
+        raise ValueError("a lifted census has no SL(2, Z/m) table")
     table = census.table if census else sl2_group_table(m)
     h = frozenset(h_elements)
     best = None
@@ -384,9 +485,7 @@ def level_vs_index_check(h_elements, m, census=None, c=1):
 
 def s_n(census, n):
     """Number of subgroups of index at most n."""
-    total = census.table.n
-    return sum(c.size for c in census.classes
-               if total <= n * len(c.representative))
+    return sum(c.size for c in census.classes if census.order <= n * c.order)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from kll.trivalent import (generate_connected_trivalent, short_cycle,
 from kll.finquot import normalizer_quotient_order
 from kll.taugraphs import (CosetGraph, cheeger_exact, cheeger_spectral_bounds,
                            tau_family_report)
-from kll.counting import (sl2_group_table, subgroup_census, rank_bound_check,
-                          essential_subgroups)
+from kll.counting import sl2_census, rank_bound_check, essential_subgroups
 
 from oracles import d_p_from_smith
 from test_orbifold import _random_realizable_instance, theta_locus
@@ -158,16 +157,16 @@ def test_criterion_11_counting_suite():
     t0 = time.time()
     censuses = {}
     for m in (2, 3, 4, 5):
-        censuses[m] = subgroup_census(sl2_group_table(m))
+        censuses[m] = sl2_census(m)
     assert censuses[2].count == 6
     for m in (3, 4, 5):
         assert rank_bound_check(censuses[m]).holds
     # smallest in-budget non-exceptional q is 13: minimal proper index q+1
-    c13 = subgroup_census(sl2_group_table(13))
+    c13 = sl2_census(13)
     rep13 = essential_subgroups(13, c13)
     assert rep13.minimal_index == 14 and not rep13.exceptional
     for q in (5, 7):
-        cq = censuses.get(q) or subgroup_census(sl2_group_table(q))
+        cq = censuses.get(q) or sl2_census(q)
         repq = essential_subgroups(q, cq)
         assert repq.exceptional
         assert repq.minimal_index == q  # below q+1, the classical exceptions

@@ -207,6 +207,163 @@ def test_count_command(capsys):
     assert out["index2"]["consistent"] is True
 
 
+# `kll count` stdout for the odd prime powers m <= 13, as printed by the
+# direct census on the SL(2, Z/m) table; the lifted PSL census must
+# reproduce it byte for byte
+COUNT_STDOUT = {
+    3: """\
+{
+  "essential": {
+    "count": 14,
+    "exceptional": true,
+    "expected_minimal": 4,
+    "minimal_index": 3,
+    "prime_field": true
+  },
+  "group_order": 24,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 3,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 2
+  },
+  "subgroups": 15
+}
+""",
+    5: """\
+{
+  "essential": {
+    "count": 75,
+    "exceptional": true,
+    "expected_minimal": 6,
+    "minimal_index": 5,
+    "prime_field": true
+  },
+  "group_order": 120,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 5,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 2
+  },
+  "subgroups": 76
+}
+""",
+    7: """\
+{
+  "essential": {
+    "count": 223,
+    "exceptional": true,
+    "expected_minimal": 8,
+    "minimal_index": 7,
+    "prime_field": true
+  },
+  "group_order": 336,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 7,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 2
+  },
+  "subgroups": 224
+}
+""",
+    9: """\
+{
+  "essential": {
+    "count": 441,
+    "exceptional": false,
+    "expected_minimal": null,
+    "minimal_index": 9,
+    "prime_field": false
+  },
+  "group_order": 648,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 9,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 3
+  },
+  "subgroups": 456
+}
+""",
+    11: """\
+{
+  "essential": {
+    "count": 765,
+    "exceptional": true,
+    "expected_minimal": 12,
+    "minimal_index": 11,
+    "prime_field": true
+  },
+  "group_order": 1320,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 11,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 2
+  },
+  "subgroups": 766
+}
+""",
+    13: """\
+{
+  "essential": {
+    "count": 1139,
+    "exceptional": false,
+    "expected_minimal": 14,
+    "minimal_index": 14,
+    "prime_field": true
+  },
+  "group_order": 2184,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 13,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 2
+  },
+  "subgroups": 1140
+}
+""",
+}
+
+
+@pytest.mark.parametrize("m", sorted(COUNT_STDOUT))
+def test_count_stdout_pinned(capsys, m):
+    assert main(["count", "--modulus", str(m)]) == 0
+    assert capsys.readouterr().out == COUNT_STDOUT[m]
+
+
 def test_verify_command(capsys):
     rc = main(["verify"])
     assert rc == 0

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from exhaustive_census import report
 from oracles import all_subgroups, group_table_by_products
+from kll.finquot import ModRing, mat_identity, mat_mul, sl2_elements
 from kll.fpgroups import BudgetExceeded
 from kll.towers import TowerRecord
 from kll.counting import (GroupTable, sl2_group_table, sl2_order,
-                          subgroup_census, rank_bound_check,
+                          subgroup_census, sl2_census, rank_bound_check,
                           essential_subgroups, congruence_kernel,
                           level_vs_index_check, s_n,
                           sn_vs_cn_table, _pow2_floor, _min_generators,
@@ -45,6 +47,69 @@ def test_sl2_z5_census():
     census = subgroup_census(sl2_group_table(5))
     assert census.count == 76
     assert rank_bound_check(census).holds
+
+
+def test_minus_identity_is_the_only_involution():
+    # the hypothesis behind lifting PSL(2, Z/p^k) censuses to SL
+    for m in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27):
+        ring = ModRing(m)
+        one = mat_identity(ring)
+        involutions = [g for g in sl2_elements(ring)
+                       if g != one and mat_mul(ring, g, g) == one]
+        assert involutions == [(m - 1, 0, 0, m - 1)], m
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 13])
+def test_lifted_census_matches_direct_census(m):
+    # count, orders, s_n at each divisor, index 2, rank and essentials;
+    # tests/exhaustive_census.py runs the same check at m = 17 and 19
+    lifted, direct = sl2_census(m), subgroup_census(sl2_group_table(m))
+    assert lifted.projective and 2 * lifted.table.n == direct.order
+    assert report(m, lifted) == report(m, direct)
+
+
+def _lifted_subgroups(census, sl_table, m):
+    """Every subgroup a lifted census stands for, as indices of the
+    SL(2, Z/m) table: the preimage of each conjugate of a class's
+    image H, or its elements of odd order for an odd-order lift."""
+    quotient = census.quotient
+    lifts = [(sl_table.index[x], sl_table.index[tuple(-v % m for v in x)])
+             for x in census.table.elements]
+    out = []
+    for c in census.classes:
+        conjugates = [h for h, i in quotient.class_of.items()
+                      if quotient.classes[i].representative == c.representative]
+        assert len(conjugates) == c.size
+        for h in conjugates:
+            sub = [g for x in h for g in lifts[x]]
+            if c.order == len(h):
+                sub = [g for g in sub if sl_table.order_of(g) % 2]
+            assert len(sub) == c.order
+            out.append(frozenset(sub))
+    return out
+
+
+def test_lifted_classes_are_all_subgroups():
+    for m in (3, 5, 7):
+        table = sl2_group_table(m)
+        subs = _lifted_subgroups(sl2_census(m), table, m)
+        assert len(subs) == len(set(subs))
+        assert set(subs) == all_subgroups(table), m
+
+
+def test_sl2_census_takes_the_direct_path_off_odd_prime_powers():
+    for m in (2, 6, 8):
+        census = sl2_census(m)
+        assert not census.projective and census.table.n == sl2_order(m)
+
+
+def test_sl2_census_budget_is_on_sl_order():
+    # PSL(2, 5) has order 60, but the cap is on |SL(2, 5)| = 120
+    with pytest.raises(BudgetExceeded) as exc:
+        sl2_census(5, budget=60)
+    assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
+        ("census order", 60, 120)
+    assert sl2_census(5, budget=120).count == 76
 
 
 def test_trivial_group_census():
@@ -215,6 +280,15 @@ def test_essential_composite_m4():
         assert not kernel <= h
 
 
+def test_projective_congruence_kernel_is_the_image():
+    # M(3) in SL(2, Z/9), of order 27, against its image in PSL(2, Z/9)
+    sl, psl = sl2_group_table(9), sl2_census(9).table
+    image = {psl.index[min(x, tuple(-v % 9 for v in x))]
+             for x in map(sl.elements.__getitem__, congruence_kernel(sl, 9, 3))}
+    assert len(image) == 27
+    assert congruence_kernel(psl, 9, 3, projective=True) == image
+
+
 def test_level_vs_index_kernel():
     table = sl2_group_table(4)
     census = subgroup_census(table)
@@ -241,6 +315,13 @@ def test_level_vs_index_minimal_essential_q5():
     rep = level_vs_index_check(biggest, 5, census=census)
     assert rep.level == 5
     assert rep.holds  # 5 <= 1 * index 5
+
+
+def test_level_vs_index_refuses_a_lifted_census():
+    # H is given in the SL table, which a lifted census does not build
+    census = sl2_census(5)
+    with pytest.raises(ValueError):
+        level_vs_index_check(range(120), 5, census=census)
 
 
 def test_s_n_counts():
