@@ -351,7 +351,7 @@ def _check_phi(pres, phi):
 # ---------------------------------------------------------------------------
 # Reidemeister-Schreier
 
-def reidemeister_schreier(sub, transversal="bfs"):
+def reidemeister_schreier(sub):
     """Presentation of the subgroup at coset 0 on Schreier generators.
 
     Generator count before reduction is index*|X| - index + 1 (one per
@@ -363,12 +363,11 @@ def reidemeister_schreier(sub, transversal="bfs"):
     n = sub.index
     ngens = pres.rank()
 
+    # breadth-first spanning tree of the coset graph
     tree_edge = {}   # coset -> (from_coset, letter) tree edge used to reach it
     order = [0]
     seen = {0}
-    frontier = [0]
-    while frontier:
-        c = frontier.pop(0 if transversal == "bfs" else -1)
+    for c in order:
         for g in range(1, ngens + 1):
             for letter in (g, -g):
                 d = sub.apply(c, letter)
@@ -376,7 +375,6 @@ def reidemeister_schreier(sub, transversal="bfs"):
                     seen.add(d)
                     tree_edge[d] = (c, letter)
                     order.append(d)
-                    frontier.append(d)
 
     # Schreier generator index for each non-tree (coset, positive gen) edge
     is_tree = set()
@@ -568,13 +566,13 @@ class TowerLevel:
     presentation_rank: int
 
 
-def cyclic_tower(pres, phi, depth, primes=(2,), transversal="bfs"):
+def cyclic_tower(pres, phi, depth, primes=(2,)):
     """d_p along the pullbacks of i*Z under phi, for i = 1..depth."""
     _check_phi(pres, phi)
     out = []
     for i in range(1, depth + 1):
         table = cyclic_quotient_table(pres, phi, i)
-        sub = reidemeister_schreier(table, transversal=transversal)
+        sub = reidemeister_schreier(table)
         dims = {p: d_p(sub, p) for p in primes}
         out.append(TowerLevel(index=i, dims=dims, presentation_rank=sub.rank()))
     return out

@@ -85,7 +85,7 @@ class GF:
         return self.encode([(-x) % self.p for x in self.decode(a)])
 
     def mul(self, a, b):
-        prod = polys.modp_mul(self.decode(a), self.decode(b), self.p)
+        prod = polys.mul(self.decode(a), self.decode(b))
         red = polys.modp_divmod(prod, self.modulus, self.p)[1]
         return self.encode(red + [0] * self.f)
 

@@ -9,6 +9,8 @@ criterion certifies that p does not divide the index [R_k : Z[theta]].
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 
 from . import linalg, polys
 
@@ -44,53 +46,72 @@ class NumberField:
         return len(self.min_poly) - 1
 
     def element(self, coeffs):
-        return FieldElement(self, _pad(coeffs, self.degree))
+        """sum c_i x^i for at most `degree` rationals c_i (anything
+        Fraction accepts)."""
+        c = [a if isinstance(a, Rational) else Fraction(a) for a in coeffs]
+        if len(c) > self.degree:
+            raise ValueError(f"coefficient vector longer than degree {self.degree}")
+        den = lcm(*(a.denominator for a in c))
+        return _element(self, [a.numerator * (den // a.denominator) for a in c], den)
 
     def zero(self):
-        return self.element([0] * self.degree)
+        return _element(self, [], 1)
 
     def one(self):
-        return self.element([1] + [0] * (self.degree - 1))
+        return _element(self, [1], 1)
 
     def generator(self):
-        if self.degree == 1:
-            # Q itself: x is congruent to -constant term
-            return self.element([-self.min_poly[0]])
-        return self.element([0, 1] + [0] * (self.degree - 2))
+        # for Q itself, x reduces to minus the constant term
+        return _element(self, [0, 1], 1)
 
     def __repr__(self):
         return f"NumberField({list(self.min_poly)})"
 
 
-def _pad(coeffs, d):
-    c = [Fraction(a) for a in coeffs]
-    if len(c) > d:
-        raise ValueError(f"coefficient vector longer than degree {d}")
-    return tuple(c + [Fraction(0)] * (d - len(c)))
+def _element(field, nums, den):
+    """nums / den in lowest terms, with nums reduced mod the monic
+    minimal polynomial and padded to length [k:Q]."""
+    d = field.degree
+    if len(nums) > d:
+        nums = polys.pseudo_divmod(nums, field.min_poly)[1]
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    if g != 1:
+        nums, den = [a // g for a in nums], den // g
+    return FieldElement(field, tuple(nums) + (0,) * (d - len(nums)), den)
 
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Power-basis vector of length [k:Q] with exact rational entries."""
+    """Power-basis vector nums / den of length [k:Q]: integer numerators
+    over one positive denominator, in lowest terms.  Build elements with
+    `NumberField.element`."""
 
     field: NumberField
-    coeffs: tuple
+    nums: tuple
+    den: int
+
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def _check(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
-        return self.field.element([Fraction(other)])
+        return self.field.element([other])
 
     def __add__(self, other):
         o = self._check(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        den = lcm(self.den, o.den)
+        a, b = den // self.den, den // o.den
+        return _element(self.field, [a * x + b * y for x, y in zip(self.nums, o.nums)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -100,35 +121,31 @@ class FieldElement:
 
     def __mul__(self, other):
         o = self._check(other)
-        prod = polys.mul(list(self.coeffs), list(o.coeffs))
-        red = polys.poly_mod(prod, list(self.field.min_poly))
-        return self.field.element(red)
+        return _element(self.field, polys.mul(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid in Q[x] against the minimal polynomial
-        f = [Fraction(c) for c in self.field.min_poly]
-        g = polys.normalize(list(self.coeffs))
-        r0, r1 = f, g
-        s0, s1 = [], [Fraction(1)]
-        while polys.degree(r1) > 0:
-            q, r = polys.divmod_exact(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, polys.sub(s0, polys.mul(q, s1))
-        inv = polys.scale(s1, 1 / Fraction(r1[0]))
-        return self.field.element(polys.poly_mod(inv, f))
+        """Cayley-Hamilton on the numerator b = den * self, whose
+        characteristic polynomial x^d + c_(d-1) x^(d-1) + ... + c_0 has
+        integer coefficients: b^-1 = -(b^(d-1) + c_(d-1) b^(d-2) + ... + c_1) / c_0.
+        c_0 = 0 exactly when self is zero or a zero divisor (min_poly
+        reducible)."""
+        cp = linalg.char_poly(self._int_matrix())
+        if cp[0] == 0:
+            raise ZeroDivisionError("inverse of zero or of a zero divisor")
+        acc = [1]
+        for c in reversed(cp[1:-1]):
+            acc = polys.add(polys.pseudo_divmod(polys.mul(acc, self.nums),
+                                                self.field.min_poly)[1], [c])
+        return _element(self.field, [-self.den * a for a in acc], cp[0])
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
 
     def __rtruediv__(self, other):
         # other is a scalar: FieldElement / FieldElement is __truediv__
-        c = Fraction(other)
-        return FieldElement(self.field,
-                            tuple(a * c for a in self.inverse().coeffs))
+        return self.inverse() * other
 
     def __pow__(self, e):
         if e < 0:
@@ -143,45 +160,56 @@ class FieldElement:
         return out
 
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self):
         # false exactly at zero, as for Fraction, so linalg.rref can pivot on k
         return not self.is_zero()
 
     def is_rational(self):
-        return all(a == 0 for a in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
+
+    def _int_matrix(self):
+        """Matrix of y -> den*self*y on the power basis; rows are images
+        of 1, x, ..., x^(d-1).  Row i+1 is x times row i, reduced by
+        x^d = -(f_0 + ... + f_(d-1) x^(d-1))."""
+        f = self.field.min_poly
+        rows = [list(self.nums)]
+        for _ in range(1, self.field.degree):
+            row = rows[-1]
+            rows.append([a - row[-1] * c for a, c in zip([0] + row[:-1], f)])
+        return rows
 
     def multiplication_matrix(self):
         """Matrix of y -> self*y on the power basis; rows are images."""
-        d = self.field.degree
-        rows = []
-        for i in range(d):
-            basis = self.field.element([0] * i + [1])
-            rows.append((self * basis).coeffs)
-        return rows
+        return [[Fraction(a, self.den) for a in row] for row in self._int_matrix()]
 
     def char_poly(self):
-        """Characteristic polynomial of multiplication by self, monic, constant first."""
-        return [Fraction(c) for c in linalg.char_poly(self.multiplication_matrix())]
+        """Characteristic polynomial of multiplication by self, monic,
+        constant first: Berkowitz on the integer matrix, whose
+        coefficient c_i becomes c_i den^(i-d)."""
+        d = self.field.degree
+        return [Fraction(c, self.den ** (d - i))
+                for i, c in enumerate(linalg.char_poly(self._int_matrix()))]
 
     def norm(self):
-        cp = self.char_poly()
-        d = self.field.degree
-        return (-1) ** d * cp[0]
+        return (-1) ** self.field.degree * self.char_poly()[0]
 
     def trace(self):
-        m = self.multiplication_matrix()
-        return sum(m[i][i] for i in range(self.field.degree))
+        return -self.char_poly()[-2]
 
     def is_integral(self):
-        """Algebraic integer test: every char-poly coefficient lies in Z."""
-        return all(Fraction(c).denominator == 1 for c in self.char_poly())
+        """Algebraic integer test: every char-poly coefficient lies in Z.
+        With den = 1 the element lies in Z[x], integral as min_poly is monic."""
+        d = self.field.degree
+        return self.den == 1 or all(
+            c % self.den ** (d - i) == 0
+            for i, c in enumerate(linalg.char_poly(self._int_matrix())))
 
     def __repr__(self):
         return f"FieldElement({[str(c) for c in self.coeffs]})"
@@ -286,10 +314,10 @@ def dedekind_criterion_ok(f, p):
     fbar_factors = polys.factor_modp(f, p)
     gstar = [1]
     for g, _e in fbar_factors:
-        gstar = polys.modp_mul(gstar, g, p)
+        gstar = polys.modp(polys.mul(gstar, g), p)
     fbar = polys.modp(f, p)
     hstar = polys.modp_divmod(fbar, gstar, p)[0]
-    lifted = polys.mul([int(c) for c in gstar], [int(c) for c in hstar])
+    lifted = polys.mul(gstar, hstar)
     diff = polys.sub(lifted, f)
     if any(c % p for c in diff):
         raise ArithmeticError("lift mismatch in Dedekind criterion")

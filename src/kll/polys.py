@@ -1,13 +1,18 @@
-"""Exact univariate polynomial arithmetic over Q, Z and F_p.
+"""Exact univariate polynomial arithmetic over Z, Q and F_p.
 
 Polynomials are coefficient lists with the constant term first
 (little-endian), trailing zeros stripped.  The zero polynomial is [].
-All rational arithmetic uses Fraction; nothing here touches floats.
+A polynomial over Q is handled through an integer multiple of it:
+division is pseudo-division, gcds and Sturm chains are primitive
+pseudo-remainder sequences, and resultants are Sylvester determinants.
+No rational arithmetic is done (`sturm_count` reads its rational
+endpoints as numerator and denominator), and nothing touches floats.
 """
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 import random
+
+from . import linalg
 
 
 def normalize(coeffs):
@@ -19,18 +24,6 @@ def normalize(coeffs):
 
 def degree(f):
     return len(f) - 1
-
-
-def is_zero(f):
-    return len(f) == 0
-
-
-def leading(f):
-    return f[-1]
-
-
-def constant(c):
-    return [] if c == 0 else [c]
 
 
 def add(f, g):
@@ -87,105 +80,94 @@ def derivative(f):
     return normalize([i * a for i, a in enumerate(f)][1:])
 
 
-def divmod_exact(f, g):
-    """Quotient and remainder over a field (coefficients must divide exactly)."""
-    if is_zero(g):
+def pseudo_divmod(f, g):
+    """(q, r) with lc(g)^e f = q g + r, deg r < deg g and
+    e = max(deg f - deg g + 1, 0).  Never divides, so integer
+    polynomials stay integer; for monic g, q and r are the quotient and
+    remainder."""
+    if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = [Fraction(a) for a in f]
-    g = [Fraction(a) for a in g]
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    lead, m = g[-1], len(g) - 1
+    q = [0] * max(len(f) - m, 0)
     r = list(f)
-    inv_lead = 1 / g[-1]
-    while len(r) >= len(g) and r:
-        c = r[-1] * inv_lead
-        d = len(r) - len(g)
+    for d in reversed(range(len(q))):
+        c = r.pop()
+        if lead != 1:
+            q = [lead * a for a in q]
+            r = [lead * a for a in r]
         q[d] = c
-        for i, b in enumerate(g):
-            r[i + d] -= c * b
-        r = normalize(r)
-    return normalize(q), r
+        for i in range(m):
+            r[d + i] -= c * g[i]
+    return normalize(q), normalize(r)
 
 
-def poly_mod(f, g):
-    return divmod_exact(f, g)[1]
+def _primitive(f):
+    """f divided by its positive content."""
+    c = gcd(*f)
+    return [a // c for a in f] if c > 1 else list(f)
 
 
-def monic(f):
-    if is_zero(f):
-        return []
-    lead = Fraction(f[-1])
-    return [Fraction(a) / lead for a in f]
+def _prs(f, g):
+    """Signed primitive pseudo-remainder sequence of integer polynomials:
+    the nonzero ones of f, g, then each pseudo-remainder of the two
+    before it, negated unless lc(b) < 0 and deg a - deg b is even (so
+    that it has the sign of -rem(a, b)), divided by its positive
+    content.  The last member is gcd(f, g) up to a constant.
+
+    Collins' primitive PRS (Brown and Traub, J. ACM 18, 1971); with
+    g = f' it is a Sturm chain."""
+    seq = [_primitive(h) for h in (f, g) if h]
+    while len(seq) > 1:
+        a, b = seq[-2], seq[-1]
+        r = pseudo_divmod(a, b)[1]
+        if not r:
+            break
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = neg(r)
+        seq.append(_primitive(r))
+    return seq
 
 
 def poly_gcd(f, g):
-    """Monic gcd over Q."""
-    a = [Fraction(x) for x in f]
-    b = [Fraction(x) for x in g]
-    while not is_zero(b):
-        a, b = b, poly_mod(a, b)
-    return monic(a)
+    """gcd(f, g) over Q, up to sign, as a primitive integer polynomial;
+    [] when both are zero."""
+    seq = _prs(f, g)
+    return seq[-1] if seq else []
 
 
 def resultant(f, g):
-    """Res(f, g), by the Euclidean recursion.  Exact over Fraction."""
-    f = normalize([Fraction(a) for a in f])
-    g = normalize([Fraction(a) for a in g])
-    if is_zero(f) or is_zero(g):
-        return Fraction(0)
-    a, b = degree(f), degree(g)
-    if a == 0:
-        return f[0] ** b
-    if b == 0:
-        return g[0] ** a
-    r = poly_mod(f, g)
-    if is_zero(r):
-        return Fraction(0)
-    sign = -1 if (a * b) % 2 else 1
-    return sign * leading(g) ** (a - degree(r)) * resultant(g, r)
+    """Res(f, g) = det of the Sylvester matrix, by Berkowitz's
+    division-free `linalg.char_poly`: integer in, integer out."""
+    f, g = normalize(f), normalize(g)
+    if not f or not g:
+        return 0
+    m, n = degree(f), degree(g)
+    rows = ([[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)])
+    # char_poly(M)[0] = det(-M) = (-1)^(m+n) det(M)
+    return (-1) ** (m + n) * linalg.char_poly(rows)[0]
 
 
 def discriminant(f):
-    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f)."""
+    """disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f), an integer."""
     d = degree(f)
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    res = resultant(f, derivative(f))
-    val = sign * res / Fraction(f[-1])
-    if val.denominator == 1:
-        return val.numerator
-    return val
+    return sign * resultant(f, derivative(f)) // f[-1]
 
 
 # ---------------------------------------------------------------------------
 # Real root counting (Sturm)
 
-def sturm_sequence(f):
-    f = [Fraction(a) for a in f]
-    seq = [normalize(f), derivative(f)]
-    while not is_zero(seq[-1]) and degree(seq[-1]) > 0:
-        r = neg(poly_mod(seq[-2], seq[-1]))
-        seq.append(r)
-        if is_zero(r):
-            seq.pop()
-            break
-    return [s for s in seq if not is_zero(s)]
-
-
 def sturm_chain(f):
-    """Sturm chain of the squarefree part of f, each member multiplied by
-    the positive lcm of its denominators and divided by the positive gcd
-    of the result: integer polynomials with the signs of the chain."""
+    """Sturm chain of the squarefree part of f as primitive integer
+    polynomials, each a positive multiple of the classical member (or
+    each a negative one, which changes no sign-change count)."""
     g = poly_gcd(f, derivative(f))
     if degree(g) > 0:
-        f = divmod_exact(f, g)[0]
-    chain = []
-    for s in sturm_sequence(f):
-        den = lcm(*(a.denominator for a in s))
-        ints = [int(a * den) for a in s]
-        content = gcd(*ints)
-        chain.append([a // content for a in ints])
-    return chain
+        f = pseudo_divmod(f, g)[0]
+    return _prs(f, derivative(f))
 
 
 def sign_changes_at(chain, num, den=1):
@@ -207,17 +189,18 @@ def sign_changes_at(chain, num, den=1):
 
 
 def sturm_count(f, a, b):
-    """Number of distinct real roots of f in (a, b].  f need not be squarefree."""
+    """Number of distinct real roots of f in (a, b] for rational a, b
+    (int or Fraction).  f need not be squarefree."""
     chain = sturm_chain(f)
-    a, b = Fraction(a), Fraction(b)
     return (sign_changes_at(chain, a.numerator, a.denominator)
             - sign_changes_at(chain, b.numerator, b.denominator))
 
 
 def cauchy_bound(f):
-    """All real roots of f lie in (-B, B)."""
-    lead = abs(Fraction(f[-1]))
-    return 1 + max((abs(Fraction(a)) / lead for a in f[:-1]), default=Fraction(0))
+    """An integer B with every real root of f in (-B, B):
+    B >= 1 + max |a_i| / |lc(f)|."""
+    top = max(map(abs, f[:-1]), default=0)
+    return 1 - (-top // abs(f[-1]))
 
 
 def count_real_roots(f):
@@ -245,22 +228,11 @@ def modp(f, p):
     return normalize([a % p for a in f])
 
 
-def modp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return normalize(out)
-
-
 def modp_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("mod-p division by zero polynomial")
     inv = pow(g[-1], -1, p)
-    r = list(f)
+    r = modp(f, p)
     q = [0] * max(len(f) - len(g) + 1, 0)
     while len(r) >= len(g) and r:
         c = (r[-1] * inv) % p
@@ -287,14 +259,10 @@ def modp_pow_mod(base, e, mod, p):
     base = modp_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = modp_divmod(modp_mul(result, base, p), mod, p)[1]
-        base = modp_divmod(modp_mul(base, base, p), mod, p)[1]
+            result = modp_divmod(mul(result, base), mod, p)[1]
+        base = modp_divmod(mul(base, base), mod, p)[1]
         e >>= 1
     return result
-
-
-def modp_derivative(f, p):
-    return normalize([(i * a) % p for i, a in enumerate(f)][1:])
 
 
 def is_irreducible_modp(f, p):
@@ -313,20 +281,10 @@ def is_irreducible_modp(f, p):
     for q in sorted({q for q in _prime_factors_int(n)}):
         m = n // q
         xq = modp_pow_mod(x, p ** m, f, p)
-        g = modp_gcd(sub_modp(xq, x, p), f, p)
+        g = modp_gcd(sub(xq, x), f, p)
         if degree(g) != 0:
             return False
     return True
-
-
-def sub_modp(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, a in enumerate(f):
-        out[i] = a % p
-    for i, b in enumerate(g):
-        out[i] = (out[i] - b) % p
-    return normalize(out)
 
 
 def is_prime(n):
@@ -355,7 +313,7 @@ def _squarefree_decomposition_modp(f, p):
         g = modp(g, p)
         if degree(g) < 1:
             return
-        d = modp_derivative(g, p)
+        d = modp(derivative(g), p)
         if not d:
             # g = h(x^p) = h(x)^p
             h = normalize([g[i] for i in range(0, len(g), p)])
@@ -389,7 +347,7 @@ def _distinct_degree_split(f, p):
     while degree(g) >= 2 * (d + 1):
         d += 1
         h = modp_pow_mod(h, p, g, p)
-        gd = modp_gcd(sub_modp(h, x, p), g, p)
+        gd = modp_gcd(sub(h, x), g, p)
         if degree(gd) > 0:
             out.append((gd, d))
             g = modp_divmod(g, gd, p)[0]
@@ -418,12 +376,12 @@ def _equal_degree_split(f, d, p, rng):
             acc = list(a)
             for _ in range(d - 1):
                 t = modp_pow_mod(t, 2, f, 2)
-                acc = sub_modp(acc, [-c for c in t], 2)
+                acc = add(acc, t)
             g = modp_gcd(acc, f, 2)
         else:
             e = (p ** d - 1) // 2
             b = modp_pow_mod(a, e, f, p)
-            g = modp_gcd(sub_modp(b, [1], p), f, p)
+            g = modp_gcd(sub(b, [1]), f, p)
         if 0 < degree(g) < n:
             h = modp_divmod(f, g, p)[0]
             return _equal_degree_split(g, d, p, rng) + _equal_degree_split(h, d, p, rng)

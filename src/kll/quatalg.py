@@ -157,10 +157,10 @@ def _cyclotomic(n):
     for m in (d for d in range(1, n + 1) if n % d == 0):
         rem = [-1] + [0] * (m - 1) + [1]
         for d in [d for d in phi if m % d == 0]:
-            rem, r = polys.divmod_exact(rem, phi[d])
+            rem, r = polys.pseudo_divmod(rem, phi[d])  # Phi_d is monic
             if r:
                 raise ArithmeticError(f"Phi_{d} does not divide x^{m} - 1")
-        phi[m] = tuple(int(c) for c in rem)
+        phi[m] = tuple(rem)
     return phi[n]
 
 

@@ -542,9 +542,9 @@ def cheeger_by_subsets(g):
 
 
 # ---------------------------------------------------------------------------
-# Sturm counting evaluated in Fraction (polys.sturm_count oracle) and the
-# smallest positive Laplacian eigenvalue by bisection on it
-# (taugraphs.lambda2_enclosure oracle)
+# Euclid over Q in Fraction: resultants (polys.resultant oracle), Sturm
+# counting (polys.sturm_count oracle) and the smallest positive Laplacian
+# eigenvalue by bisection on it (taugraphs.lambda2_enclosure oracle)
 
 def _trim(f):
     f = [Fraction(c) for c in f]
@@ -564,6 +564,25 @@ def _divmod_q(f, g):
             f[i + d] -= c * b
         f = _trim(f)
     return _trim(q), f
+
+
+def fraction_resultant(f, g):
+    """Res(f, g) by the Euclidean recursion
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r),
+    r = f mod g, every coefficient a Fraction."""
+    f, g = _trim(f), _trim(g)
+    if not f or not g:
+        return Fraction(0)
+    a, b = len(f) - 1, len(g) - 1
+    if a == 0:
+        return f[0] ** b
+    if b == 0:
+        return g[0] ** a
+    r = _divmod_q(f, g)[1]
+    if not r:
+        return Fraction(0)
+    sign = -1 if (a * b) % 2 else 1
+    return sign * g[-1] ** (a - len(r) + 1) * fraction_resultant(g, r)
 
 
 def _fraction_sturm_chain(f):

@@ -583,6 +583,10 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
     (["field", "--poly", "[1.5,0,1]"], 2, "JSON integers"),
     (["field", "--poly", "[true,1]"], 2, "JSON integers"),
     (["count", "--modulus", "23"], 3, "census order reached 12144"),
+    # det(ab - ba) is a nonzero zero divisor of Q[x]/(x^2 - 1)
+    (["order", "--poly", "[-1,0,1]", "--matrices",
+      json.dumps({"a": [[1, 1], [0, 1]], "b": [[1, 0], [["1/2", "1/2"], 1]]})],
+     2, "zero divisor"),
 ], ids=["vertices-int", "vertices-string", "core-int", "core-unknown-letter",
         "end-not-a-name", "end-unknown-vertex", "order-below-2",
         "multi-letter-generator", "duplicate-generator",
@@ -590,7 +594,8 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
         "order-float-entry", "graph-no-vertices", "quotient-no-primes",
         "field-prime-1", "field-prime-negative", "symbol-prime-1",
         "symbol-prime-4", "symbol-prime-9", "orbifold-prime-1",
-        "poly-float", "poly-bool", "count-over-budget"])
+        "poly-float", "poly-bool", "count-over-budget",
+        "order-zero-divisor"])
 def test_bad_input_exits_with_json(tmp_path, argv, code, detail):
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 import random
 
@@ -17,6 +18,13 @@ from kll.counting import (GroupTable, sl2_group_table, sl2_order,
                           EXCEPTIONAL_MINIMAL_INDEX_Q)
 
 
+@cache
+def _direct_census(m):
+    """The census on the whole SL(2, Z/m) table, built once per module:
+    several tests read the slow ones (m = 11, 13)."""
+    return subgroup_census(sl2_group_table(m))
+
+
 def test_sl2_z2_census_is_s3():
     table = sl2_group_table(2)
     assert table.n == 6
@@ -32,19 +40,19 @@ def test_sl2_order_closed_form_matches_table():
 
 
 def test_sl2_z3_census():
-    census = subgroup_census(sl2_group_table(3))
+    census = _direct_census(3)
     assert census.count == 15
     assert rank_bound_check(census).holds
 
 
 def test_sl2_z4_census_rank3():
-    census = subgroup_census(sl2_group_table(4))
+    census = _direct_census(4)
     rep = rank_bound_check(census)
     assert rep.rank == 3 and rep.holds
 
 
 def test_sl2_z5_census():
-    census = subgroup_census(sl2_group_table(5))
+    census = _direct_census(5)
     assert census.count == 76
     assert rank_bound_check(census).holds
 
@@ -63,7 +71,7 @@ def test_minus_identity_is_the_only_involution():
 def test_lifted_census_matches_direct_census(m):
     # count, orders, s_n at each divisor, index 2, rank and essentials;
     # tests/exhaustive_census.py runs the same check at m = 17 and 19
-    lifted, direct = sl2_census(m), subgroup_census(sl2_group_table(m))
+    lifted, direct = sl2_census(m), _direct_census(m)
     assert lifted.projective and 2 * lifted.table.n == direct.order
     assert report(m, lifted) == report(m, direct)
 
@@ -168,7 +176,7 @@ def test_shuffled_elementary_abelian_table():
 
 
 def test_closure_from_known_subgroup():
-    census = subgroup_census(sl2_group_table(7))
+    census = _direct_census(7)
     table = census.table
     rng = random.Random(7)
     for _ in range(40):
@@ -198,7 +206,7 @@ def test_census_matches_oracle():
 
 def test_classes_are_conjugacy_classes():
     for m in range(2, 9):
-        census = subgroup_census(sl2_group_table(m))
+        census = _direct_census(m)
         table = census.table
         assert sum(c.size for c in census.classes) == census.count
         for i, c in enumerate(census.classes):
@@ -213,7 +221,7 @@ def test_classes_are_conjugacy_classes():
 
 def test_sl2_11_insoluble_subgroups():
     # the 22 subgroups of order 120 are 2.A5, of index 11 = q
-    census = subgroup_census(sl2_group_table(11))
+    census = _direct_census(11)
     assert census.count == 766
     assert census.orders().count(120) == 22
     assert essential_subgroups(11, census).minimal_index == 11
@@ -221,13 +229,13 @@ def test_sl2_11_insoluble_subgroups():
 
 def test_sl2_z10_census():
     # C3 x SL(2, 5) is an insoluble proper subgroup
-    assert subgroup_census(sl2_group_table(10)).count == 818
+    assert _direct_census(10).count == 818
 
 
 def test_dickson_binary_icosahedral():
     # Dickson: SL(2, q) contains 2.A5, of order 120, iff q = +-1 mod 10
     for q in (7, 11, 13):
-        orders = subgroup_census(sl2_group_table(q)).orders()
+        orders = _direct_census(q).orders()
         assert (120 in orders) == (q % 10 in (1, 9)), q
 
 
@@ -248,7 +256,7 @@ def test_lagrange_consistency():
 
 
 def test_essential_prime_q5_exceptional():
-    census = subgroup_census(sl2_group_table(5))
+    census = _direct_census(5)
     rep = essential_subgroups(5, census)
     assert rep.prime_field
     assert rep.minimal_index == 5
@@ -257,14 +265,14 @@ def test_essential_prime_q5_exceptional():
 
 
 def test_essential_prime_q7_exceptional():
-    census = subgroup_census(sl2_group_table(7))
+    census = _direct_census(7)
     rep = essential_subgroups(7, census)
     assert rep.minimal_index == 7
     assert rep.exceptional
 
 
 def test_essential_q13_nonexceptional():
-    census = subgroup_census(sl2_group_table(13))
+    census = _direct_census(13)
     rep = essential_subgroups(13, census)
     assert rep.minimal_index == 14 == rep.expected_minimal
     assert not rep.exceptional
@@ -325,7 +333,7 @@ def test_level_vs_index_refuses_a_lifted_census():
 
 
 def test_s_n_counts():
-    census = subgroup_census(sl2_group_table(2))
+    census = _direct_census(2)
     assert s_n(census, 1) == 1
     assert s_n(census, 2) == 2   # whole group + the order-3 subgroup
     assert s_n(census, 6) == 6
@@ -349,7 +357,7 @@ def test_min_generators_elementary_abelian():
 
 
 def test_sl2_z8_rank4_certified():
-    census = subgroup_census(sl2_group_table(8))
+    census = _direct_census(8)
     assert census.count == 673
     rep = rank_bound_check(census)
     assert (rep.rank, rep.bound, rep.holds) == (4, 3, False)
@@ -372,7 +380,7 @@ def test_sn_vs_cn_table():
     rec = TowerRecord()
     for d in (1, 2, 4, 8):
         rec.add(degree=d, d_p=d)
-    censuses = {m: subgroup_census(sl2_group_table(m)) for m in (2, 3, 4, 5)}
+    censuses = {m: _direct_census(m) for m in (2, 3, 4, 5)}
     table = sn_vs_cn_table(rec, m_range=(2, 3, 4, 5), censuses=censuses)
     assert table.lam == 1
     rows = {r.n: r for r in table.rows}

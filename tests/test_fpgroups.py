@@ -105,14 +105,23 @@ def test_reidemeister_schreier_names_are_distinct():
 
 
 def test_rs_transversal_invariance():
-    # d_p independent of the Schreier transversal strategy
-    pres = Presentation.from_strings(["a", "b"], ["abab"])
-    for idx in (2, 3, 4):
-        table = cyclic_quotient_table(pres, [1, -1], idx)
-        for p in (2, 3, 5):
-            bfs = d_p(reidemeister_schreier(table, transversal="bfs"), p)
-            dfs = d_p(reidemeister_schreier(table, transversal="dfs"), p)
-            assert bfs == dfs
+    # d_p does not depend on the Schreier transversal: listing the
+    # generators (and phi) in another order gives another spanning tree
+    gens, rels, phi = ["a", "b", "c"], ["abab", "ccbbbb"], [1, -1, 2]
+    pres = Presentation.from_strings(gens, rels)
+    other_trees = 0
+    for perm in ([1, 0, 2], [2, 1, 0], [2, 0, 1]):
+        permuted = Presentation.from_strings([gens[i] for i in perm], rels)
+        for idx in (2, 3, 4):
+            table = cyclic_quotient_table(pres, phi, idx)
+            other = cyclic_quotient_table(permuted, [phi[i] for i in perm], idx)
+            subs = reidemeister_schreier(table), reidemeister_schreier(other)
+            assert subs[0].rank() == subs[1].rank()
+            # the Schreier generators name the edges off the tree
+            other_trees += set(subs[0].generators) != set(subs[1].generators)
+            for p in (2, 3, 5):
+                assert d_p(subs[0], p) == d_p(subs[1], p)
+    assert other_trees >= 6
 
 
 def test_low_index_free_group():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,7 @@ from kll.numfield import (NumberField, PrimeIdeal, ReduciblePolynomial,
                           certify_irreducible, dedekind_criterion_ok,
                           CONTAINS, DOES_NOT_CONTAIN, UNDECIDED)
 
-from oracles import brute_factor_modp, grid_real_root_count
+from oracles import _divmod_q, brute_factor_modp, grid_real_root_count
 
 QUINTIC = (1, 0, -2, -1, 0, 1)          # x^5 - x^3 - 2x^2 + 1
 SEXTIC = (1, -1, -2, 2, -1, -1, 1)      # x^6 - x^5 - x^4 + 2x^3 - 2x^2 - x + 1
@@ -181,3 +182,36 @@ def test_irreducibility_certificates():
     assert verdict is False
     verdict, _ = certify_irreducible([2, 0, 1])  # x^2 + 2
     assert verdict is True
+
+
+def _mul_q(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_products_and_inverses_match_fraction_reduction():
+    rng = random.Random(37)
+    for poly in [(3, 1), (-2, 0, 1), (-2, 0, 0, 1), (1, 0, 0, 0, 1),
+                 QUINTIC, SEXTIC]:
+        k = NumberField(poly)
+        for _ in range(25):
+            x, y = (k.element([Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                               for _ in range(rng.randint(0, k.degree))])
+                    for _ in range(2))
+            want = _divmod_q(_mul_q(x.coeffs, y.coeffs), poly)[1]
+            assert list((x * y).coeffs) == want + [0] * (k.degree - len(want))
+            assert x.den > 0 and gcd(x.den, *x.nums) == 1
+            if x.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+            else:
+                assert _divmod_q(_mul_q(x.coeffs, x.inverse().coeffs), poly)[1] == [1]
+
+
+def test_zero_divisor_has_no_inverse():
+    # x - 1 divides zero in Q[x]/(x^2 - 1), which is not a field
+    with pytest.raises(ZeroDivisionError):
+        NumberField((-1, 0, 1)).element([-1, 1]).inverse()

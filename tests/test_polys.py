@@ -1,20 +1,26 @@
 import random
-from fractions import Fraction
 
 from kll import polys
 from kll.numfield import _next_prime
 from kll.quatalg import _euler_phi
 
-from oracles import brute_factor_modp, grid_real_root_count
+from exhaustive_sturm import mismatches
+from oracles import (_divmod_q, brute_factor_modp, fraction_resultant,
+                     grid_real_root_count)
 
 
 def test_mul_divmod_roundtrip():
+    # lc(g)^e f = q g + r with deg r < deg g, e = max(deg f - deg g + 1, 0)
     rng = random.Random(5)
-    for _ in range(60):
-        f = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))] + [1]
-        g = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1]
-        q, r = polys.divmod_exact(f, g)
-        assert polys.add(polys.mul(q, g), r) == [Fraction(c) for c in polys.normalize(f)]
+    for _ in range(200):
+        f = polys.normalize([rng.randint(-5, 5) for _ in range(rng.randint(0, 7))])
+        g = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [rng.choice([1, -1, 2, -3])]
+        q, r = polys.pseudo_divmod(f, g)
+        e = max(len(f) - len(g) + 1, 0)
+        assert polys.add(polys.mul(q, g), r) == polys.scale(f, g[-1] ** e)
+        assert polys.degree(r) < polys.degree(g)
+        if g[-1] == 1:
+            assert (q, r) == _divmod_q(f, g)
 
 
 def test_discriminants_known():
@@ -35,6 +41,20 @@ def test_resultant_multiplicative():
         assert lhs == rhs
 
 
+def test_resultant_and_discriminant_match_fraction_oracle():
+    rng = random.Random(13)
+    for _ in range(300):
+        f, g = ([rng.randint(-4, 4) for _ in range(rng.randint(0, 6))]
+                for _ in range(2))
+        assert polys.resultant(f, g) == fraction_resultant(f, g), (f, g)
+        f = polys.normalize(f)
+        if polys.degree(f) >= 1:
+            d = polys.degree(f)
+            sign = -1 if (d * (d - 1) // 2) % 2 else 1
+            want = sign * fraction_resultant(f, polys.derivative(f)) / f[-1]
+            assert polys.discriminant(f) == want, f
+
+
 def test_sturm_vs_grid_oracle():
     rng = random.Random(7)
     done = 0
@@ -53,6 +73,11 @@ def test_sturm_vs_grid_oracle():
         done += 1
 
 
+def test_sturm_count_sweep_to_degree_3():
+    # tests/exhaustive_sturm.py runs the same sweep to degree 5
+    assert mismatches(3) == (2790, [])
+
+
 def test_factor_modp_matches_brute_force():
     rng = random.Random(3)
     for _ in range(40):
@@ -64,7 +89,7 @@ def test_factor_modp_matches_brute_force():
         flat = []
         for g, e in mine:
             for _ in range(e):
-                prod = polys.modp_mul(prod, list(g), p)
+                prod = polys.modp(polys.mul(prod, g), p)
                 flat.append(tuple(g))
         assert prod == polys.modp(f, p)
         assert sorted(flat) == sorted(brute_factor_modp(f, p))
