@@ -189,7 +189,7 @@ def _validate_quotient_job(obj):
 def cmd_field(args):
     field = _parse_field(args.poly)
     r1, r2 = numfield.signature(field)
-    verdict, method = numfield.certify_irreducible(list(field.min_poly))
+    verdict, method = field.irreducibility
     report = {
         "poly": list(field.min_poly),
         "degree": field.degree,

@@ -4,13 +4,14 @@ and the subgroup-count lower bounds from homology towers.
 
 The census finds every subgroup, one conjugacy class at a time.  Each
 class is grown from its representative R by the one-generator
-extensions <R, g>, and a new class is stored as its orbit under
-conjugation by the table's generators, which gives its size and its
-members.  This is complete: every subgroup K is reached from the
-trivial group by adding its generators one at a time, and if
-K_i^x = R then <K_i, g>^x = <R, g^x> is reached from R.  s_n and the
-essential subgroups weight each representative by its class size, and
-d(H) is a conjugacy invariant, so the rank runs over representatives.
+extensions <R, g>, one g per double coset RgR (`subgroup_census`), and
+a new class is stored as its orbit under conjugation by the table's
+generators, which gives its size and its members.  This is complete:
+every subgroup K is reached from the trivial group by adding its
+generators one at a time, and if K_i^x = R then <K_i, g>^x = <R, g^x>
+is reached from R.  s_n and the essential subgroups weight each
+representative by its class size, and d(H) is a conjugacy invariant,
+so the rank runs over representatives.
 
 For an odd prime power m = p^k the census runs on PSL(2, Z/m), whose
 table has a quarter of the entries, and is lifted to SL(2, Z/m)
@@ -238,8 +239,14 @@ def subgroup_census(table, budget=None):
     of element indices; BudgetExceeded for a group of order above
     `budget` (default CENSUS_ORDER_BUDGET).
 
-    Each class representative h is extended by one element g per right
-    coset hg, since <h, g> depends only on the coset."""
+    Each class representative h is extended by one element g per
+    double coset hgh: <h, xgy> = <h, g> for x, y in h.  The double
+    coset is gathered as the right cosets h r reached from hg by right
+    multiplication with the generators of h.  Its least element g is
+    the least element of its least right coset, the one that one
+    extension per right coset would try first, and the other right
+    cosets give the same subgroup again; so the classes, their order,
+    representatives and generators are those of that search."""
     check_census_order(table.n, budget)
     n, t = table.n, table.table
     # x -> s^-1 x s for each generator s
@@ -254,7 +261,14 @@ def subgroup_census(table, budget=None):
         for g in range(n):
             if g in covered:
                 continue
+            coset_reps = [g]
             covered.update([t[o + g] for o in offsets])
+            for r in coset_reps:  # grows as the double coset hgh fills
+                for s in base:
+                    y = t[r * n + s]
+                    if y not in covered:
+                        covered.update([t[o + y] for o in offsets])
+                        coset_reps.append(y)
             k = table.closure(base + (g,), h)
             if k not in found:
                 orbit = _conjugates(k, rows)

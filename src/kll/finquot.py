@@ -80,7 +80,23 @@ def proj_canonical(ring, x):
 
 
 def closure(ring, generators, projective=False, budget=None):
-    """BFS closure of determinant-1 generators; returns a frozenset."""
+    """The group that determinant-1 generators span, as a frozenset of
+    matrices (their sign classes min(M, -M) with `projective`);
+    BudgetExceeded once it passes `budget` elements.
+
+    Right multiplication by g acts on each row of a matrix separately,
+    so every row of every element lies in the orbit of an identity row
+    (1, 0) or (0, 1), or of its negative when `projective`.  Those row
+    orbits are found first, each under `budget` (a row orbit, up to
+    sign when `projective`, has at most |G| points), and numbered in
+    sorted order, so that each generator becomes one integer map on
+    rows.  The group is then the orbit of the identity pair of row
+    numbers (top, bottom).  The numbering keeps the order of rows, so
+    min(M, -M) is the sign of M with the lesser top row number: r and
+    -r differ unless 2 = 0, and then M = -M.  Matrices are assembled
+    only at the end, and the cost is O(|G|), whatever the size of the
+    ring.
+    """
     if budget is None:
         budget = DEFAULT_ORDER_BUDGET
     gens = []
@@ -89,14 +105,40 @@ def closure(ring, generators, projective=False, budget=None):
         if mat_det(ring, g) != ring.one:
             raise ValueError("generators must have determinant 1")
         gens += [g, mat_inv_sl(ring, g)]
-    start = mat_identity(ring)
+    add, mul, neg = ring.add, ring.mul, ring.neg
+
+    def row_times(r, g):
+        x, y = r
+        a, b, c, d = g
+        return add(mul(x, a), mul(y, c)), add(mul(x, b), mul(y, d))
+
+    def row_sign(r):
+        return min(r, (neg(r[0]), neg(r[1]))) if projective else r
+
+    found = set()
+    for start in ((ring.one, ring.zero), (ring.zero, ring.one)):
+        if row_sign(start) not in found:
+            found.update(_orbit(row_sign(start), gens,
+                                lambda r, g: row_sign(row_times(r, g)), budget))
     if projective:
-        # the product's sign class does not depend on the generator's sign
-        start = proj_canonical(ring, start)
-        act = lambda m, g: proj_canonical(ring, mat_mul(ring, m, g))
-    else:
-        act = lambda m, g: mat_mul(ring, m, g)
-    return frozenset(_orbit(start, gens, act, budget))
+        found.update([(neg(x), neg(y)) for x, y in found])
+    rows = sorted(found)
+    number = {r: i for i, r in enumerate(rows)}
+    # a move sends (i, j) to (first[i], second[i][j]): the images of
+    # both rows under g, both negated when that lessens the top row
+    negate = [number[(neg(x), neg(y))] for x, y in rows] if projective \
+        else range(len(rows))
+    moves = []
+    for g in gens:
+        image = [number[row_times(r, g)] for r in rows]
+        negated = [negate[k] for k in image]
+        moves.append(([min(k, negate[k]) for k in image],
+                      [negated if k > negate[k] else image for k in image]))
+    top, bottom = number[(ring.one, ring.zero)], number[(ring.zero, ring.one)]
+    start = min((top, bottom), (negate[top], negate[bottom]))
+    return frozenset(rows[i] + rows[j] for i, j in _orbit(
+        start, moves, lambda m, move: (move[0][m[0]], move[1][m[0]][m[1]]),
+        budget))
 
 
 def sl2_elements(ring):

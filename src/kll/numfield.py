@@ -9,6 +9,7 @@ criterion certifies that p does not divide the index [R_k : Z[theta]].
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 
@@ -44,6 +45,16 @@ class NumberField:
     @property
     def degree(self):
         return len(self.min_poly) - 1
+
+    @cached_property
+    def discriminant(self):
+        """disc(min_poly), computed once per field."""
+        return polys.discriminant(list(self.min_poly))
+
+    @cached_property
+    def irreducibility(self):
+        """certify_irreducible(min_poly), computed once per field."""
+        return certify_irreducible(self.min_poly)
 
     def element(self, coeffs):
         """sum c_i x^i for at most `degree` rationals c_i (anything
@@ -289,7 +300,7 @@ def _next_prime(p):
 def signature(field):
     """(r1, r2): real root count by Sturm, complex pairs from the degree."""
     f = list(field.min_poly)
-    verdict, method = certify_irreducible(f)
+    verdict, method = field.irreducibility
     if verdict is False:
         raise ReduciblePolynomial(f"polynomial is reducible: {method}")
     r1 = polys.count_real_roots(f)
@@ -301,7 +312,7 @@ def signature(field):
 
 def poly_discriminant(field):
     """Discriminant of the defining polynomial (not of the field)."""
-    return polys.discriminant(list(field.min_poly))
+    return field.discriminant
 
 
 def dedekind_criterion_ok(f, p):
@@ -336,7 +347,7 @@ def split_prime(field, p):
     if not polys.is_prime(p):
         raise ValueError(f"p = {p} is not a prime")
     f = list(field.min_poly)
-    disc = polys.discriminant(f)
+    disc = field.discriminant
     if disc % p == 0 and disc % (p * p) == 0:
         if not dedekind_criterion_ok(f, p):
             raise NonMonogenicPrime(

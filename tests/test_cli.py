@@ -34,6 +34,29 @@ def test_field_command(capsys):
     assert any(e["f"] == 2 and e["norm"] == 121 for e in entries)
 
 
+def test_field_computes_discriminant_and_certificate_once(capsys, monkeypatch):
+    from kll import numfield, polys
+    calls = {"discriminant": 0, "certify_irreducible": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(polys, "discriminant")
+    counted(numfield, "certify_irreducible")
+    sextic = "[1,-1,-2,2,-1,-1,1]"
+    assert main(["field", "--poly", sextic, "--prime", "11",
+                 "--prime", "13"]) == 0
+    assert calls == {"discriminant": 1, "certify_irreducible": 1}
+    out = json.loads(capsys.readouterr().out)
+    assert out["poly_discriminant"] == "-104483"
+    assert sorted(out["primes"]) == ["11", "13"]
+
+
 def test_field_rejects_reducible(capsys):
     rc = main(["field", "--poly", "[-1,0,1]"])
     assert rc == 2
@@ -207,9 +230,10 @@ def test_count_command(capsys):
     assert out["index2"]["consistent"] is True
 
 
-# `kll count` stdout for the odd prime powers m <= 13, as printed by the
-# direct census on the SL(2, Z/m) table; the lifted PSL census must
-# reproduce it byte for byte
+# `kll count` stdout as printed by the census with one extension per right
+# coset: for the odd prime powers m <= 13 by the direct census on the
+# SL(2, Z/m) table, which the lifted PSL census must reproduce byte for
+# byte, and for m = 4, 6, 8 and 10, which still take the direct route
 COUNT_STDOUT = {
     3: """\
 {
@@ -353,6 +377,102 @@ COUNT_STDOUT = {
     "value": 2
   },
   "subgroups": 1140
+}
+""",
+    4: """\
+{
+  "essential": {
+    "count": 46,
+    "exceptional": false,
+    "expected_minimal": null,
+    "minimal_index": 4,
+    "prime_field": false
+  },
+  "group_order": 48,
+  "index2": {
+    "consistent": true,
+    "count": 1,
+    "expected": 1
+  },
+  "modulus": 4,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 3
+  },
+  "subgroups": 52
+}
+""",
+    6: """\
+{
+  "essential": {
+    "count": 132,
+    "exceptional": false,
+    "expected_minimal": null,
+    "minimal_index": 6,
+    "prime_field": false
+  },
+  "group_order": 144,
+  "index2": {
+    "consistent": true,
+    "count": 1,
+    "expected": 1
+  },
+  "modulus": 6,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 3
+  },
+  "subgroups": 152
+}
+""",
+    8: """\
+{
+  "essential": {
+    "count": 621,
+    "exceptional": false,
+    "expected_minimal": null,
+    "minimal_index": 8,
+    "prime_field": false
+  },
+  "group_order": 384,
+  "index2": {
+    "consistent": true,
+    "count": 1,
+    "expected": 1
+  },
+  "modulus": 8,
+  "rank": {
+    "bound": 3,
+    "holds": false,
+    "value": 4
+  },
+  "subgroups": 673
+}
+""",
+    10: """\
+{
+  "essential": {
+    "count": 737,
+    "exceptional": false,
+    "expected_minimal": null,
+    "minimal_index": 10,
+    "prime_field": false
+  },
+  "group_order": 720,
+  "index2": {
+    "consistent": true,
+    "count": 1,
+    "expected": 1
+  },
+  "modulus": 10,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 3
+  },
+  "subgroups": 818
 }
 """,
 }

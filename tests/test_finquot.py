@@ -14,7 +14,10 @@ from kll.finquot import (ModRing, closure, sl2_elements, psl2_elements,
                          hall_onto, pullback_cover_table, ProductGroup,
                          DenominatorNotCoprime, RelatorViolated)
 
-from oracles import product_closure, product_normalizer_order, psl2_by_scan
+from kll.gf import GF
+
+from oracles import (closure_by_products, product_closure,
+                     product_normalizer_order, psl2_by_scan)
 
 S5, T5 = (0, 4, 1, 0), (1, 1, 0, 1)
 S7, T7 = (0, 6, 1, 0), (1, 1, 0, 1)
@@ -29,6 +32,56 @@ def test_sl2_psl2_orders_small_primes():
             p * (p * p - 1)
         assert len(closure(ring, [(0, p - 1, 1, 0), (1, 1, 0, 1)],
                            projective=True)) == psl2_order_formula(p)
+
+
+def _random_sl2(ring, rng):
+    while True:
+        m = tuple(rng.randrange(ring.q) for _ in range(4))
+        if ring.sub(ring.mul(m[0], m[3]), ring.mul(m[1], m[2])) == ring.one:
+            return m
+
+
+def _borel(p):
+    """Generators of the upper triangular subgroup of SL(2, p): the
+    diagonal of a primitive root and the unipotent T."""
+    g = next(g for g in range(2, p)
+             if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    return [(g, 0, 0, pow(g, -1, p)), (1, 1, 0, 1)]
+
+
+def _closure_cases():
+    rng = random.Random(151)
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        ring = ModRing(p)
+        yield f"Z/{p}-random", ring, [_random_sl2(ring, rng) for _ in range(2)]
+        yield f"Z/{p}-borel", ring, _borel(p)
+    for m in (8, 9, 12):
+        ring = ModRing(m)
+        for k in range(3):
+            yield f"Z/{m}-random{k}", ring, [_random_sl2(ring, rng)
+                                             for _ in range(2)]
+    ring = GF(3, [1, 0, 1])
+    for k in range(3):
+        yield f"F9-random{k}", ring, [_random_sl2(ring, rng) for _ in range(2)]
+    yield "F9-torus", ring, [(ring.encode([0, 1]), 0, 0, ring.encode([0, 2]))]
+
+
+@pytest.mark.parametrize("projective", [False, True], ids=["sl", "psl"])
+def test_closure_matches_products_oracle(projective):
+    for name, ring, gens in _closure_cases():
+        assert closure(ring, gens, projective) == \
+            closure_by_products(ring, gens, projective), name
+
+
+def test_closure_of_small_subgroup_over_large_prime():
+    # the cost follows |G|, not the p^2 rows of the ring
+    p = 100003
+    t0 = time.time()
+    minus = closure(ModRing(p), [(p - 1, 0, 0, p - 1)])
+    swap = closure(ModRing(p), [(0, p - 1, 1, 0)], projective=True)
+    assert time.time() - t0 < 0.1
+    assert minus == {(1, 0, 0, 1), (p - 1, 0, 0, p - 1)}
+    assert swap == {(1, 0, 0, 1), (0, 1, p - 1, 0)}
 
 
 def test_sl2_elements_by_scan():
