@@ -8,7 +8,7 @@ negative for inverses).  The JSON convention writes words as strings
 with capital letters for inverses: "aabAB" = a a b a^-1 b^-1.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dyadic import Enclosure
@@ -226,21 +226,36 @@ def d_p(pres, p):
 @dataclass(frozen=True)
 class SubgroupTable:
     """Transitive action of the parent on cosets {0..index-1}; coset 0 is
-    the subgroup.  action[g] is the permutation of the positive generator."""
+    the subgroup.  action[g] is the permutation of the positive generator,
+    inverse[g] that of its inverse, computed once at construction."""
 
     parent: Presentation
     action: tuple  # tuple per generator, each a tuple of images
+    inverse: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.action) != self.parent.rank():
+            raise ValueError("the action needs one permutation per generator")
         n = self.index
         for perm in self.action:
             if sorted(perm) != list(range(n)):
                 raise ValueError("generator action is not a permutation")
+        inverse = []
+        for perm in self.action:
+            inv = [0] * n
+            for i, v in enumerate(perm):
+                inv[v] = i
+            inverse.append(tuple(inv))
+        object.__setattr__(self, "inverse", tuple(inverse))
         if not self._transitive():
             raise ValueError("coset action is not transitive")
         for r in self.parent.relators:
+            perms = [self._perm(x) for x in r]
             for c in range(n):
-                if self.apply_word(c, r) != c:
+                d = c
+                for perm in perms:
+                    d = perm[d]
+                if d != c:
                     raise ValueError("a relator acts nontrivially")
 
     @property
@@ -248,45 +263,36 @@ class SubgroupTable:
         return len(self.action[0]) if self.action else 1
 
     def _transitive(self):
-        n = self.index
         seen = {0}
         stack = [0]
-        inv = [self._inverse_perm(g) for g in range(len(self.action))]
+        perms = self.action + self.inverse
         while stack:
             c = stack.pop()
-            for g in range(len(self.action)):
-                for img in (self.action[g][c], inv[g][c]):
-                    if img not in seen:
-                        seen.add(img)
-                        stack.append(img)
-        return len(seen) == n
+            for perm in perms:
+                img = perm[c]
+                if img not in seen:
+                    seen.add(img)
+                    stack.append(img)
+        return len(seen) == self.index
 
-    def _inverse_perm(self, g):
-        perm = self.action[g]
-        out = [0] * len(perm)
-        for i, v in enumerate(perm):
-            out[v] = i
-        return out
+    def _perm(self, letter):
+        return self.action[letter - 1] if letter > 0 else self.inverse[-letter - 1]
 
     def apply(self, coset, letter):
-        g = abs(letter) - 1
-        if letter > 0:
-            return self.action[g][coset]
-        return self._inverse_perm(g)[coset]
+        return self._perm(letter)[coset]
 
     def apply_word(self, coset, word):
         for x in word:
-            coset = self.apply(coset, x)
+            coset = self._perm(x)[coset]
         return coset
 
     def table_rows(self):
-        """Row-major table [coset][g, g^-1 alternating] for canonical sorting."""
-        n = self.index
-        invs = [self._inverse_perm(g) for g in range(len(self.action))]
+        """Row-major table [coset][g, g^-1 alternating]: the order in
+        which `low_index_subgroups` fills slots and lists tables."""
         return tuple(
-            tuple(v for g in range(len(self.action))
-                  for v in (self.action[g][c], invs[g][c]))
-            for c in range(n))
+            tuple(v for perm, inv in zip(self.action, self.inverse)
+                  for v in (perm[c], inv[c]))
+            for c in range(self.index))
 
 
 def intersection_table(t1, t2):
@@ -429,130 +435,138 @@ def reidemeister_schreier(sub):
 
 def low_index_subgroups(pres, max_index, node_budget=None):
     """All subgroups of index <= max_index, as distinct coset tables in
-    first-occurrence standard form (conjugates counted separately).
+    first-occurrence standard form (conjugates counted separately),
+    sorted by index and, within one index, by `table_rows`.
 
-    Backtracking coset-table completion: branch on the first undefined
-    slot, propagate relator-scan deductions to a fixpoint, and emit
-    every completed table.  New cosets are only ever created at the
-    branch slot, so completed tables are canonically numbered and each
-    subgroup appears exactly once.
+    Backtracking coset-table completion with deduction processing (Sims,
+    Computation with Finitely Presented Groups, ch. 5; Holt, Eick and
+    O'Brien, Handbook of CGT, 5.4).  The search branches on the first
+    undefined slot in `table_rows` order (coset, then generator, image
+    before preimage), trying the defined cosets in ascending order and
+    then one new coset.  Each definition c*x = d is queued, and a queued
+    definition scans only the relator cycles through it: the cyclic
+    conjugates of each relator that start with x, at c, and those that
+    start with x^-1, at d.  A scan that leaves one letter unknown
+    deduces it, and a deduction is queued in turn; a scan that closes at
+    the wrong coset is a clash and prunes the branch.  New cosets are
+    only ever created at the branch slot, so completed tables are
+    canonically numbered and each subgroup appears exactly once.
+
+    Two tables of one index first differ at the slot where their search
+    paths parted, and the smaller value there was tried first, so the
+    search already emits each index's tables in `table_rows` order: a
+    stable sort by index finishes the job.  Every table is validated by
+    `SubgroupTable` as usual.
     """
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
     if max_index > DEFAULT_MAX_INDEX:
         raise BudgetExceeded("max index", DEFAULT_MAX_INDEX, max_index)
     ngens = pres.rank()
-    rels = [r for r in pres.relators if r]
-    results = []
-    nodes = 0
-
     fwd = [[None] for _ in range(ngens)]
     bwd = [[None] for _ in range(ngens)]
-
-    def define(c, g, d):
-        """Set c*g = d; returns False on clash."""
-        if fwd[g][c] is not None:
-            return fwd[g][c] == d
-        if bwd[g][d] is not None:
-            return bwd[g][d] == c
-        fwd[g][c] = d
-        bwd[g][d] = c
-        undo.append((c, g, d))
-        return True
-
-    def scan_all():
-        """Relator scans to fixpoint; False on contradiction."""
-        changed = True
-        while changed:
-            changed = False
-            for r in rels:
-                for c in range(ncosets[0]):
-                    st = _scan(r, c)
-                    if st == "bad":
-                        return False
-                    if st == "deduced":
-                        changed = True
-        return True
-
-    def _scan(r, c):
-        m = len(r)
-        f, i = c, 0
-        while i < m:
-            x = r[i]
-            nxt = fwd[abs(x) - 1][f] if x > 0 else bwd[abs(x) - 1][f]
-            if nxt is None:
-                break
-            f = nxt
-            i += 1
-        if i == m:
-            return "ok" if f == c else "bad"
-        e, j = c, m
-        while j > i:
-            x = r[j - 1]
-            nxt = bwd[abs(x) - 1][e] if x > 0 else fwd[abs(x) - 1][e]
-            if nxt is None:
-                break
-            e = nxt
-            j -= 1
-        if j == i:
-            return "ok" if f == e else "bad"
-        if j == i + 1:
-            x = r[i]
-            ok = define(f, abs(x) - 1, e) if x > 0 else define(e, abs(x) - 1, f)
-            return "deduced" if ok else "bad"
-        return "incomplete"
-
-    ncosets = [1]
+    # letter -> (row of c*letter, row of c*letter^-1); rows grow in place
+    rows = {}
+    for g in range(ngens):
+        rows[g + 1] = (fwd[g], bwd[g])
+        rows[-g - 1] = (bwd[g], fwd[g])
+    # slots in table_rows order: coset-major, then c*g before c*g^-1
+    slot_letters = [x for g in range(1, ngens + 1) for x in (g, -g)]
+    slot_rows = [rows[x][0] for x in slot_letters]
+    all_rows = fwd + bwd
+    width = len(slot_letters)
+    # each cyclic conjugate once, filed by its first letter, as the word
+    # and the rows that step forwards and backwards along each letter
+    conjugates = {r[i:] + r[:i] for r in pres.relators for i in range(len(r))}
+    cycles = {x: [] for x in rows}
+    for w in sorted(conjugates):
+        cycles[w[0]].append((w, [rows[x][0] for x in w],
+                             [rows[x][1] for x in w]))
+    # a one-letter relator x forces c*x = c before any edge at c exists
+    fixed = sorted({r[0] for r in pres.relators if len(r) == 1})
     undo = []
+    results = []
+    nodes = 0
+    ncosets = 1
 
-    def first_undefined():
-        for c in range(ncosets[0]):
-            for g in range(ngens):
-                if fwd[g][c] is None:
-                    return c, g, True
-                if bwd[g][c] is None:
-                    return c, g, False
-        return None
+    def close(queue):
+        """Make the definitions (c, x, d) in `queue` and all they force;
+        False on a clash."""
+        while queue:
+            c, x, d = queue.pop()
+            ahead, back = rows[x]
+            if ahead[c] is not None or back[d] is not None:
+                if ahead[c] == d:
+                    continue
+                return False
+            ahead[c] = d
+            back[d] = c
+            undo.append((ahead, c, back, d))
+            for base, through in ((c, cycles[x]), (d, cycles[-x])):
+                for w, steps, returns in through:
+                    f, i = base, 0
+                    for row in steps:
+                        nxt = row[f]
+                        if nxt is None:
+                            break
+                        f = nxt
+                        i += 1
+                    else:
+                        if f != base:
+                            return False
+                        continue
+                    # backwards from the base, never past the forward
+                    # scan: a slot both scans cross could hide a clash
+                    e, j = base, len(w)
+                    while j > i:
+                        nxt = returns[j - 1][e]
+                        if nxt is None:
+                            break
+                        e = nxt
+                        j -= 1
+                    if j == i:
+                        if f != e:
+                            return False
+                    elif j == i + 1:
+                        queue.append((f, w[i], e))
+        return True
 
-    def dfs():
-        nonlocal nodes
+    def search(slot):
+        nonlocal nodes, ncosets
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded("coset-table nodes", node_budget, nodes)
-        slot = first_undefined()
-        if slot is None:
-            action = tuple(tuple(fwd[g][c] for c in range(ncosets[0]))
-                           for g in range(ngens))
-            results.append(SubgroupTable(pres, action))
+        # the parent's slot is the first that can still be undefined
+        end = ncosets * width
+        while slot < end and slot_rows[slot % width][slot // width] is not None:
+            slot += 1
+        if slot == end:
+            results.append(SubgroupTable(pres, tuple(map(tuple, fwd))))
             return
-        c, g, forward = slot
-        candidates = list(range(ncosets[0]))
-        if ncosets[0] < max_index:
-            candidates.append(ncosets[0])
-        for d in candidates:
+        c, k = divmod(slot, width)
+        x = slot_letters[k]
+        for d in range(min(ncosets + 1, max_index)):
             mark = len(undo)
-            grew = False
-            if d == ncosets[0]:
-                for gg in range(ngens):
-                    fwd[gg].append(None)
-                    bwd[gg].append(None)
-                ncosets[0] += 1
-                grew = True
-            ok = define(c, g, d) if forward else define(d, g, c)
-            if ok and scan_all():
-                dfs()
-            while len(undo) > mark:
-                cc, gg, dd = undo.pop()
-                fwd[gg][cc] = None
-                bwd[gg][dd] = None
+            grew = d == ncosets
             if grew:
-                ncosets[0] -= 1
-                for gg in range(ngens):
-                    fwd[gg].pop()
-                    bwd[gg].pop()
+                for row in all_rows:
+                    row.append(None)
+                ncosets += 1
+            queue = [(c, x, d)]
+            if fixed:  # coset 0 at the first branch, a new coset at each
+                queue += [(e, y, e) for e in {0, d} for y in fixed]
+            if close(queue):
+                search(slot)
+            while len(undo) > mark:
+                ahead, cc, back, dd = undo.pop()
+                ahead[cc] = back[dd] = None
+            if grew:
+                ncosets -= 1
+                for row in all_rows:
+                    row.pop()
 
-    dfs()
-    results.sort(key=lambda t: (t.index, t.table_rows()))
+    search(0)
+    results.sort(key=lambda t: t.index)
     return results
 
 

@@ -7,7 +7,7 @@ implementation it checks.
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -816,3 +816,156 @@ def product_normalizer_order(primes, a, b):
                      for gi, hi, p in zip(g, h, primes)) in H for h in gens):
             count += 1
     return count, len(H)
+
+
+# ---------------------------------------------------------------------------
+# Low-index subgroups by relator rescans (fpgroups.low_index_subgroups oracle)
+
+def low_index_by_rescans(num_generators, relators, max_index):
+    """(actions, nodes): the coset tables of every subgroup of index <=
+    max_index of <x_1..x_k | relators>, each as a tuple of generator
+    permutations, sorted by (index, row-major table), and the number of
+    search nodes visited.
+
+    Backtracking on the first undefined slot (coset, generator, forward
+    before backward); after each definition every relator is rescanned
+    at every coset, forwards and backwards, until no scan deduces
+    anything.  A node is every call of the search, so the count is the
+    one a node budget caps.
+    """
+    rels = [r for r in relators if r]
+    fwd = [[None] for _ in range(num_generators)]
+    bwd = [[None] for _ in range(num_generators)]
+    undo, results = [], []
+    ncosets, nodes = 1, 0
+
+    def define(c, g, d):
+        if fwd[g][c] is not None:
+            return fwd[g][c] == d
+        if bwd[g][d] is not None:
+            return bwd[g][d] == c
+        fwd[g][c], bwd[g][d] = d, c
+        undo.append((c, g, d))
+        return True
+
+    def scan(r, c):
+        """One of "ok", "bad", "deduced" or "incomplete"."""
+        m = len(r)
+        f, i = c, 0
+        while i < m:
+            x = r[i]
+            nxt = fwd[abs(x) - 1][f] if x > 0 else bwd[abs(x) - 1][f]
+            if nxt is None:
+                break
+            f, i = nxt, i + 1
+        if i == m:
+            return "ok" if f == c else "bad"
+        e, j = c, m
+        while j > i:  # never past the forward scan: that would miss clashes
+            x = r[j - 1]
+            nxt = bwd[abs(x) - 1][e] if x > 0 else fwd[abs(x) - 1][e]
+            if nxt is None:
+                break
+            e, j = nxt, j - 1
+        if j == i:
+            return "ok" if f == e else "bad"
+        if j == i + 1:
+            x = r[i]
+            ok = define(f, x - 1, e) if x > 0 else define(e, -x - 1, f)
+            return "deduced" if ok else "bad"
+        return "incomplete"
+
+    def rescan():
+        changed = True
+        while changed:
+            changed = False
+            for r in rels:
+                for c in range(ncosets):
+                    state = scan(r, c)
+                    if state == "bad":
+                        return False
+                    changed |= state == "deduced"
+        return True
+
+    def search():
+        nonlocal ncosets, nodes
+        nodes += 1
+        slot = next(((c, g, forward) for c in range(ncosets)
+                     for g in range(num_generators) for forward in (True, False)
+                     if (fwd if forward else bwd)[g][c] is None), None)
+        if slot is None:
+            results.append(tuple(tuple(row) for row in fwd))
+            return
+        c, g, forward = slot
+        for d in range(min(ncosets + 1, max_index)):
+            mark, grew = len(undo), d == ncosets
+            if grew:
+                for row in fwd + bwd:
+                    row.append(None)
+                ncosets += 1
+            if (define(c, g, d) if forward else define(d, g, c)) and rescan():
+                search()
+            while len(undo) > mark:
+                cc, gg, dd = undo.pop()
+                fwd[gg][cc] = bwd[gg][dd] = None
+            if grew:
+                ncosets -= 1
+                for row in fwd + bwd:
+                    row.pop()
+
+    search()
+
+    def rows(action):
+        n = len(action[0]) if action else 1
+        inverse = [[perm.index(c) for c in range(n)] for perm in action]
+        return [[v for perm, inv in zip(action, inverse)
+                 for v in (perm[c], inv[c])] for c in range(n)]
+
+    results.sort(key=lambda a: (len(a[0]) if a else 1, rows(a)))
+    return results, nodes
+
+
+# ---------------------------------------------------------------------------
+# Subgroups of a closed orientable surface group (Frobenius-Mednykh)
+
+def _sn_character_degrees(n):
+    """Degrees of the irreducible characters of S_n, by the hook length
+    formula over the partitions of n."""
+    def partitions(k, largest):
+        if k == 0:
+            yield ()
+            return
+        for first in range(min(k, largest), 0, -1):
+            for rest in partitions(k - first, first):
+                yield (first,) + rest
+
+    degrees = []
+    for shape in partitions(n, n):
+        hooks = 1
+        for i, row in enumerate(shape):
+            for j in range(row):
+                arm = row - j - 1
+                leg = sum(1 for r in shape[i + 1:] if r > j)
+                hooks *= arm + leg + 1
+        degrees.append(factorial(n) // hooks)
+    return degrees
+
+
+def surface_subgroup_counts(genus, max_index):
+    """Subgroups of index n = 1..max_index in the fundamental group of
+    the closed orientable surface of the given genus.  Frobenius-Mednykh:
+    |Hom(pi_1, S_n)| = n! sum_chi (n!/chi(1))^(2g-2); the transitive
+    actions with a marked point then follow by the recursion
+    t_n = h_n/(n-1)! - sum_{k<n} h_{n-k} t_k / (n-k)!."""
+    hom = [1]
+    for n in range(1, max_index + 1):
+        fn = factorial(n)
+        hom.append(fn * sum(Fraction(fn, deg) ** (2 * genus - 2)
+                            for deg in _sn_character_degrees(n)))
+    subs = [0]
+    for n in range(1, max_index + 1):
+        t = Fraction(hom[n], factorial(n - 1))
+        for k in range(1, n):
+            t -= Fraction(hom[n - k] * subs[k], factorial(n - k))
+        subs.append(int(t))
+    return subs[1:]

@@ -13,11 +13,14 @@ from kll.fpgroups import (Presentation, SubgroupTable, parse_word,
 
 from kll.orbifold import OrbifoldData
 
-from oracles import d_p_from_smith, count_index_le2_subgroups
+from oracles import (d_p_from_smith, count_index_le2_subgroups,
+                     low_index_by_rescans, surface_subgroup_counts)
 
 F2 = Presentation.free(2)
 STAR4 = Presentation.from_strings(["a", "b", "c", "d"],
                                   ["aa", "bb", "cc", "dd"])
+GENUS2 = Presentation.from_strings(["a", "b", "c", "d"], ["abABcdCD"])
+FIGURE_EIGHT = Presentation.from_strings(["x", "y"], ["yxYXyXyxYx"])
 
 
 def test_word_parsing_roundtrip():
@@ -176,6 +179,95 @@ def test_low_index_budget():
         low_index_subgroups(F2, 13)
     assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
         ("max index", 12, 13)
+
+
+@pytest.mark.parametrize("pres, max_index", [
+    (F2, 3), (STAR4, 2), (GENUS2, 3), (FIGURE_EIGHT, 7),
+    (Presentation.from_strings(["x"], ["xxxxxx"]), 6),
+    (Presentation.from_strings(["a", "b"], ["aa", "bbb"]), 6),
+    # a one-letter relator fixes its coset before any edge reaches it
+    (Presentation.from_strings(["a", "b", "c"], ["c", "abAB"]), 4),
+], ids=["F2", "star4", "genus2", "figure-eight", "C6", "Z2*Z3", "one-letter"])
+def test_low_index_matches_rescan_oracle(pres, max_index):
+    want, nodes = low_index_by_rescans(pres.rank(), pres.relators, max_index)
+    got = low_index_subgroups(pres, max_index, node_budget=nodes)
+    assert [t.action for t in got] == want
+    # the same search tree: one node fewer is over budget at the last node
+    with pytest.raises(BudgetExceeded) as exc:
+        low_index_subgroups(pres, max_index, node_budget=nodes - 1)
+    assert exc.value.reached == nodes
+
+
+def test_low_index_matches_rescan_oracle_on_random_presentations():
+    # short random relators: proper powers, one-letter relators and words
+    # that are not cyclically reduced all occur
+    rng = random.Random(16)
+    for _ in range(60):
+        ngens = rng.randint(1, 3)
+        rels = [tuple(rng.choice([1, -1]) * rng.randint(1, ngens)
+                      for _ in range(rng.randint(1, 7)))
+                for _ in range(rng.randint(0, 3))]
+        pres = Presentation(tuple("abc"[:ngens]), tuple(rels))
+        max_index = rng.randint(1, 5 if ngens < 3 else 4)
+        want, nodes = low_index_by_rescans(ngens, pres.relators, max_index)
+        got = low_index_subgroups(pres, max_index, node_budget=nodes)
+        assert [t.action for t in got] == want, pres
+
+
+def test_low_index_surface_counts_match_mednykh():
+    subs = low_index_subgroups(GENUS2, 4)
+    by_index = [sum(1 for t in subs if t.index == n) for n in range(1, 5)]
+    assert by_index == surface_subgroup_counts(2, 4) == [1, 15, 220, 5275]
+    assert subs == sorted(subs, key=lambda t: (t.index, t.table_rows()))
+
+
+@pytest.mark.parametrize("action", [
+    ((0, 2), (0, 1)),  # image out of range
+    ((0, 0), (0, 1)),  # repeated image
+    ((1, 0), (0,)),    # row of the wrong length
+], ids=["out-of-range", "repeated", "wrong-length"])
+def test_subgroup_table_rejects_non_permutations(action):
+    with pytest.raises(ValueError, match="not a permutation"):
+        SubgroupTable(F2, action)
+
+
+def test_subgroup_table_needs_one_permutation_per_generator():
+    for action in (((0,),), ((0,),) * 3):
+        with pytest.raises(ValueError, match="one permutation per generator"):
+            SubgroupTable(F2, action)
+
+
+def test_subgroup_table_rejects_intransitive_action():
+    with pytest.raises(ValueError, match="not transitive"):
+        SubgroupTable(F2, ((1, 0, 2), (0, 1, 2)))
+
+
+def test_subgroup_table_rejects_relator_acting_nontrivially():
+    # a -> (0 1 2) does not satisfy a^2 = 1
+    with pytest.raises(ValueError, match="acts nontrivially"):
+        SubgroupTable(Presentation.from_strings(["a"], ["aa"]), ((1, 2, 0),))
+
+
+def test_subgroup_table_inverse_letters_invert():
+    for table in low_index_subgroups(FIGURE_EIGHT, 5):
+        for g in (1, 2):
+            for c in range(table.index):
+                assert table.apply(table.apply(c, g), -g) == c
+                assert table.apply(table.apply(c, -g), g) == c
+        assert table.apply_word(0, (1, 2, -1, -2)) == \
+            table.apply(table.apply(table.apply(table.apply(0, 1), 2), -1), -2)
+
+
+def test_reidemeister_schreier_genus2_index3_pinned():
+    table = [t for t in low_index_subgroups(GENUS2, 3) if t.index == 3][-1]
+    assert table.action == ((1, 2, 0), (2, 1, 0), (2, 1, 0), (1, 2, 0))
+    sub = reidemeister_schreier(table)
+    assert sub.generators == ("b_0", "c_0", "d_0", "a_1", "b_1", "c_1",
+                              "d_1", "b_2", "c_2", "d_2")
+    assert sub.relators == ((5, -8, 9, 3, -6, -3), (4, 8, -1, 2, 10, -9, -7),
+                            (1, -4, -5, 6, 7, -2, -10))
+    # the genus-4 surface group: H_1 = Z^8
+    assert d_p(sub, 2) == d_p(sub, 3) == 8
 
 
 def test_cyclic_tower_free_group():
