@@ -528,6 +528,72 @@ def _gs_threshold():
                     "margin_80": _enc(at80.margin_lo, at80.margin_hi)}
 
 
+def _cyclic_tower_largeness():
+    """The three largeness conditions on the cyclic covers G_i of index
+    i = 1..6 (H_i = G, J_i = G_i, d(J_i/K_i) = d_2(G_i)): consistent
+    for F_2, whose d_2 grows as i + 1, and failing the rank condition
+    for Z^2, whose d_2 stays 2.  The index-6 covers pass and fail the
+    Golod-Shafarevich inequality alike, and intersecting the F_2 tower
+    with the index-2 kernel of a, b -> 1 keeps d_2 / index positive."""
+    f2 = fpgroups.Presentation.free(2)
+    z2 = fpgroups.Presentation.from_strings(["x", "y"], ["xyXY"])
+    depth = 6
+    reports, gs = {}, {}
+    for name, pres in (("F2", f2), ("Z2", z2)):
+        levels = fpgroups.cyclic_tower(pres, [1, 0], depth)
+        reports[name] = fpgroups.largeness_conditions(
+            [fpgroups.LargenessDatum(index_h=1, index_j=lv.index,
+                                     d_quotient=lv.dims[2]) for lv in levels])
+        top = fpgroups.reidemeister_schreier(
+            fpgroups.cyclic_quotient_table(pres, [1, 0], depth))
+        gs[name] = fpgroups.golod_shafarevich_check(
+            levels[-1].dims[2], len(top.relators), top.rank())
+    kernel = fpgroups.cyclic_quotient_table(f2, [1, 1], 2)
+    inter = [fpgroups.intersection_table(
+        fpgroups.cyclic_quotient_table(f2, [1, 0], i), kernel)
+        for i in range(1, depth + 1)]
+    inter_min = min(Fraction(fpgroups.d_p(fpgroups.reidemeister_schreier(t), 2),
+                             t.index) for t in inter)
+    passed = (reports["F2"].conditions_consistent()
+              and not reports["Z2"].rank_condition_ok
+              and gs["F2"].holds and not gs["Z2"].holds and inter_min > 0)
+    return passed, {
+        "consistent": {k: r.conditions_consistent() for k, r in reports.items()},
+        "last_quotient": {k: _rat(r.last_quotient) for k, r in reports.items()},
+        "gs_margin": {k: _rat(r.margin) for k, r in gs.items()},
+        "intersection_min_quotient": _rat(inter_min)}
+
+
+def _commuting_involutions():
+    """Commuting involutions h1 = diag(1,-1,-1,-1), h2 = diag(-1,1,-1,-1)
+    on H_1(M; Q) = Q^4: the +1 eigenspace of h1 h2 has dimension 2, so
+    the matching quotient orbifold has b_1 >= 2."""
+    h1 = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+    h2 = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+    dims, holds = orbifold.involution_eigenspace_analysis(h1, h2)
+    return holds and dims == (1, 1, 2), {"plus_one_dims": list(dims)}
+
+
+def _klein_four_relations():
+    """Over Q, a = diag(2, 1/2) and the rotation alpha are inverted and
+    fixed by tau1 = [[0, 1], [-1, 0]] and fixed and inverted by
+    tau2 = diag(1, -1), which generate Z/2 x Z/2 in PGL(2); tau1 in
+    both roles is refused."""
+    q = numfield.NumberField((0, 1))
+    a = traceorders.Mat2.from_rows(q, [[2, 0], [0, Fraction(1, 2)]])
+    alpha = traceorders.Mat2.from_rows(q, [[Fraction(3, 5), Fraction(4, 5)],
+                                           [Fraction(-4, 5), Fraction(3, 5)]])
+    tau1 = traceorders.Mat2.from_rows(q, [[0, 1], [-1, 0]])
+    tau2 = traceorders.Mat2.from_rows(q, [[1, 0], [0, -1]])
+    klein = traceorders.klein_four_relations(a, alpha, tau1, tau2)
+    try:
+        traceorders.klein_four_relations(a, alpha, tau1, tau1)
+        refused = False
+    except traceorders.RelationFailure:
+        refused = True
+    return klein and refused, {"klein_four": klein, "tau1_twice_refused": refused}
+
+
 def _tower_bound():
     tower = towers.tower_lower_bound(50, 30)
     passed = tower.all_hold() and all(
@@ -569,6 +635,9 @@ EXAMPLES = (
     ("tau-4", _tau_4),
     ("tau-norm-table", _tau_norm_table),
     ("gs-threshold-81-80", _gs_threshold),
+    ("cyclic-tower-largeness-f2-z2", _cyclic_tower_largeness),
+    ("commuting-involutions-b1", _commuting_involutions),
+    ("klein-four-relations", _klein_four_relations),
     ("tower-bound-n1-50", _tower_bound),
     ("hall-product-5x7", _hall_product),
     ("free-product-kernel-rank-3", _free_product_kernel),

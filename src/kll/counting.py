@@ -1,6 +1,5 @@
-"""Subgroup growth bookkeeping over Z: censuses of SL(2, Z/m),
-rank = sup d(H), essential subgroups and the level-versus-index bound,
-and the subgroup-count lower bounds from homology towers.
+"""Subgroup censuses of SL(2, Z/m): the subgroup counts s_n,
+rank = sup d(H) and the essential subgroups.
 
 The census finds every subgroup, one conjugacy class at a time.  Each
 class is grown from its representative R by the one-generator
@@ -37,14 +36,10 @@ it, and M(1) = SL maps onto PSL, which has even order.
 """
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field, replace
-from fractions import Fraction
-from math import isqrt
 from operator import itemgetter
 import random
 
-from .dyadic import Enclosure
 from .fpgroups import BudgetExceeded
 from .finquot import ModRing, sl2_elements, psl2_elements, mat_mul, proj_canonical
 from .polys import _prime_factors_int, is_prime
@@ -465,234 +460,7 @@ def essential_subgroups(m, census):
                            exceptional=exceptional)
 
 
-@dataclass
-class LevelIndexReport:
-    level: int
-    norm: int
-    index: int
-    holds: bool
-    minimal_c: Fraction
-
-
-def level_vs_index_check(h_elements, m, census=None, c=1):
-    """Minimal divisor level m' | m with M(m') contained in H, and the
-    comparison N(level) <= c * [SL(2,Z/m) : H].  H is given by indices
-    in the SL(2, Z/m) table, so a lifted census is refused."""
-    if census is not None and census.projective:
-        raise ValueError("a lifted census has no SL(2, Z/m) table")
-    table = census.table if census else sl2_group_table(m)
-    h = frozenset(h_elements)
-    best = None
-    for mp in sorted(_divisors(m)):
-        k = congruence_kernel(table, m, mp)
-        if k <= h:
-            best = mp
-            break
-    if best is None:
-        raise ValueError("H contains no congruence kernel; not a congruence subgroup")
-    index = table.n // len(h)
-    norm = best  # N(m' Z) = m'
-    return LevelIndexReport(level=best, norm=norm, index=index,
-                            holds=Fraction(norm) <= Fraction(c) * index,
-                            minimal_c=Fraction(norm, index))
-
-
 def s_n(census, n):
     """Number of subgroups of index at most n."""
     return sum(c.size for c in census.classes if census.order <= n * c.order)
 
-
-# ---------------------------------------------------------------------------
-# Subgroup-count lower bounds vs congruence-count upper bounds
-
-@dataclass
-class CountRow:
-    n: int
-    homology_lower: int        # 2^(lambda * n) - 1 style bound, floored
-    census_cn: int = None      # sum over m <= c n of s_n(SL(2,Z/m))
-    curve_lo: Fraction = None  # fitted n^(b log2 n / log2 log2 n) enclosure
-    curve_hi: Fraction = None
-
-
-@dataclass
-class CountTable:
-    rows: list
-    lam: Fraction
-    fitted_b_lo: Fraction = None
-    fitted_b_hi: Fraction = None
-
-    def to_csv(self):
-        lines = ["n,homology_lower,census_cn"]
-        for r in self.rows:
-            lines.append(f"{r.n},{r.homology_lower},{r.census_cn if r.census_cn is not None else ''}")
-        return "\n".join(lines) + "\n"
-
-
-def sn_vs_cn_table(tower_record, m_range=(), c=1, censuses=None):
-    """Homology-driven lower bounds on s_n next to census-driven
-    congruence counts.
-
-    lambda = inf d_2/degree over the tower prefix must be positive.
-    Rows carry 2^(lambda n) - 1 at n = degree, the census sum
-    Sigma_{m <= c n} s_n(SL(2,Z/m)) where censuses are available, and
-    the minimal exponent constant b making n^(b log2 n / log2 log2 n)
-    dominate the census counts on the sampled range.
-    """
-    from .towers import linear_growth_report
-    growth = linear_growth_report(tower_record)
-    if not growth.positive:
-        raise ValueError("tower does not exhibit positive d_2/degree on prefix")
-    lam = growth.infimum
-    censuses = censuses or {}
-    rows = []
-    b_lo = b_hi = None
-    for lv in tower_record.levels:
-        n = lv["degree"]
-        lower = _pow2_floor(lam * n) - 1
-        row = CountRow(n=n, homology_lower=lower)
-        if m_range:
-            total = 0
-            available = True
-            for m in m_range:
-                if m > c * n:
-                    continue
-                if m not in censuses:
-                    available = False
-                    break
-                total += s_n(censuses[m], n)
-            if available:
-                row.census_cn = total
-                if total > 1 and n >= 4:
-                    enc = _b_fit(total, n)
-                    row.curve_lo, row.curve_hi = enc.lo, enc.hi
-                    b_lo = enc.lo if b_lo is None else max(b_lo, enc.lo)
-                    b_hi = enc.hi if b_hi is None else max(b_hi, enc.hi)
-        rows.append(row)
-    return CountTable(rows=rows, lam=lam, fitted_b_lo=b_lo, fitted_b_hi=b_hi)
-
-
-def _pow2_floor(x):
-    """floor(2^x) for a nonnegative Fraction x, by exact binary search:
-    v <= 2^(p/q) iff v^q <= 2^p."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("nonnegative exponent expected")
-    p, q = x.numerator, x.denominator
-    i = int(x)
-    lo, hi = 2 ** i, 2 ** (i + 1)  # floor lies in [lo, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid ** q <= 2 ** p:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _b_fit(count, n):
-    """b with count = n^(b log2 n / log2 log2 n), as an enclosure."""
-    lc = Enclosure.log2(count)
-    ln = Enclosure.log2(n)
-    if ln.lo <= 1:
-        raise ValueError("need n >= 4 for the double-log curve")
-    lln = Enclosure(Enclosure.log2(ln.lo).lo, Enclosure.log2(ln.hi).hi)
-    return lc * lln / (ln * ln)
-
-
-def _log2_power_exceeds(m, l):
-    """(log2 m)^l > m, decided exactly: by integers when m is a power of
-    two, otherwise by a 64-bit enclosure of log2 m (equality needs
-    log2 m = m^(1/l) algebraic, so by Gelfond-Schneider m is a power
-    of two)."""
-    if m & (m - 1) == 0:
-        return (m.bit_length() - 1) ** l > m
-    enc = Enclosure.log2(m)
-    if enc.lo ** l > m:
-        return True
-    if enc.hi ** l <= m:
-        return False
-    raise ArithmeticError(f"(log2 {m})^{l} against {m} undecided at 64 bits")
-
-
-def _violation_interval(l, limit):
-    """(lo, hi) such that, for 4 <= m <= limit, l > log2 m / log2 log2 m
-    exactly when lo <= m <= hi (lo > hi when no m qualifies).
-
-    The condition is (log2 m)^l > m.  Since l log2 L - L is concave in
-    L = log2 m, the m satisfying it form one interval; for l >= 2 it
-    contains m0 = 2^(l+1), because (l+1)^l > 2^(l+1), and for l = 1 it
-    is empty.  Both ends are found by binary search from m0.
-    """
-    if l < 2:
-        return 1, 0
-    m0 = 2 ** (l + 1)
-    lo = 4 + bisect_left(range(4, m0), True,
-                         key=lambda m: _log2_power_exceeds(m, l))
-    hi = m0 + bisect_left(range(m0 + 1, limit + 1), True,
-                          key=lambda m: not _log2_power_exceeds(m, l))
-    return lo, hi
-
-
-def _log2_log2(m):
-    """Enclosures of log2 m and log2 log2 m."""
-    ln = Enclosure.log2(m)
-    return ln, Enclosure(Enclosure.log2(ln.lo).lo, Enclosure.log2(ln.hi).hi)
-
-
-def distinct_prime_factor_sweep(limit):
-    """Survey l(m) = number of distinct primes of m against
-    log2(m)/log2(log2(m)) for 4 <= m <= limit.
-
-    Returns (max ratio l(m) / (log2 m / log2 log2 m), argmax m,
-    violation count), a violation being l(m) > log2(m)/log2(log2(m)).
-    No float decides anything: violations are counted against the
-    certified interval of m for each l (`_violation_interval`), and
-    the argmax is certified among the candidates m = 4, 5, 6 and the
-    least m >= 7 with each l, because log2(L)/L decreases for
-    L = log2 m > e.  The returned ratio divides l by the midpoint of
-    an enclosure of log2 m / log2 log2 m, for display.  The bound as
-    literally stated fails at primorials; the measured constant is
-    what matters downstream.
-    """
-    if limit < 4:
-        raise ValueError("limit must be >= 4")
-    spf = list(range(limit + 1))  # smallest prime factor sieve
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    intervals = {}
-    candidates = {}  # m -> l(m) for m < 7 and the least m >= 7 with each l
-    seen = set()
-    violations = 0
-    for m in range(4, limit + 1):
-        x = m
-        l = 0
-        while x > 1:
-            p = spf[x]
-            l += 1
-            while x % p == 0:
-                x //= p
-        if l not in intervals:
-            intervals[l] = _violation_interval(l, limit)
-        lo, hi = intervals[l]
-        if lo <= m <= hi:
-            violations += 1
-        if m < 7:
-            candidates[m] = l
-        elif l not in seen:
-            seen.add(l)
-            candidates[m] = l
-    best_m = best = None
-    for m, l in candidates.items():
-        ln, lln = _log2_log2(m)
-        ratio = lln / ln * l
-        if best is None or ratio.lo > best.hi:
-            best_m, best = m, ratio
-        elif ratio.hi >= best.lo:
-            raise ArithmeticError(
-                f"ratios at m = {m} and {best_m} undecided at 64 bits")
-    enc_ln, enc_lln = _log2_log2(best_m)
-    exact_ratio = Fraction(candidates[best_m]) / (enc_ln / enc_lln).midpoint()
-    return exact_ratio, best_m, violations

@@ -119,9 +119,6 @@ class Enclosure:
     def definitely_nonpositive(self):
         return self.hi <= 0
 
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
     def __repr__(self):
         return f"Enclosure({self.lo}, {self.hi})"
 

@@ -1,27 +1,55 @@
-"""Finite matrix groups SL(2, q) and PSL(2, q), reduction of number-field
-matrices modulo a prime, product quotients decided from per-factor data,
-and pullback coset tables for covers.
+"""Finite matrix groups SL(2, Z/m) and PSL(2, Z/m), and product
+quotients decided from per-factor data.
 
-Matrices are flat tuples (a, b, c, d) of ring-element encodings; the
-projective canonical representative of M is min(M, -M).  Orders come
-from closure enumeration under an explicit budget, but no verdict on a
-product of PSL(2, p_i) enumerates the product.
+Matrices are flat tuples (a, b, c, d) of elements of Z/m (`ModRing`,
+the integers 0..m-1); the projective canonical representative of M is
+min(M, -M).  Orders come from closure enumeration under an explicit
+budget, but no verdict on a product of PSL(2, p_i) enumerates the
+product.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 from math import gcd, prod
 
-from .gf import GF, ModRing
-from .fpgroups import SubgroupTable, BudgetExceeded
+from .fpgroups import BudgetExceeded
 
 
-class DenominatorNotCoprime(ValueError):
-    """An entry's denominator vanishes modulo the prime."""
+class ModRing:
+    """Z/m, the ring of every matrix group here (a field exactly when m
+    is prime); elements are the integers 0..m-1."""
 
+    def __init__(self, m):
+        if m < 2:
+            raise ValueError("modulus must be >= 2")
+        self.m = m
+        self.q = m
 
-class RelatorViolated(ValueError):
-    """Generator images do not satisfy a presentation relator."""
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
+
+    def mul(self, a, b):
+        return (a * b) % self.m
+
+    def neg(self, a):
+        return (-a) % self.m
+
+    @property
+    def one(self):
+        return 1 % self.m
+
+    @property
+    def zero(self):
+        return 0
+
+    def elements(self):
+        return range(self.m)
+
+    def __repr__(self):
+        return f"Z/{self.m}"
 
 
 DEFAULT_ORDER_BUDGET = 10 ** 7
@@ -164,121 +192,6 @@ def psl2_order_formula(p, f=1):
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
-@dataclass
-class FiniteMatrixGroup:
-    """A concrete group of 2x2 matrices over a small ring."""
-
-    ring: object
-    elements: frozenset
-    projective: bool = False
-
-    @classmethod
-    def special_linear(cls, modulus):
-        ring = ModRing(modulus)
-        return cls(ring, frozenset(sl2_elements(ring)), projective=False)
-
-    @classmethod
-    def generated(cls, ring, generators, projective=False, budget=None):
-        return cls(ring, closure(ring, generators, projective, budget),
-                   projective=projective)
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def canonical(self, m):
-        return proj_canonical(self.ring, tuple(m)) if self.projective else tuple(m)
-
-    def multiply(self, x, y):
-        return self.canonical(mat_mul(self.ring, x, y))
-
-    def inverse(self, x):
-        return self.canonical(mat_inv_sl(self.ring, x))
-
-    def identity(self):
-        return self.canonical(mat_identity(self.ring))
-
-
-# ---------------------------------------------------------------------------
-# Reduction of number-field matrices
-
-@dataclass
-class ReductionResult:
-    residue_field: object  # ModRing(p), or GF for residue degree > 1
-    images: list          # flat 4-tuples of field encodings
-    projective: bool
-    group_order: int = None
-
-
-def reduce_mod_prime(gens, prime, presentation=None, projective=False,
-                     compute_order=False, budget=None):
-    """Images of 2x2 number-field matrices in (P)SL(2, q), q = p^f.
-
-    The residue field is F_p[t]/(local factor); entry denominators must
-    be coprime to p.  When a presentation is supplied, each relator is
-    checked to map to the identity (up to sign in the projective case).
-    """
-    p = prime.rational_prime
-    if prime.residue_degree == 1:
-        field = ModRing(p)
-        theta = _linear_root(prime.local_factor, p)
-    else:
-        field = GF(p, list(prime.local_factor))
-        theta = field.encode([0, 1])
-    images = []
-    for m in gens:
-        flat = []
-        for elt in m.flat():
-            flat.append(_reduce_field_element(elt, field, theta, p))
-        img = tuple(flat)
-        if mat_det(field, img) != field.one:
-            raise ValueError("reduced matrix is not in SL(2, q)")
-        if projective:
-            img = proj_canonical(field, img)
-        images.append(img)
-    if presentation is not None:
-        _check_relators(field, presentation, images, projective)
-    order = None
-    if compute_order:
-        order = len(closure(field, images, projective, budget))
-    return ReductionResult(residue_field=field, images=images,
-                           projective=projective, group_order=order)
-
-
-def _linear_root(local_factor, p):
-    # monic t + c: root is -c
-    if len(local_factor) != 2:
-        raise ValueError("degree-1 prime needs a linear local factor")
-    return (-local_factor[0]) % p
-
-
-def _reduce_field_element(elt, field, theta, p):
-    acc = field.zero
-    power = field.one
-    for coeff in elt.coeffs:
-        num, den = coeff.numerator, coeff.denominator
-        if den % p == 0:
-            raise DenominatorNotCoprime(f"denominator {den} vanishes mod {p}")
-        c = (num * pow(den, -1, p)) % p
-        acc = field.add(acc, field.mul(c, power))
-        power = field.mul(power, theta)
-    return acc
-
-
-def _check_relators(ring, presentation, images, projective):
-    ident = mat_identity(ring)
-    ident_set = {ident, mat_neg(ring, ident)} if projective else {ident}
-    invs = [mat_inv_sl(ring, m) for m in images]
-    for r in presentation.relators:
-        acc = ident
-        for x in r:
-            m = images[x - 1] if x > 0 else invs[-x - 1]
-            acc = mat_mul(ring, acc, m)
-        if acc not in ident_set:
-            raise RelatorViolated(
-                f"relator does not map to the identity: {r}")
-
-
 # ---------------------------------------------------------------------------
 # Products of PSL(2, p_i)
 
@@ -414,43 +327,3 @@ def normalizer_quotient_order(primes, a_tuple, b_tuple, budget=None):
                             quotient_order=quotient, bound=4 ** (n - 1),
                             holds=quotient >= 4 ** (n - 1), exact=True)
 
-
-# ---------------------------------------------------------------------------
-# Pullback coset tables
-
-def pullback_cover_table(pres, phi_images, subgroup, group):
-    """Coset table of phi^{-1}(H) for phi: G -> `group`, a
-    FiniteMatrixGroup.
-
-    phi_images: per-generator matrices, flat tuples over `group`'s ring.
-    subgroup: iterable of elements of `group`, closed under multiplication.
-    """
-    images = [group.canonical(m) for m in phi_images]
-    invs = [group.inverse(m) for m in images]
-    # relators must act trivially
-    for r in pres.relators:
-        acc = group.identity()
-        for x in r:
-            acc = group.multiply(acc, images[x - 1] if x > 0 else invs[-x - 1])
-        if acc != group.identity():
-            raise RelatorViolated(f"relator {r} violated by the images")
-    H = {group.canonical(h) for h in subgroup}
-    ident = group.identity()
-    if ident not in H:
-        raise ValueError("subgroup must contain the identity")
-    for h1 in H:
-        for h2 in H:
-            if group.multiply(h1, h2) not in H:
-                raise ValueError("subgroup is not closed under multiplication")
-
-    def coset_key(g):
-        return min(group.multiply(h, g) for h in H)
-
-    reps = list(_orbit(coset_key(ident), images + invs,
-                       lambda rep, m: coset_key(group.multiply(rep, m))))
-    index_of = {key: i for i, key in enumerate(reps)}
-    action = []
-    for g, m in enumerate(images):
-        action.append(tuple(index_of[coset_key(group.multiply(rep, m))]
-                            for rep in reps))
-    return SubgroupTable(pres, tuple(action))

@@ -56,13 +56,19 @@ def parse_word(s, generators="abcdefghijklmnopqrstuvwxyz"):
     return free_reduce(tuple(out))
 
 
-def word_to_string(w):
+def word_to_string(w, generators="abcdefghijklmnopqrstuvwxyz"):
+    """Signed integer tuple -> string with capitals-as-inverses, the
+    inverse of `parse_word` over the same generator list.
+
+    Generator i is written as its name, which must be one lowercase
+    letter a-z; any other name is a ValueError.
+    """
     out = []
     for x in w:
-        if x > 0:
-            out.append(chr(ord("a") + x - 1))
-        else:
-            out.append(chr(ord("A") - x - 1))
+        name = generators[abs(x) - 1]
+        if len(name) != 1 or not "a" <= name <= "z":
+            raise ValueError(f"generator {name!r} is not a letter a-z")
+        out.append(name if x > 0 else name.upper())
     return "".join(out)
 
 
@@ -123,8 +129,10 @@ class Presentation:
         return cls.from_strings(obj["gens"], obj["rels"])
 
     def to_json(self):
+        """The `from_json` form; ValueError unless every generator named
+        in a relator is one letter a-z."""
         return {"gens": list(self.generators),
-                "rels": [word_to_string(r) for r in self.relators]}
+                "rels": [word_to_string(r, self.generators) for r in self.relators]}
 
     @classmethod
     def free(cls, rank):
@@ -195,7 +203,10 @@ class Presentation:
         return Presentation(tuple(gens), tuple(rels))
 
     def __repr__(self):
-        rels = ", ".join(word_to_string(r) for r in self.relators)
+        try:
+            rels = ", ".join(word_to_string(r, self.generators) for r in self.relators)
+        except ValueError:  # names such as b_0: relators as integer tuples
+            rels = ", ".join(map(str, self.relators))
         return f"<{', '.join(self.generators)} | {rels}>"
 
 
@@ -276,15 +287,14 @@ class SubgroupTable:
         return len(seen) == self.index
 
     def _perm(self, letter):
-        return self.action[letter - 1] if letter > 0 else self.inverse[-letter - 1]
+        if letter > 0:
+            return self.action[letter - 1]
+        if letter < 0:
+            return self.inverse[-letter - 1]
+        raise ValueError("letter 0 names no generator")
 
     def apply(self, coset, letter):
         return self._perm(letter)[coset]
-
-    def apply_word(self, coset, word):
-        for x in word:
-            coset = self._perm(x)[coset]
-        return coset
 
     def table_rows(self):
         """Row-major table [coset][g, g^-1 alternating]: the order in
@@ -351,7 +361,7 @@ def _check_phi(pres, phi):
     for r in pres.relators:
         total = sum(phi[abs(x) - 1] * (1 if x > 0 else -1) for x in r)
         if total != 0:
-            raise RelatorNotKilled(f"relator {word_to_string(r)} maps to {total}")
+            raise RelatorNotKilled(f"relator {r} maps to {total}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ lives here.  `char_poly` is Berkowitz's division-free algorithm, so it
 stays in the ring of its entries (int in, int out; Fraction in,
 Fraction out).  `rref` is Gauss-Jordan over any exact field whose
 elements are falsy exactly when zero and support `1 / x`: Fraction,
-and number-field elements.  `rank_modp` reduces integers mod p.
+and number-field elements.  `integer_kernel` reads a primitive integer
+kernel basis off the rref over Q, and `rank_modp` reduces integers
+mod p.
 """
 
 from fractions import Fraction

@@ -243,10 +243,6 @@ class PrimeIdeal:
     def norm(self):
         return self.rational_prime ** self.residue_degree
 
-    @property
-    def local_degree(self):
-        return self.residue_degree * self.ramification_index
-
 
 def certify_irreducible(f, prime_bound=100):
     """Opportunistic irreducibility certificate over Q.

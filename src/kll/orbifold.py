@@ -363,20 +363,6 @@ def _make_primitive(vec):
     return [v // g for v in vec]
 
 
-def quotient_by_meridians(data, selected_edges):
-    """Orbifold presentation plus the meridians themselves (not powers)
-    as relators for the selected edges."""
-    ids = {e.id for e in data.locus.edges}
-    for eid in selected_edges:
-        if eid not in ids:
-            raise ValueError(f"unknown edge {eid}")
-    pres = orbifold_presentation(data)
-    rels = list(pres.relators)
-    for eid in selected_edges:
-        rels.append(data.meridians[eid])
-    return Presentation(pres.generators, tuple(rels))
-
-
 # ---------------------------------------------------------------------------
 # Commuting involutions on H_1(M; Q)
 

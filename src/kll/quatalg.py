@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import polys
 from .numfield import (NumberField, PrimeIdeal, local_quadratic_subextension,
-                       CONTAINS, DOES_NOT_CONTAIN, UNDECIDED)
+                       CONTAINS, UNDECIDED)
 
 RAMIFIED = "Ramified"
 SPLIT = "Split"
@@ -129,18 +129,6 @@ def hilbert_symbol_qp(a, b, p):
     return SPLIT if _ternary_isotropic_odd([an, bn, -1], p) else RAMIFIED
 
 
-def base_change_status(a, b, prime):
-    """Status of (a, b) over the completion k_nu at the given prime.
-
-    An even-degree local extension splits the division algebra over Q_p;
-    an odd-degree one cannot split it.
-    """
-    base = hilbert_symbol_qp(a, b, prime.rational_prime)
-    if base == SPLIT:
-        return SPLIT
-    return RAMIFIED if prime.local_degree % 2 == 1 else SPLIT
-
-
 # ---------------------------------------------------------------------------
 # tau_n = 4cos^2(2pi/n) - 4 over Q(cos 2pi/n)
 
@@ -223,58 +211,7 @@ def _tau_norm(psi):
 
 
 # ---------------------------------------------------------------------------
-# Ramification reports and hypothesis checks
-
-@dataclass
-class RamificationReport:
-    real_places_ramified: int
-    finite_places: list  # (PrimeIdeal, status) pairs
-    undecided: int = 0
-
-    @property
-    def parity_consistent(self):
-        if any(s == UNDECIDED for _, s in self.finite_places):
-            return True  # cannot refute parity with undecided places
-        total = self.real_places_ramified + sum(
-            1 for _, s in self.finite_places if s == RAMIFIED)
-        return total % 2 == 0
-
-    def to_json(self):
-        return {
-            "real": self.real_places_ramified,
-            "finite": [
-                {"p": pr.rational_prime, "e": pr.ramification_index,
-                 "f": pr.residue_degree, "status": status.lower()}
-                for pr, status in self.finite_places
-            ],
-            "parity_ok": self.parity_consistent,
-        }
-
-
-def rational_symbol_report(field, a, b):
-    """Ramification of (a, b / k) for rational entries a, b over the field.
-
-    Finite places are examined over every prime dividing 2ab (the symbol
-    is split elsewhere); the real count uses the signature and the sign
-    test at the real place.
-    """
-    from .numfield import signature, split_prime, NonMonogenicPrime
-    a, b = Fraction(a), Fraction(b)
-    r1, _r2 = signature(field)
-    real_ram = r1 if hilbert_symbol_qp(a, b, INFINITE_PLACE) == RAMIFIED else 0
-    support = {2}
-    for q in (a.numerator, a.denominator, b.numerator, b.denominator):
-        for f_ in polys._prime_factors_int(abs(q)):
-            support.add(f_)
-    finite = []
-    for p in sorted(support):
-        try:
-            for pr in split_prime(field, p):
-                finite.append((pr, base_change_status(a, b, pr)))
-        except NonMonogenicPrime:
-            finite.append((PrimeIdeal(p, 1, 1), UNDECIDED))
-    return RamificationReport(real_places_ramified=real_ram, finite_places=finite)
-
+# Hypothesis checks
 
 SATISFIED = "Satisfied"
 VIOLATED = "Violated"

@@ -1,15 +1,12 @@
 """Tower bookkeeping: the vertex-count recurrence for 2-fold cover
-towers, its 2^i (1 + 24/i) lower bound, linear-growth-of-homology
-quotients, and Euler-characteristic multiplicativity along covers.
+towers and its 2^i (1 + 24/i) lower bound.
 
 The recurrence n_{i+1} >= 2 n_i - 4 (log2((n_i+2)/3) + 1) is decided
 exactly: with K = 2 n_i - 4 - n_{i+1}, the step holds iff
 (n_i + 2)^4 >= 81 * 2^K, an integer comparison.
 """
 
-import csv
-import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import log2_enclosure
@@ -105,61 +102,3 @@ def auxiliary_inequality_holds(i):
     """24/i - (i+5)/2^(i-1) >= 24/(i+1), exactly."""
     lhs = Fraction(24, i) - Fraction(i + 5, 2 ** (i - 1))
     return lhs >= Fraction(24, i + 1)
-
-
-def doubling_monotone_at(x):
-    """2(x+1) - 4 log2(x+1) >= 2x - 4 log2(x) iff (x+1)^2 <= 2 x^2."""
-    return (x + 1) ** 2 <= 2 * x * x
-
-
-@dataclass
-class TowerRecord:
-    """Measured data along a tower of finite covers/subgroups."""
-
-    levels: list = dc_field(default_factory=list)
-    # each level: dict with keys degree, d_p, and optionally
-    # vertex_count, chi_sing_minus
-
-    def add(self, degree, d_p, vertex_count=None, chi_sing_minus=None):
-        if self.levels and degree % self.levels[-1]["degree"] != 0:
-            raise ValueError("degrees in a nested tower must divide each other")
-        if self.levels and degree <= self.levels[-1]["degree"]:
-            raise ValueError("degrees must strictly increase")
-        self.levels.append({"degree": degree, "d_p": d_p,
-                            "vertex_count": vertex_count,
-                            "chi_sing_minus": chi_sing_minus})
-
-    def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["level", "degree", "d_p", "quotient"])
-        for i, lv in enumerate(self.levels, start=1):
-            w.writerow([i, lv["degree"], lv["d_p"],
-                        str(Fraction(lv["d_p"], lv["degree"]))])
-        return buf.getvalue()
-
-
-@dataclass
-class GrowthReport:
-    quotients: list
-    infimum: Fraction
-    positive: bool
-
-
-def linear_growth_report(record):
-    """d_p / degree over the prefix; the infimum claim is prefix-only."""
-    if not record.levels:
-        raise ValueError("empty tower record")
-    quots = [Fraction(lv["d_p"], lv["degree"]) for lv in record.levels]
-    inf_q = min(quots)
-    return GrowthReport(quotients=quots, infimum=inf_q, positive=inf_q > 0)
-
-
-def euler_multiplicativity_check(base_chi, levels):
-    """chi at each level must equal base_chi * degree; returns
-    (ok, first bad level or None).  With b1 >= |chi| this certifies
-    linear homology growth for the tower."""
-    for idx, (degree, chi) in enumerate(levels, start=1):
-        if chi != base_chi * degree:
-            return False, idx
-    return True, None

@@ -259,10 +259,6 @@ def order_discriminant_from_pair(a, b):
     return _fricke_discriminant(a.trace(), b.trace(), (a * b).trace())
 
 
-def order_discriminant(order):
-    return order.discriminant_generator()
-
-
 def jorgensen_involution(a, b):
     """tau = ab - ba: trace zero, projectively of order two, and
     conjugates a and b to their inverses.  All four properties are

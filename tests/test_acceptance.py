@@ -60,8 +60,9 @@ def test_criterion_03_tau_table():
 
 def test_criterion_04_gs_threshold():
     t0 = time.time()
-    _assert_examples("gs-threshold-81-80")
-    _report(4, "Golod-Shafarevich margin positive at 81, not at 80", t0, 1.0)
+    _assert_examples("gs-threshold-81-80", "cyclic-tower-largeness-f2-z2")
+    _report(4, "Golod-Shafarevich margin positive at 81, not at 80; "
+            "largeness conditions on the F_2 and Z^2 cyclic towers", t0, 1.0)
 
 
 def test_criterion_05_tower_bound():
@@ -131,6 +132,7 @@ def test_criterion_09_homology_bound_suite():
             pres = orbifold_presentation(data)
             assert actual == d_p_from_smith(
                 pres.abelianized_matrix(), pres.rank(), p)
+    _assert_examples("commuting-involutions-b1")
     _report(9, f"homology lower bound on {len(instances)} instances, "
             "elimination vs Smith oracle", t0, 120.0)
 
@@ -211,5 +213,6 @@ def test_criterion_12_trace_order_suite():
                 assert tau.trace().is_zero()
                 assert (tau * tau).is_scalar()
             done += 1
+    _assert_examples("klein-four-relations")
     _report(12, "trace identities, order closure, involution certificates "
-            "on 100 random pairs", t0, 120.0)
+            "on 100 random pairs, Klein-four relations", t0, 120.0)

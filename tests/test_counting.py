@@ -1,4 +1,3 @@
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 import random
@@ -9,12 +8,10 @@ from exhaustive_census import report
 from oracles import all_subgroups, group_table_by_products
 from kll.finquot import ModRing, mat_identity, mat_mul, sl2_elements
 from kll.fpgroups import BudgetExceeded
-from kll.towers import TowerRecord
 from kll.counting import (GroupTable, sl2_group_table, sl2_order,
                           subgroup_census, sl2_census, rank_bound_check,
                           essential_subgroups, congruence_kernel,
-                          level_vs_index_check, s_n,
-                          sn_vs_cn_table, _pow2_floor, _min_generators,
+                          s_n, _min_generators,
                           EXCEPTIONAL_MINIMAL_INDEX_Q)
 
 
@@ -297,41 +294,6 @@ def test_projective_congruence_kernel_is_the_image():
     assert congruence_kernel(psl, 9, 3, projective=True) == image
 
 
-def test_level_vs_index_kernel():
-    table = sl2_group_table(4)
-    census = subgroup_census(table)
-    kernel = congruence_kernel(table, 4, 2)
-    rep = level_vs_index_check(kernel, 4, census=census)
-    assert rep.level == 2
-    assert rep.index == 6
-    assert rep.holds
-    assert rep.minimal_c == Fraction(2, 6)
-
-
-def test_level_vs_index_whole_group():
-    table = sl2_group_table(4)
-    census = subgroup_census(table)
-    rep = level_vs_index_check(frozenset(range(table.n)), 4, census=census)
-    assert rep.level == 1 and rep.index == 1 and rep.holds
-
-
-def test_level_vs_index_minimal_essential_q5():
-    table = sl2_group_table(5)
-    census = subgroup_census(table)
-    rep5 = essential_subgroups(5, census)
-    biggest = max(rep5.essential, key=len)
-    rep = level_vs_index_check(biggest, 5, census=census)
-    assert rep.level == 5
-    assert rep.holds  # 5 <= 1 * index 5
-
-
-def test_level_vs_index_refuses_a_lifted_census():
-    # H is given in the SL table, which a lifted census does not build
-    census = sl2_census(5)
-    with pytest.raises(ValueError):
-        level_vs_index_check(range(120), 5, census=census)
-
-
 def test_s_n_counts():
     census = _direct_census(2)
     assert s_n(census, 1) == 1
@@ -368,32 +330,3 @@ def test_sl2_z8_rank4_certified():
         assert all(table.closure(t) != h for t in combinations(sorted(h), 3))
         assert any(table.closure(q) == h for q in combinations(sorted(h), 4))
 
-
-def test_pow2_floor():
-    assert _pow2_floor(Fraction(3)) == 8
-    assert _pow2_floor(Fraction(7, 2)) == 11   # 2^3.5 = 11.31
-    assert _pow2_floor(Fraction(0)) == 1
-    assert _pow2_floor(Fraction(10, 3)) == 10  # 2^(10/3) = 10.079
-
-
-def test_sn_vs_cn_table():
-    rec = TowerRecord()
-    for d in (1, 2, 4, 8):
-        rec.add(degree=d, d_p=d)
-    censuses = {m: _direct_census(m) for m in (2, 3, 4, 5)}
-    table = sn_vs_cn_table(rec, m_range=(2, 3, 4, 5), censuses=censuses)
-    assert table.lam == 1
-    rows = {r.n: r for r in table.rows}
-    assert rows[1].homology_lower == 1       # 2^1 - 1
-    assert rows[8].homology_lower == 255     # 2^8 - 1
-    assert rows[8].census_cn == sum(s_n(censuses[m], 8) for m in (2, 3, 4, 5))
-    assert table.fitted_b_lo is not None
-    # counts grow far slower than 2^n on this range
-    assert rows[8].census_cn < 255 * 8
-
-
-def test_sn_vs_cn_requires_positive_growth():
-    rec = TowerRecord()
-    rec.add(degree=1, d_p=0)
-    with pytest.raises(ValueError):
-        sn_vs_cn_table(rec)

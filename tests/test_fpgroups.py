@@ -39,8 +39,20 @@ def test_words_resolve_by_generator_name():
 
 
 def test_json_roundtrip():
-    p = Presentation.from_strings(["a", "b"], ["aabAB"])
-    assert Presentation.from_json(p.to_json()) == p
+    for p in (Presentation.from_strings(["a", "b"], ["aabAB"]), FIGURE_EIGHT):
+        assert Presentation.from_json(p.to_json()) == p
+    # words are written in the generator names, not a, b, ...
+    assert FIGURE_EIGHT.to_json()["rels"] == ["yxYXyXyxYx"]
+    assert repr(FIGURE_EIGHT) == "<x, y | yxYXyXyxYx>"
+
+
+def test_to_json_refuses_names_that_are_not_letters():
+    table = next(t for t in low_index_subgroups(FIGURE_EIGHT, 2) if t.index == 2)
+    sub = reidemeister_schreier(table)
+    assert "x_1" in sub.generators
+    with pytest.raises(ValueError, match="is not a letter a-z"):
+        sub.to_json()
+    assert repr(sub).endswith(f"| {', '.join(map(str, sub.relators))}>")
 
 
 def test_d_p_examples():
@@ -254,8 +266,12 @@ def test_subgroup_table_inverse_letters_invert():
             for c in range(table.index):
                 assert table.apply(table.apply(c, g), -g) == c
                 assert table.apply(table.apply(c, -g), g) == c
-        assert table.apply_word(0, (1, 2, -1, -2)) == \
-            table.apply(table.apply(table.apply(table.apply(0, 1), 2), -1), -2)
+
+
+def test_subgroup_table_rejects_letter_zero():
+    table = cyclic_quotient_table(F2, [1, 0], 3)
+    with pytest.raises(ValueError, match="letter 0"):
+        table.apply(0, 0)
 
 
 def test_reidemeister_schreier_genus2_index3_pinned():

@@ -1,5 +1,6 @@
 """Cross-module property tests tying towers, subgroup intersections,
-generated graphs and census bounds together."""
+generated graphs, singular loci, census bounds and the prime-only
+kernels together."""
 
 from fractions import Fraction
 
@@ -12,8 +13,7 @@ from kll.numfield import NumberField, split_prime
 from kll.quatalg import hilbert_symbol_qp
 from kll.trivalent import generate_connected_trivalent
 from kll.orbifold import LocusEdge, SingularLocus, stratify
-from kll.counting import (sl2_group_table, subgroup_census, s_n,
-                          distinct_prime_factor_sweep)
+from kll.counting import sl2_group_table, subgroup_census, s_n
 
 
 def test_intersection_tower_keeps_linear_growth():
@@ -79,32 +79,6 @@ def test_subgroup_count_bounded_by_order_pow_rank():
         assert census.count <= census.table.n ** max(rank, 1)
         # and s_n is monotone in n up to the full count
         assert s_n(census, census.table.n) == census.count
-
-
-def test_distinct_prime_factor_sweep_small():
-    ratio, argmax, violations = distinct_prime_factor_sweep(10 ** 5)
-    # the literal bound fails at primorials: 30030 = 2*3*5*7*11*13.
-    # Both values agree with deciding every m <= 10^5 separately by
-    # lo^l > m or hi^l <= m for a 64-bit enclosure [lo, hi] of log2 m.
-    assert violations == 11772
-    assert argmax == 30030
-    assert ratio > 1
-
-
-class _ExactInt(int):
-    """An int that refuses to become a float."""
-
-    def __float__(self):
-        raise TypeError("float conversion")
-
-    def __pow__(self, exponent, modulo=None):
-        if not isinstance(exponent, int):
-            raise TypeError("non-integer power")
-        return int(self).__pow__(exponent, modulo)
-
-
-def test_distinct_prime_factor_sweep_sieves_without_floats():
-    assert distinct_prime_factor_sweep(_ExactInt(1000)) == distinct_prime_factor_sweep(1000)
 
 
 @pytest.mark.parametrize("p", [1, 4, -5])

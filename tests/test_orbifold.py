@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from kll.fpgroups import Presentation, d_p, RelatorNotKilled
+from kll.fpgroups import Presentation, RelatorNotKilled
 from kll.orbifold import (LocusEdge, SingularLocus, OrbifoldData, stratify,
                           orbifold_presentation, homology_lower_bound,
                           presentation_deficit, theorem55_hypothesis,
-                          find_theorem55_phi, quotient_by_meridians,
-                          involution_eigenspace_analysis, EmptyLocus,
-                          NotInvolution, NotCommuting, SATISFIED,
+                          find_theorem55_phi, involution_eigenspace_analysis,
+                          EmptyLocus, NotInvolution, NotCommuting, SATISFIED,
                           NOT_SATISFIED)
 
 from oracles import d_p_from_smith
@@ -219,28 +218,6 @@ def test_theorem55_phi_search():
     F2 = Presentation.free(2)
     small = OrbifoldData(F2, circle_locus(order=2), {"c": "a"}, cores={"c": "b"})
     assert find_theorem55_phi(small, 2) is None
-
-
-def test_quotient_by_meridians():
-    F2 = Presentation.free(2)
-    data = OrbifoldData(F2, theta_locus(), {"e0": "a", "e1": "b", "e2": "AB"})
-    full = quotient_by_meridians(data, ["e0", "e1", "e2"])
-    assert d_p(full, 2) == 0  # killing all meridians kills H_1 here
-    none = quotient_by_meridians(data, [])
-    assert none == orbifold_presentation(data)
-    # killing a theta's three meridians drops d_2 by at most 3
-    before = d_p(orbifold_presentation(data), 2)
-    after = d_p(full, 2)
-    assert before - after <= 3
-
-
-def test_quotient_trivial_span_preserves_d2():
-    # meridian already trivial mod 2 (it is a square): adding it changes nothing
-    pres = Presentation.from_strings(["a", "b"], [])
-    locus = circle_locus(order=2)
-    data = OrbifoldData(pres, locus, {"c": "aa"})
-    q = quotient_by_meridians(data, ["c"])
-    assert d_p(q, 2) == d_p(orbifold_presentation(data), 2)
 
 
 def test_eigenspace_analysis_diagonal():

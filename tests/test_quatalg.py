@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from kll import polys, quatalg
-from kll.numfield import NumberField, PrimeIdeal, split_prime
-from kll.quatalg import (hilbert_symbol_qp, base_change_status, tau_n,
+from kll.numfield import NumberField, split_prime
+from kll.quatalg import (hilbert_symbol_qp, tau_n,
                          tau_n_norm, two_cos_minpoly, clozel_hypothesis,
-                         dihedral_ramification_analysis, rational_symbol_report,
+                         dihedral_ramification_analysis,
                          RAMIFIED, SPLIT, SATISFIED, VIOLATED,
                          INFINITE_PLACE, _normalize_at_p)
 
@@ -80,13 +80,6 @@ def test_parity_of_ramification():
         # spot-check a few primes outside the support
         for p in [101, 211]:
             assert hilbert_symbol_qp(a, b, p) == SPLIT
-
-
-def test_base_change_even_degree_splits():
-    assert base_change_status(-1, -1, PrimeIdeal(2, 2, 1)) == SPLIT
-    assert base_change_status(-1, -1, PrimeIdeal(2, 1, 1)) == RAMIFIED
-    assert base_change_status(-1, -1, PrimeIdeal(5, 1, 1)) == SPLIT
-    assert base_change_status(-1, -1, PrimeIdeal(5, 3, 1)) == SPLIT
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +180,3 @@ def test_clozel_satisfied_at_split_prime():
     ram = split_prime(k, 5)[:1]
     assert clozel_hypothesis(k, ram).status == SATISFIED
 
-
-def test_rational_symbol_report_parity():
-    k = NumberField((1, 0, -2, -1, 0, 1))
-    rep = rational_symbol_report(k, -1, -1)
-    assert rep.parity_consistent
-    js = rep.to_json()
-    assert set(js) == {"real", "finite", "parity_ok"}

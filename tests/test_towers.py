@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from kll.towers import (recurrence_check, tower_lower_bound, TowerRecord,
-                        linear_growth_report, euler_multiplicativity_check,
-                        auxiliary_inequality_holds, doubling_monotone_at,
+from kll.towers import (recurrence_check, tower_lower_bound,
+                        auxiliary_inequality_holds,
                         HypothesisViolated, _minimal_next, _step_holds)
 
 
@@ -74,48 +73,3 @@ def test_auxiliary_inequality_up_to_64():
     for i in range(1, 65):
         assert auxiliary_inequality_holds(i), i
 
-
-def test_doubling_monotonicity_integer_samples():
-    # 2x - 4 log2 x increasing for x > 2/log 2 ~ 2.885
-    for x in range(3, 200):
-        assert doubling_monotone_at(x), x
-
-
-def test_linear_growth_report():
-    rec = TowerRecord()
-    for i in (1, 2, 4, 8):
-        rec.add(degree=i, d_p=i)
-    rep = linear_growth_report(rec)
-    assert rep.infimum == 1 and rep.positive
-
-    rec2 = TowerRecord()
-    for i in (1, 2, 4, 8, 16):
-        rec2.add(degree=i, d_p=2)
-    rep2 = linear_growth_report(rec2)
-    assert rep2.infimum == Fraction(2, 16)
-    assert rep2.positive  # positive on the prefix; the trend is the caller's call
-
-
-def test_tower_record_validation():
-    rec = TowerRecord()
-    rec.add(degree=2, d_p=3)
-    with pytest.raises(ValueError):
-        rec.add(degree=3, d_p=3)  # 2 does not divide 3
-    with pytest.raises(ValueError):
-        rec.add(degree=2, d_p=4)  # not increasing
-
-
-def test_euler_multiplicativity():
-    ok, bad = euler_multiplicativity_check(-1, [(2, -2), (4, -4), (8, -8)])
-    assert ok and bad is None
-    ok, bad = euler_multiplicativity_check(-1, [(2, -2), (4, -5)])
-    assert not ok and bad == 2
-
-
-def test_csv_export():
-    rec = TowerRecord()
-    rec.add(degree=2, d_p=3)
-    rec.add(degree=4, d_p=5)
-    csv_text = rec.to_csv()
-    assert "level,degree,d_p,quotient" in csv_text
-    assert "5/4" in csv_text

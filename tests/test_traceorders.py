@@ -6,7 +6,7 @@ import pytest
 from kll import traceorders
 from kll.numfield import FieldElement, NumberField
 from kll.traceorders import (Mat2, verify_trace_identities, build_order,
-                             order_discriminant, order_discriminant_from_pair,
+                             order_discriminant_from_pair,
                              jorgensen_involution, klein_four_relations,
                              proportional, _solve_in_basis,
                              NonUnimodular, CommutingGenerators,
@@ -67,7 +67,7 @@ def test_build_order_shear_pair():
         for c in coords:
             assert c.is_integral()
     assert order.contains(b.inverse() * a.inverse())
-    disc = order_discriminant(order)
+    disc = order.discriminant_generator()
     assert disc.rational_value() == 1  # tr[a,b] = 3
 
 
