@@ -12,6 +12,18 @@ is reached from R.  s_n and the essential subgroups weight each
 representative by its class size, and d(H) is a conjugacy invariant,
 so the rank runs over representatives.
 
+The census also reads d(H) off its classes: the tuple stored with a
+class is as short as any that generates its representative.  It
+generates the representative, so it has at least d(H) elements.
+Conversely, by induction on k, the class of K = <x_1, ..., x_k> is
+stored with at most k elements.  Some conjugate R = <x_1, ...,
+x_(k-1)>^c is a representative stored with at most k - 1.  R is
+extended once per double coset RgR, and <R, a x_k^c b> = K^c for a, b
+in R, so the class of K is stored when R is extended, if not before.
+`grown` is worked through first in, first out, so before means from a
+representative stored with no more elements than R, and either way
+the stored tuple has at most k elements.
+
 For an odd prime power m = p^k the census runs on PSL(2, Z/m), whose
 table has a quarter of the entries, and is lifted to SL(2, Z/m)
 (`sl2_census`).  -I is the only involution of SL(2, Z/m): g^2 = I and
@@ -38,7 +50,6 @@ it, and M(1) = SL maps onto PSL, which has even order.
 from array import array
 from dataclasses import dataclass, field as dc_field, replace
 from operator import itemgetter
-import random
 
 from .fpgroups import BudgetExceeded
 from .finquot import ModRing, sl2_elements, psl2_elements, mat_mul, proj_canonical
@@ -46,7 +57,6 @@ from .polys import _prime_factors_int, is_prime
 
 
 CENSUS_ORDER_BUDGET = 10 ** 4
-GENERATOR_SEARCH_BUDGET = 512  # largest |H| searched exhaustively for d(H)
 EXCEPTIONAL_MINIMAL_INDEX_Q = (2, 3, 5, 7, 11)  # PSL(2,q) acts on q points
 
 
@@ -92,14 +102,6 @@ class GroupTable:
 
     def mul(self, i, j):
         return self.table[i * self.n + j]
-
-    def order_of(self, i):
-        k = 1
-        acc = i
-        while acc != self.identity:
-            acc = self.mul(acc, i)
-            k += 1
-        return k
 
     def closure(self, gens, sub=None):
         """Subgroup generated by `gens`, grown from `sub`, a known
@@ -191,9 +193,10 @@ def sl2_census(m, budget=None):
 @dataclass
 class SubgroupClass:
     """A conjugacy class of subgroups: its representative, its number of
-    conjugates, elements that generate the representative, and the
-    order of its subgroups (for a lifted class, of the SL(2, Z/m)
-    subgroups that the PSL(2, Z/m) representative stands for)."""
+    conjugates, d(H) elements that generate the representative (module
+    docstring), and the order of its subgroups (for a lifted class, of
+    the SL(2, Z/m) subgroups that the PSL(2, Z/m) representative stands
+    for)."""
     representative: frozenset
     size: int
     generators: tuple
@@ -205,7 +208,6 @@ class FiniteGroupCensus:
     table: GroupTable
     classes: list   # SubgroupClass, sorted by (order, sorted representative)
     class_of: dict  # every subgroup -> index of its class in `classes`
-    _d_cache: dict = dc_field(default_factory=dict)
     projective = False  # the table is the censused group itself
 
     @property
@@ -222,11 +224,10 @@ class FiniteGroupCensus:
     def subgroups_of_index(self, idx):
         return [h for h in self.class_of if self.table.n == idx * len(h)]
 
-    def min_generators(self, h):
-        return _min_generators(self.table, h, self._d_cache)
-
     def rank(self):
-        return max(self.min_generators(c.representative) for c in self.classes)
+        """sup d(H): each class's generators are as few as any
+        generating tuple's (module docstring)."""
+        return max(len(c.generators) for c in self.classes)
 
 
 def subgroup_census(table, budget=None):
@@ -334,55 +335,6 @@ def _conjugates(h, rows):
                 seen.add(c)
                 orbit.append(c)
     return orbit
-
-
-def _min_generators(table, h, cache):
-    """Exact d(H) by incremental generation search.
-
-    The cyclic test is exact, and seeded random pairs find most
-    2-generated subgroups at once.  Otherwise, for |H| at most
-    GENERATOR_SEARCH_BUDGET, the search is exhaustive: the subgroups
-    generated by k elements of H are the <K, g> with K generated by
-    k - 1 of them and g in H, and <K, g> depends only on the coset Kg,
-    so k grows from 0 until H itself is reached."""
-    if h in cache:
-        return cache[h]
-    size = len(h)
-    if size == 1:
-        cache[h] = 0
-        return 0
-    members = sorted(h)
-    for g in members:
-        if table.order_of(g) == size:
-            cache[h] = 1
-            return 1
-    rng = random.Random(size * 1009 + members[0])
-    tries = min(300, size * size)
-    for _ in range(tries):
-        a, b = rng.choice(members), rng.choice(members)
-        if len(table.closure({a, b})) == size:
-            cache[h] = 2
-            return 2
-    if size > GENERATOR_SEARCH_BUDGET:
-        raise BudgetExceeded("generator search size", GENERATOR_SEARCH_BUDGET,
-                             size)
-    layer = {frozenset([table.identity]): ()}  # subgroup -> generators
-    k = 0
-    while True:
-        k += 1
-        grown = {}
-        for sub, gens in layer.items():
-            covered = set()
-            for g in members:
-                if g in covered:
-                    continue
-                covered.update(table.mul(x, g) for x in sub)
-                sub_g = table.closure(gens + (g,), sub)
-                if sub_g == h:
-                    cache[h] = k
-                    return k
-                grown.setdefault(sub_g, gens + (g,))
-        layer = grown
 
 
 @dataclass

@@ -23,7 +23,6 @@ class ModRing:
         if m < 2:
             raise ValueError("modulus must be >= 2")
         self.m = m
-        self.q = m
 
     def add(self, a, b):
         return (a + b) % self.m
@@ -187,9 +186,8 @@ def psl2_elements(ring):
     return sorted({proj_canonical(ring, m) for m in sl2_elements(ring)})
 
 
-def psl2_order_formula(p, f=1):
-    q = p ** f
-    return q * (q * q - 1) // gcd(2, q - 1)
+def psl2_order_formula(p):
+    return p * (p * p - 1) // gcd(2, p - 1)
 
 
 # ---------------------------------------------------------------------------

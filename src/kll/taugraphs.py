@@ -300,13 +300,6 @@ class FamilyReport:
             "verdict": self.verdict,
         }
 
-    def to_csv(self):
-        lines = ["index,h_lower,h_exact,h_upper"]
-        for i, v in enumerate(self.values, start=1):
-            exact = str(v.exact) if v.exact is not None else ""
-            lines.append(f"{i},{v.best_lower()},{exact},{v.best_upper()}")
-        return "\n".join(lines) + "\n"
-
 
 def tau_family_report(graphs):
     """Cheeger data along a family of coset graphs, with a prefix-only

@@ -6,8 +6,9 @@ implementation it checks.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial, lcm
+import random
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +325,99 @@ def _bfs_closure(table, gens, start):
                 seen.add(y)
                 queue.append(y)
     return frozenset(seen)
+
+
+# ---------------------------------------------------------------------------
+# d(H) of a subgroup of a table (the census's generator tuples' oracles):
+# an exhaustive search from above, the Burnside basis theorem from below
+
+def element_order(table, g):
+    k, x = 1, g
+    while x != table.identity:
+        x = table.mul(x, g)
+        k += 1
+    return k
+
+
+def _power(table, g, e):
+    x = table.identity
+    for _ in range(e):
+        x = table.mul(x, g)
+    return x
+
+
+def min_generators_by_search(table, h):
+    """Exact d(H) for the subgroup `h` (a frozenset of indices).
+
+    The cyclic test is exact, and seeded random pairs find most
+    2-generated subgroups at once.  Otherwise the search is exhaustive:
+    the subgroups generated by k elements of H are the <K, g> with K
+    generated by k - 1 of them and g in H, and <K, g> depends only on
+    the coset Kg, so k grows from 0 until H itself is reached."""
+    size = len(h)
+    if size == 1:
+        return 0
+    members = sorted(h)
+    if any(element_order(table, g) == size for g in members):
+        return 1
+    trivial = (table.identity,)
+    rng = random.Random(size * 1009 + members[0])
+    for _ in range(min(300, size * size)):
+        pair = (rng.choice(members), rng.choice(members))
+        if len(_bfs_closure(table, pair, trivial)) == size:
+            return 2
+    layer = {frozenset(trivial): ()}  # subgroup -> generators
+    k = 0
+    while True:
+        k += 1
+        grown = {}
+        for sub, gens in layer.items():
+            covered = set()
+            for g in members:
+                if g in covered:
+                    continue
+                covered.update(table.mul(x, g) for x in sub)
+                sub_g = _bfs_closure(table, gens + (g,), sub)
+                if sub_g == h:
+                    return k
+                grown.setdefault(sub_g, gens + (g,))
+        layer = grown
+
+
+def burnside_lower_bound(table, h, gens):
+    """max over primes p of log_p [H : [H, H] H^p], a lower bound on d(H)
+    for H = `h` generated by `gens`: H / [H, H] H^p is elementary abelian
+    of rank at most d(H) (Burnside basis theorem).  [H, H] H^p is the
+    normal closure in H of the generators' p-th powers and pairwise
+    commutators, since modulo those the generators commute and have
+    order p."""
+    def mul(*xs):
+        acc = table.identity
+        for x in xs:
+            acc = table.mul(acc, x)
+        return acc
+
+    inv = {s: _power(table, s, element_order(table, s) - 1) for s in gens}
+    commutators = [mul(inv[s], inv[t], s, t) for s, t in combinations(gens, 2)]
+    order, best = len(h), 0
+    for p in range(2, order + 1):
+        if order % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        normal = list(commutators) + [_power(table, s, p) for s in gens]
+        while True:  # close under conjugation by the generators of H
+            sub = _bfs_closure(table, normal, (table.identity,))
+            outside = {mul(inv[s], x, s) for x in normal for s in gens} - sub
+            if not outside:
+                break
+            normal += sorted(outside)
+        index, k = order // len(sub), 0
+        while index % p == 0:
+            index //= p
+            k += 1
+        if index != 1:
+            raise ArithmeticError(f"[H : [H, H] H^{p}] is not a power of {p}")
+        best = max(best, k)
+    return best
 
 
 # ---------------------------------------------------------------------------

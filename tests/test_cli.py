@@ -231,9 +231,10 @@ def test_count_command(capsys):
 
 
 # `kll count` stdout as printed by the census with one extension per right
-# coset: for the odd prime powers m <= 13 by the direct census on the
-# SL(2, Z/m) table, which the lifted PSL census must reproduce byte for
-# byte, and for m = 4, 6, 8 and 10, which still take the direct route
+# coset and d(H) found by an exhaustive generator search: for the odd prime
+# powers m <= 13 by the direct census on the SL(2, Z/m) table, which the
+# lifted PSL census must reproduce byte for byte, and for m = 4, 6, 8, 10,
+# 12, 14 and 15, which still take the direct route
 COUNT_STDOUT = {
     3: """\
 {
@@ -473,6 +474,78 @@ COUNT_STDOUT = {
     "value": 3
   },
   "subgroups": 818
+}
+""",
+    12: """\
+{
+  "essential": {
+    "count": 2122,
+    "exceptional": false,
+    "expected_minimal": null,
+    "minimal_index": 12,
+    "prime_field": false
+  },
+  "group_order": 1152,
+  "index2": {
+    "consistent": true,
+    "count": 1,
+    "expected": 1
+  },
+  "modulus": 12,
+  "rank": {
+    "bound": 3,
+    "holds": false,
+    "value": 5
+  },
+  "subgroups": 2320
+}
+""",
+    14: """\
+{
+  "essential": {
+    "count": 2475,
+    "exceptional": false,
+    "expected_minimal": null,
+    "minimal_index": 14,
+    "prime_field": false
+  },
+  "group_order": 2016,
+  "index2": {
+    "consistent": true,
+    "count": 1,
+    "expected": 1
+  },
+  "modulus": 14,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 3
+  },
+  "subgroups": 2704
+}
+""",
+    15: """\
+{
+  "essential": {
+    "count": 2849,
+    "exceptional": false,
+    "expected_minimal": null,
+    "minimal_index": 15,
+    "prime_field": false
+  },
+  "group_order": 2880,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 15,
+  "rank": {
+    "bound": 3,
+    "holds": false,
+    "value": 4
+  },
+  "subgroups": 2939
 }
 """,
 }

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from exhaustive_census import report
-from oracles import all_subgroups, group_table_by_products
+from oracles import (all_subgroups, burnside_lower_bound, element_order,
+                     group_table_by_products, min_generators_by_search)
 from kll.finquot import ModRing, mat_identity, mat_mul, sl2_elements
 from kll.fpgroups import BudgetExceeded
 from kll.counting import (GroupTable, sl2_group_table, sl2_order,
                           subgroup_census, sl2_census, rank_bound_check,
                           essential_subgroups, congruence_kernel,
-                          s_n, _min_generators,
+                          s_n,
                           EXCEPTIONAL_MINIMAL_INDEX_Q)
 
 
@@ -88,7 +89,7 @@ def _lifted_subgroups(census, sl_table, m):
         for h in conjugates:
             sub = [g for x in h for g in lifts[x]]
             if c.order == len(h):
-                sub = [g for g in sub if sl_table.order_of(g) % 2]
+                sub = [g for g in sub if element_order(sl_table, g) % 2]
             assert len(sub) == c.order
             out.append(frozenset(sub))
     return out
@@ -186,12 +187,40 @@ def test_closure_from_known_subgroup():
             assert table.closure(gens, sub) == k
 
 
+def _elementary_abelian(k):
+    """(Z/2)^k under XOR, a k-dimensional F_2-space: d = k."""
+    return GroupTable(range(2 ** k), lambda a, b: a ^ b)
+
+
 def test_class_generators_close_to_representative():
-    tables = [GroupTable(range(8), lambda a, b: a ^ b)]
+    tables = [_elementary_abelian(3)]
     tables += [sl2_group_table(m) for m in (4, 5, 6)]
     for table in tables:
         for c in subgroup_census(table).classes:
             assert table.closure(c.generators) == c.representative
+
+
+def test_class_generators_are_minimal():
+    # each class is stored with d(H) generators (counting module
+    # docstring), against an exhaustive search for d(H)
+    censuses = [subgroup_census(_elementary_abelian(k)) for k in (3, 5)]
+    censuses += [_direct_census(m) for m in range(2, 12)]
+    for census in censuses:
+        for c in census.classes:
+            assert len(c.generators) == \
+                min_generators_by_search(census.table, c.representative)
+
+
+def test_burnside_bound_meets_rank():
+    # d(H) >= log_p [H : [H, H] H^p] for every class; the bound reaches
+    # the rank except on SL(2, 2) = S_3, whose abelianization is C_2
+    for m in range(2, 14):
+        census = _direct_census(m)
+        bounds = [burnside_lower_bound(census.table, c.representative,
+                                       c.generators) for c in census.classes]
+        assert all(b <= len(c.generators)
+                   for b, c in zip(bounds, census.classes)), m
+        assert max(bounds) == (1 if m == 2 else census.rank()), m
 
 
 def test_census_matches_oracle():
@@ -310,12 +339,10 @@ def test_census_budget():
 
 
 def test_min_generators_elementary_abelian():
-    # (Z/2)^k is a k-dimensional F_2-space: d = k, and no fewer
-    # elements generate it
+    # no fewer than k elements generate (Z/2)^k
     for k in (3, 5):
-        table = GroupTable(range(2 ** k), lambda a, b: a ^ b)
         whole = frozenset(range(2 ** k))
-        assert _min_generators(table, whole, {}) == k
+        assert min_generators_by_search(_elementary_abelian(k), whole) == k
 
 
 def test_sl2_z8_rank4_certified():
@@ -324,8 +351,11 @@ def test_sl2_z8_rank4_certified():
     rep = rank_bound_check(census)
     assert (rep.rank, rep.bound, rep.holds) == (4, 3, False)
     table = census.table
-    top = [h for h in census.class_of if census.min_generators(h) == 4]
+    top = [h for h in census.class_of
+           if min_generators_by_search(table, h) == 4]
     assert sorted(len(h) for h in top) == [16, 32, 32, 32]
+    assert all(len(census.classes[census.class_of[h]].generators) == 4
+               for h in top)
     for h in top:  # by brute force: no triple generates, a quadruple does
         assert all(table.closure(t) != h for t in combinations(sorted(h), 3))
         assert any(table.closure(q) == h for q in combinations(sorted(h), 4))

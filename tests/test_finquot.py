@@ -21,7 +21,7 @@ A2, B2 = (0, 6, 1, 0), (2, 3, 3, 5)   # commuting involutions in PSL(2,7)
 
 def test_prime_field_ops():
     f = ModRing(7)
-    assert f.q == 7
+    assert f.m == 7
     assert f.add(3, 5) == 1
     assert f.mul(3, 5) == 1
     assert f.neg(2) == 5
@@ -38,7 +38,7 @@ def test_sl2_psl2_orders_small_primes():
 
 def _random_sl2(ring, rng):
     while True:
-        m = tuple(rng.randrange(ring.q) for _ in range(4))
+        m = tuple(rng.randrange(ring.m) for _ in range(4))
         if ring.sub(ring.mul(m[0], m[3]), ring.mul(m[1], m[2])) == ring.one:
             return m
 
