@@ -17,35 +17,12 @@ from .fpgroups import BudgetExceeded
 
 class ModRing:
     """Z/m, the ring of every matrix group here (a field exactly when m
-    is prime); elements are the integers 0..m-1."""
+    is prime); elements are the integers 0..m-1, reduced `% m` inline."""
 
     def __init__(self, m):
         if m < 2:
             raise ValueError("modulus must be >= 2")
         self.m = m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def sub(self, a, b):
-        return (a - b) % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
-
-    @property
-    def one(self):
-        return 1 % self.m
-
-    @property
-    def zero(self):
-        return 0
-
-    def elements(self):
-        return range(self.m)
 
     def __repr__(self):
         return f"Z/{self.m}"
@@ -56,7 +33,10 @@ DEFAULT_ORDER_BUDGET = 10 ** 7
 
 def _orbit(start, moves, act, budget=None):
     """Breadth-first orbit of `start` under act(x, move), yielded in
-    discovery order; BudgetExceeded once it passes `budget` points."""
+    discovery order; BudgetExceeded once it passes `budget` points
+    (default DEFAULT_ORDER_BUDGET)."""
+    if budget is None:
+        budget = DEFAULT_ORDER_BUDGET
     seen = {start}
     frontier = [start]
     yield start
@@ -67,7 +47,7 @@ def _orbit(start, moves, act, budget=None):
                 y = act(x, m)
                 if y not in seen:
                     seen.add(y)
-                    if budget is not None and len(seen) > budget:
+                    if len(seen) > budget:
                         raise BudgetExceeded("closure order", budget, len(seen))
                     nxt.append(y)
                     yield y
@@ -75,35 +55,79 @@ def _orbit(start, moves, act, budget=None):
 
 
 def mat_mul(ring, x, y):
+    m = ring.m
     a, b, c, d = x
     e, f, g, h = y
-    return (ring.add(ring.mul(a, e), ring.mul(b, g)),
-            ring.add(ring.mul(a, f), ring.mul(b, h)),
-            ring.add(ring.mul(c, e), ring.mul(d, g)),
-            ring.add(ring.mul(c, f), ring.mul(d, h)))
+    return ((a * e + b * g) % m, (a * f + b * h) % m,
+            (c * e + d * g) % m, (c * f + d * h) % m)
 
 
 def mat_det(ring, x):
     a, b, c, d = x
-    return ring.sub(ring.mul(a, d), ring.mul(b, c))
-
-
-def mat_neg(ring, x):
-    return tuple(ring.neg(v) for v in x)
+    return (a * d - b * c) % ring.m
 
 
 def mat_inv_sl(ring, x):
     """Inverse of a determinant-1 matrix (adjugate)."""
     a, b, c, d = x
-    return (d, ring.neg(b), ring.neg(c), a)
-
-
-def mat_identity(ring):
-    return (ring.one, ring.zero, ring.zero, ring.one)
+    return (d, -b % ring.m, -c % ring.m, a)
 
 
 def proj_canonical(ring, x):
-    return min(x, mat_neg(ring, x))
+    """The sign class min(M, -M) of x, its entries reduced mod m."""
+    m = ring.m
+    a, b, c, d = x
+    return min((a % m, b % m, c % m, d % m), (-a % m, -b % m, -c % m, -d % m))
+
+
+def _row_moves(ring, generators, projective, budget):
+    """The row numbering behind `closure`: (rows, moves, start), where
+    `rows` is the sorted row orbit, move k is the action of the k-th of
+    g_1, g_1^-1, g_2, g_2^-1, ... on pairs of row numbers (`_move`), and
+    `start` is the identity pair."""
+    m = ring.m
+    gens = []
+    for g in generators:
+        g = tuple(g)
+        if mat_det(ring, g) != 1:
+            raise ValueError("generators must have determinant 1")
+        gens += [g, mat_inv_sl(ring, g)]
+
+    def row_times(r, g):
+        x, y = r
+        a, b, c, d = g
+        return (x * a + y * c) % m, (x * b + y * d) % m
+
+    def row_sign(r):
+        return min(r, (-r[0] % m, -r[1] % m)) if projective else r
+
+    found = set()
+    for start in ((1, 0), (0, 1)):
+        if row_sign(start) not in found:
+            found.update(_orbit(row_sign(start), gens,
+                                lambda r, g: row_sign(row_times(r, g)), budget))
+    if projective:
+        found.update([(-x % m, -y % m) for x, y in found])
+    rows = sorted(found)
+    number = {r: i for i, r in enumerate(rows)}
+    # a move sends (i, j) to (first[i], second[i][j]): the images of
+    # both rows under g, both negated when that lessens the top row
+    negate = [number[(-x % m, -y % m)] for x, y in rows] if projective \
+        else range(len(rows))
+    moves = []
+    for g in gens:
+        image = [number[row_times(r, g)] for r in rows]
+        negated = [negate[k] for k in image]
+        moves.append(([min(k, negate[k]) for k in image],
+                      [negated if k > negate[k] else image for k in image]))
+    top, bottom = number[(1, 0)], number[(0, 1)]
+    return rows, moves, min((top, bottom), (negate[top], negate[bottom]))
+
+
+def _move(pair, move):
+    i, j = pair
+    first, second = move
+    return first[i], second[i][j]
 
 
 def closure(ring, generators, projective=False, budget=None):
@@ -117,69 +141,23 @@ def closure(ring, generators, projective=False, budget=None):
     orbits are found first, each under `budget` (a row orbit, up to
     sign when `projective`, has at most |G| points), and numbered in
     sorted order, so that each generator becomes one integer map on
-    rows.  The group is then the orbit of the identity pair of row
-    numbers (top, bottom).  The numbering keeps the order of rows, so
-    min(M, -M) is the sign of M with the lesser top row number: r and
-    -r differ unless 2 = 0, and then M = -M.  Matrices are assembled
-    only at the end, and the cost is O(|G|), whatever the size of the
-    ring.
+    rows (`_row_moves`).  The group is then the orbit of the identity
+    pair of row numbers (top, bottom).  The numbering keeps the order of
+    rows, so min(M, -M) is the sign of M with the lesser top row number:
+    r and -r differ unless 2 = 0, and then M = -M.  Matrices are
+    assembled only at the end, and the cost is O(|G|), whatever the
+    size of the ring.
     """
-    if budget is None:
-        budget = DEFAULT_ORDER_BUDGET
-    gens = []
-    for g in generators:
-        g = tuple(g)
-        if mat_det(ring, g) != ring.one:
-            raise ValueError("generators must have determinant 1")
-        gens += [g, mat_inv_sl(ring, g)]
-    add, mul, neg = ring.add, ring.mul, ring.neg
-
-    def row_times(r, g):
-        x, y = r
-        a, b, c, d = g
-        return add(mul(x, a), mul(y, c)), add(mul(x, b), mul(y, d))
-
-    def row_sign(r):
-        return min(r, (neg(r[0]), neg(r[1]))) if projective else r
-
-    found = set()
-    for start in ((ring.one, ring.zero), (ring.zero, ring.one)):
-        if row_sign(start) not in found:
-            found.update(_orbit(row_sign(start), gens,
-                                lambda r, g: row_sign(row_times(r, g)), budget))
-    if projective:
-        found.update([(neg(x), neg(y)) for x, y in found])
-    rows = sorted(found)
-    number = {r: i for i, r in enumerate(rows)}
-    # a move sends (i, j) to (first[i], second[i][j]): the images of
-    # both rows under g, both negated when that lessens the top row
-    negate = [number[(neg(x), neg(y))] for x, y in rows] if projective \
-        else range(len(rows))
-    moves = []
-    for g in gens:
-        image = [number[row_times(r, g)] for r in rows]
-        negated = [negate[k] for k in image]
-        moves.append(([min(k, negate[k]) for k in image],
-                      [negated if k > negate[k] else image for k in image]))
-    top, bottom = number[(ring.one, ring.zero)], number[(ring.zero, ring.one)]
-    start = min((top, bottom), (negate[top], negate[bottom]))
-    return frozenset(rows[i] + rows[j] for i, j in _orbit(
-        start, moves, lambda m, move: (move[0][m[0]], move[1][m[0]][m[1]]),
-        budget))
+    rows, moves, start = _row_moves(ring, generators, projective, budget)
+    return frozenset(rows[i] + rows[j]
+                     for i, j in _orbit(start, moves, _move, budget))
 
 
 def sl2_elements(ring):
-    """All of SL(2, R) by direct determinant scan (tiny rings only)."""
-    out = []
-    els = list(ring.elements())
-    one = ring.one
-    for a in els:
-        for b in els:
-            for c in els:
-                for d in els:
-                    if ring.sub(ring.mul(a, d), ring.mul(b, c)) == one:
-                        out.append((a, b, c, d))
-    return out
+    """All of SL(2, Z/m) by direct determinant scan (tiny rings only)."""
+    m = ring.m
+    return [(a, b, c, d) for a in range(m) for b in range(m)
+            for c in range(m) for d in range(m) if (a * d - b * c) % m == 1]
 
 
 def psl2_elements(ring):
@@ -204,30 +182,17 @@ class ProductGroup:
     def order(self):
         return prod(psl2_order_formula(p) for p in self.primes)
 
-    def canonical(self, tup):
-        return tuple(proj_canonical(r, m) for r, m in zip(self.rings, tup))
-
-    def multiply(self, x, y):
-        return self.canonical(tuple(
-            mat_mul(r, a, b) for r, a, b in zip(self.rings, x, y)))
-
-    def inverse(self, x):
-        return self.canonical(tuple(
-            mat_inv_sl(r, m) for r, m in zip(self.rings, x)))
-
-    def identity(self):
-        return self.canonical(tuple(mat_identity(r) for r in self.rings))
-
     def orbit(self, generators, budget=None):
-        """The subgroup the generators span, yielded breadth-first."""
-        if budget is None:
-            budget = DEFAULT_ORDER_BUDGET
-        gens = []
-        for g in generators:
-            g = self.canonical(g)
-            gens.append(g)
-            gens.append(self.inverse(g))
-        return _orbit(self.identity(), gens, self.multiply, budget)
+        """The subgroup the generators span, yielded breadth-first.  A
+        state is one pair of row numbers per factor (`closure`), and
+        each move acts on every factor at once."""
+        generators = list(generators)
+        factors = [_row_moves(ring, [g[k] for g in generators], True, budget)
+                   for k, ring in enumerate(self.rings)]
+        rows, moves, start = zip(*factors)
+        for state in _orbit(start, list(zip(*moves)),
+                            lambda x, move: tuple(map(_move, x, move)), budget):
+            yield tuple(r[i] + r[j] for r, (i, j) in zip(rows, state))
 
     def closure(self, generators, budget=None):
         return frozenset(self.orbit(generators, budget))
@@ -294,13 +259,13 @@ def normalizer_quotient_order(primes, a_tuple, b_tuple, budget=None):
     `budget`) counts the g_i sending (A_i, B_i) to each pair, and
     |N(H)| = sum over (h, k) in H x H of prod_i count_i(h_i, k_i).
     """
-    grp = ProductGroup(primes)
-    ident = grp.identity()
-    # 1 * t reduces the entries of t mod p_i and picks its sign class
-    a, b = (grp.multiply(ident, t) for t in (a_tuple, b_tuple))
-    ab = grp.multiply(a, b)
-    for i, (p, ring) in enumerate(zip(grp.primes, grp.rings)):
-        x, y, one = a[i], b[i], ident[i]
+    rings = [ModRing(p) for p in primes]
+    one = (1, 0, 0, 1)
+    a, b = (tuple(map(proj_canonical, rings, t)) for t in (a_tuple, b_tuple))
+    ab = tuple(proj_canonical(r, mat_mul(r, x, y))
+               for r, x, y in zip(rings, a, b))
+    for i, (p, ring) in enumerate(zip(primes, rings)):
+        x, y = a[i], b[i]
         xx, yy, yx = (proj_canonical(ring, mat_mul(ring, u, v))
                       for u, v in ((x, x), (y, y), (y, x)))
         if one in (x, y, ab[i]) or xx != one or yy != one or ab[i] != yx:
@@ -308,7 +273,7 @@ def normalizer_quotient_order(primes, a_tuple, b_tuple, budget=None):
                              "commuting involutions spanning a Klein "
                              f"four-group in PSL(2, {p})")
     counts = []
-    for i, (p, ring) in enumerate(zip(grp.primes, grp.rings)):
+    for i, (p, ring) in enumerate(zip(primes, rings)):
         count = {}
         for g in closure(ring, [(0, p - 1, 1, 0), (1, 1, 0, 1)],
                          projective=True, budget=budget):
@@ -317,10 +282,10 @@ def normalizer_quotient_order(primes, a_tuple, b_tuple, budget=None):
                 for m in (a[i], b[i]))
             count[key] = count.get(key, 0) + 1
         counts.append(count)
-    H = (ident, a, b, ab)
+    H = ((one,) * len(rings), a, b, ab)
     order = sum(prod(c.get((h[i], k[i]), 0) for i, c in enumerate(counts))
                 for h in H for k in H)
-    n, quotient = len(grp.primes), order // len(H)
+    n, quotient = len(rings), order // len(H)
     return NormalizerReport(subgroup_order=len(H), witness_order=4 ** n,
                             quotient_order=quotient, bound=4 ** (n - 1),
                             holds=quotient >= 4 ** (n - 1), exact=True)

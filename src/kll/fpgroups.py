@@ -351,7 +351,8 @@ def cyclic_quotient_table(pres, phi, index):
 
 def _check_phi(pres, phi):
     if len(phi) != pres.rank():
-        raise ValueError("exponent vector length mismatch")
+        raise ValueError(f"exponent vector has {len(phi)} entries, "
+                         f"one per generator needs {pres.rank()}")
     from math import gcd
     g = 0
     for e in phi:

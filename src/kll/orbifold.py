@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 
 from .fpgroups import (Presentation, parse_word, free_reduce, d_p,
-                       RelatorNotKilled)
+                       RelatorNotKilled, _check_phi)
 from .linalg import integer_kernel, mat_mul, rank
 from .polys import is_prime
 
@@ -281,13 +281,10 @@ def _phi_of_word(phi, w):
 
 def theorem55_hypothesis(data, phi, p):
     """Does some circle component of sing_p^0 have core with trivial
-    image under phi?  phi must kill every relator of the orbifold
-    presentation (meridians are torsion, so this is forced)."""
-    pres = orbifold_presentation(data)
-    for r in pres.relators:
-        if _phi_of_word(phi, r) != 0:
-            raise RelatorNotKilled(
-                "phi does not factor through the orbifold group")
+    image under phi?  phi must be one exponent per generator of the
+    orbifold presentation, map onto Z (gcd 1) and kill every relator
+    (meridians are torsion, so this is forced); otherwise ValueError."""
+    _check_phi(orbifold_presentation(data), phi)
     strat = stratify(data.locus, p)
     for comp in strat.zero:
         if comp.kind != "circle":

@@ -101,9 +101,6 @@ class CosetGraph:
                     stack.append(w)
         return len(seen) == self.num_vertices
 
-    def to_json(self):
-        return {"V": self.num_vertices, "edges": [list(e) for e in self.edges]}
-
 
 class CheegerConstant(Fraction):
     """An exact Cheeger constant h, compared and printed as a Fraction,
@@ -281,24 +278,12 @@ class CheegerValue:
     def best_upper(self):
         return self.exact if self.exact is not None else self.upper
 
-    def to_json(self):
-        if self.exact is not None:
-            return {"h": str(self.exact)}
-        return {"lo": str(self.lower), "hi": str(self.upper)}
-
 
 @dataclass
 class FamilyReport:
     values: list
     inf_lower: Fraction
     verdict: str   # "consistent with (tau) on prefix" or "h -> 0 trend"
-
-    def to_json(self):
-        return {
-            "h": [v.to_json() for v in self.values],
-            "inf": str(self.inf_lower),
-            "verdict": self.verdict,
-        }
 
 
 def tau_family_report(graphs):

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .linalg import rref
 from .numfield import NumberField, FieldElement
 
 
@@ -181,21 +180,6 @@ class ElementaryOrder:
 
     def discriminant_generator(self):
         return order_discriminant_from_pair(self.basis[1], self.basis[2])
-
-    def contains(self, m):
-        """Membership test: coordinates in the basis must all be integral."""
-        coords = _solve_in_basis(self.basis, m)
-        return coords is not None and all(c.is_integral() for c in coords)
-
-
-def _solve_in_basis(basis, m):
-    """Coordinates of m in the k-span of the basis (4x4 system over k)."""
-    cols = [bm.flat() for bm in basis]
-    aug = [[col[i] for col in cols] + [x] for i, x in enumerate(m.flat())]
-    mat, pivots = rref(aug, 4)
-    if len(pivots) < 4:
-        return None
-    return [row[4] for row in mat]
 
 
 def build_order(a, b):

@@ -827,22 +827,22 @@ def closure_by_products(ring, generators, projective=False):
     generate, by breadth-first search with right multiplication by the
     generators and their inverses, each product a full 2x2 product; with
     `projective`, each element is the least of its matrices +-M."""
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    n = ring.m
 
     def sign(m):
-        return min(m, tuple(map(neg, m))) if projective else m
+        return min(m, tuple(-v % n for v in m)) if projective else m
 
     moves = []
     for a, b, c, d in generators:
-        moves += [(a, b, c, d), (d, neg(b), neg(c), a)]
-    start = sign((ring.one, ring.zero, ring.zero, ring.one))
+        moves += [(a, b, c, d), (d, -b % n, -c % n, a)]
+    start = sign((1, 0, 0, 1))
     seen = {start}
     queue = [start]
     for x in queue:  # grows as new elements are found
         a, b, c, d = x
         for e, f, g, h in moves:
-            y = sign((add(mul(a, e), mul(b, g)), add(mul(a, f), mul(b, h)),
-                      add(mul(c, e), mul(d, g)), add(mul(c, f), mul(d, h))))
+            y = sign(((a * e + b * g) % n, (a * f + b * h) % n,
+                      (c * e + d * g) % n, (c * f + d * h) % n))
             if y not in seen:
                 seen.add(y)
                 queue.append(y)

@@ -741,6 +741,13 @@ def _gens(gens):
 
 
 B = [[[1], [0]], [[1], [1]]]
+# a circle of order 2 with meridian b and core a: phi = (1, 0) kills b^2
+CIRCLE = ["orbifold", "--prime", "2", "--input", {
+    "manifold": {"gens": ["a", "b"], "rels": []},
+    "locus": {"vertices": ["w"], "edges": [
+        {"id": "c", "ends": ["w", "w"], "order": 2, "meridian": "b",
+         "core": "a"}]}}]
+K4 = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 FIELD = ["field", "--poly", "[1,0,1]"]
 SYMBOL = ["algebra", "--symbol", "3", "5"]
 
@@ -765,6 +772,9 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
     (["order", "--poly", "[0,1]", "--matrices",
       json.dumps({"a": [[1, 0.5], [0, 1]], "b": B})], 2, "/a/0/1"),
     (["graph", "--input", {"V": 0, "edges": []}], 2, "/V"),
+    (["graph", "--input", {"V": 8, "edges": K4 + [[u + 4, v + 4]
+                                                  for u, v in K4]}],
+     2, "not connected"),
     (["quotient", "--input", {"primes": [], "generators": []}], 2,
      "/primes"),
     (FIELD + ["--prime", "1"], 2, "p = 1 is not a prime"),
@@ -773,6 +783,9 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
     (SYMBOL + ["--prime", "4"], 2, "p = 4 is not a prime"),
     (SYMBOL + ["--prime", "9"], 2, "p = 9 is not a prime"),
     (_orbifold(lambda o: None) + ["--prime", "1"], 2, "p = 1 is not"),
+    (CIRCLE + ["--phi", "1"], 2, "has 1 entries"),
+    (CIRCLE + ["--phi", "1,0,5"], 2, "has 3 entries"),
+    (CIRCLE + ["--phi", "0,0"], 2, "gcd of exponents is not 1"),
     (["field", "--poly", "[1.5,0,1]"], 2, "JSON integers"),
     (["field", "--poly", "[true,1]"], 2, "JSON integers"),
     (["count", "--modulus", "23"], 3, "census order reached 12144"),
@@ -784,9 +797,11 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
         "end-not-a-name", "end-unknown-vertex", "order-below-2",
         "multi-letter-generator", "duplicate-generator",
         "meridian-not-a-generator", "no-generators", "order-matrix-shape",
-        "order-float-entry", "graph-no-vertices", "quotient-no-primes",
+        "order-float-entry", "graph-no-vertices", "graph-disconnected",
+        "quotient-no-primes",
         "field-prime-1", "field-prime-negative", "symbol-prime-1",
         "symbol-prime-4", "symbol-prime-9", "orbifold-prime-1",
+        "orbifold-phi-short", "orbifold-phi-long", "orbifold-phi-zero",
         "poly-float", "poly-bool", "count-over-budget",
         "order-zero-divisor"])
 def test_bad_input_exits_with_json(tmp_path, argv, code, detail):

@@ -6,7 +6,8 @@ import pytest
 
 from kll.fpgroups import BudgetExceeded
 from kll.finquot import (ModRing, closure, sl2_elements, psl2_elements,
-                         psl2_order_formula,
+                         psl2_order_formula, mat_det, mat_inv_sl, mat_mul,
+                         proj_canonical,
                          product_surjectivity, normalizer_quotient_order,
                          hall_onto, ProductGroup)
 
@@ -20,11 +21,15 @@ A2, B2 = (0, 6, 1, 0), (2, 3, 3, 5)   # commuting involutions in PSL(2,7)
 
 
 def test_prime_field_ops():
+    # the matrix maps reduce every entry mod m, whatever their input
     f = ModRing(7)
     assert f.m == 7
-    assert f.add(3, 5) == 1
-    assert f.mul(3, 5) == 1
-    assert f.neg(2) == 5
+    assert mat_mul(f, (3, 0, 0, 5), (5, 0, 0, 3)) == (1, 0, 0, 1)
+    assert mat_det(f, (9, 3, 8, 3)) == 3
+    assert mat_inv_sl(f, (1, 2, 0, 1)) == (1, 5, 0, 1)
+    assert proj_canonical(f, (-1, 9, 0, -8)) == (1, 5, 0, 1)
+    with pytest.raises(ValueError):
+        ModRing(1)
 
 
 def test_sl2_psl2_orders_small_primes():
@@ -39,7 +44,7 @@ def test_sl2_psl2_orders_small_primes():
 def _random_sl2(ring, rng):
     while True:
         m = tuple(rng.randrange(ring.m) for _ in range(4))
-        if ring.sub(ring.mul(m[0], m[3]), ring.mul(m[1], m[2])) == ring.one:
+        if mat_det(ring, m) == 1:
             return m
 
 
@@ -128,7 +133,7 @@ def test_hall_outer_twisted_diagonal_not_onto():
     assert not hall_onto([5, 5], gens)
     assert not product_surjectivity([5, 5], gens)
     sub = ProductGroup([5, 5]).closure(gens)
-    assert len(sub) == len(product_closure([5, 5], gens)) == 60
+    assert sub == product_closure([5, 5], gens) and len(sub) == 60
 
 
 def test_hall_three_equal_factors():
@@ -153,10 +158,19 @@ def test_hall_small_factor_takes_closure_path(primes, onto):
     gens = [tuple((0, p - 1, 1, 0) for p in primes),
             tuple((1, 1, 0, 1) for p in primes)]
     assert not hall_onto(primes, gens)
-    order = len(product_closure(primes, gens))
-    assert (order == ProductGroup(primes).order()) is onto
+    sub = product_closure(primes, gens)
+    assert (len(sub) == ProductGroup(primes).order()) is onto
     assert product_surjectivity(primes, gens) is onto
-    assert len(ProductGroup(primes).closure(gens)) == order
+    assert ProductGroup(primes).closure(gens) == sub
+
+
+def test_product_closure_reduces_unreduced_generators():
+    # entries outside 0..p-1, as (-1, 4, -4, 15) = (4, 4, 1, 0) mod 5
+    gens = [((-1, 4, -4, 15), S7), (T5, (8, -6, 7, -6))]
+    sub = ProductGroup([5, 7]).closure(gens)
+    assert sub == product_closure([5, 7], gens)
+    assert all(x == tuple(v % p for v in x)
+               for g in sub for x, p in zip(g, (5, 7)))
 
 
 def klein_four(p):

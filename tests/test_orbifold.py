@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kll.fpgroups import Presentation, RelatorNotKilled
+from kll.fpgroups import NotSurjective, Presentation, RelatorNotKilled
 from kll.orbifold import (LocusEdge, SingularLocus, OrbifoldData, stratify,
                           orbifold_presentation, homology_lower_bound,
                           presentation_deficit, theorem55_hypothesis,
@@ -206,6 +206,18 @@ def test_theorem55_satisfied_and_not():
     assert res.status == NOT_SATISFIED
     with pytest.raises(RelatorNotKilled):
         theorem55_hypothesis(data, [1, 0, 0], 2)
+
+
+@pytest.mark.parametrize("phi, error", [
+    ([0, 1], ValueError), ([0, 0, 1, 5], ValueError),
+    ([0, 0, 0], NotSurjective), ([0, 0, 2], NotSurjective)],
+    ids=["short", "long", "zero", "not-onto"])
+def test_theorem55_rejects_bad_phi(phi, error):
+    # one exponent per generator, onto Z, as find_theorem55_phi requires
+    F3 = Presentation.free(3)
+    data = OrbifoldData(F3, circle_locus(order=2), {"c": "a"}, cores={"c": "b"})
+    with pytest.raises(error):
+        theorem55_hypothesis(data, phi, 2)
 
 
 def test_theorem55_phi_search():
