@@ -2,14 +2,18 @@
 numeric values as exact rational strings ("2/3"); interval data appears
 only in explicitly labeled {"lo": ..., "hi": ...} fields.  Output is
 byte-identical across runs: keys are sorted and no floats are emitted.
+A validation or budget error is one JSON line on stderr; `kll verify`
+also writes one JSON line there per example, with its wall time.
 
 Exit codes: 0 success, 2 precondition/validation error, 3 budget
 exceeded.
 """
 
 import argparse
+import functools
 import json
 import sys
+import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -649,10 +653,16 @@ EXAMPLES = (
 
 
 def verify_paper_examples():
-    """The worked examples reproduced end to end; one record each."""
+    """The worked examples reproduced end to end; one record each.  Each
+    example's wall time goes to stderr as one JSON line, seconds as a
+    decimal string, so the records themselves stay deterministic."""
     results = []
     for name, check in EXAMPLES:
+        start = time.perf_counter()
         passed, detail = check()
+        seconds = time.perf_counter() - start
+        print(json.dumps({"name": name, "seconds": f"{seconds:.6f}"}),
+              file=sys.stderr)
         results.append({"name": name, "pass": bool(passed), "detail": detail})
     return results
 
@@ -666,7 +676,11 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The `kll` parser, built on first use and shared by every `main`
+    call: `parse_args` starts each call from a fresh namespace and copies
+    list defaults, so no state carries from one call to the next."""
     ap = argparse.ArgumentParser(
         prog="kll",
         description=("Exact checks: number-field splitting, quaternion "

@@ -72,6 +72,16 @@ def word_to_string(w, generators="abcdefghijklmnopqrstuvwxyz"):
     return "".join(out)
 
 
+def spell_word(w, generators):
+    """A word in its presentation's own names, for messages and repr: as
+    `word_to_string` when every name is one letter a-z, otherwise the
+    names joined by `*` with `^-1` for inverses (b_0*a_1^-1)."""
+    if all(len(g) == 1 and "a" <= g <= "z" for g in generators):
+        return word_to_string(w, generators)
+    return "*".join(generators[abs(x) - 1] + ("" if x > 0 else "^-1")
+                    for x in w)
+
+
 def free_reduce(w):
     out = []
     for x in w:
@@ -203,10 +213,7 @@ class Presentation:
         return Presentation(tuple(gens), tuple(rels))
 
     def __repr__(self):
-        try:
-            rels = ", ".join(word_to_string(r, self.generators) for r in self.relators)
-        except ValueError:  # names such as b_0: relators as integer tuples
-            rels = ", ".join(map(str, self.relators))
+        rels = ", ".join(spell_word(r, self.generators) for r in self.relators)
         return f"<{', '.join(self.generators)} | {rels}>"
 
 
@@ -296,14 +303,6 @@ class SubgroupTable:
     def apply(self, coset, letter):
         return self._perm(letter)[coset]
 
-    def table_rows(self):
-        """Row-major table [coset][g, g^-1 alternating]: the order in
-        which `low_index_subgroups` fills slots and lists tables."""
-        return tuple(
-            tuple(v for perm, inv in zip(self.action, self.inverse)
-                  for v in (perm[c], inv[c]))
-            for c in range(self.index))
-
 
 def intersection_table(t1, t2):
     """Coset table of the intersection of the two subgroups.
@@ -362,7 +361,8 @@ def _check_phi(pres, phi):
     for r in pres.relators:
         total = sum(phi[abs(x) - 1] * (1 if x > 0 else -1) for x in r)
         if total != 0:
-            raise RelatorNotKilled(f"relator {r} maps to {total}")
+            raise RelatorNotKilled(f"relator {spell_word(r, pres.generators)} "
+                                   f"maps to {total}")
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +447,14 @@ def reidemeister_schreier(sub):
 def low_index_subgroups(pres, max_index, node_budget=None):
     """All subgroups of index <= max_index, as distinct coset tables in
     first-occurrence standard form (conjugates counted separately),
-    sorted by index and, within one index, by `table_rows`.
+    sorted by index and, within one index, lexicographically by the
+    table read row by row: coset 0 first, and in each coset's row the
+    images c*g and c*g^-1 for each generator g in turn.
 
     Backtracking coset-table completion with deduction processing (Sims,
     Computation with Finitely Presented Groups, ch. 5; Holt, Eick and
     O'Brien, Handbook of CGT, 5.4).  The search branches on the first
-    undefined slot in `table_rows` order (coset, then generator, image
+    undefined slot in that row-by-row order (coset, then generator, image
     before preimage), trying the defined cosets in ascending order and
     then one new coset.  Each definition c*x = d is queued, and a queued
     definition scans only the relator cycles through it: the cyclic
@@ -465,7 +467,7 @@ def low_index_subgroups(pres, max_index, node_budget=None):
 
     Two tables of one index first differ at the slot where their search
     paths parted, and the smaller value there was tried first, so the
-    search already emits each index's tables in `table_rows` order: a
+    search already emits each index's tables in row-by-row order: a
     stable sort by index finishes the job.  Every table is validated by
     `SubgroupTable` as usual.
     """
@@ -481,7 +483,7 @@ def low_index_subgroups(pres, max_index, node_budget=None):
     for g in range(ngens):
         rows[g + 1] = (fwd[g], bwd[g])
         rows[-g - 1] = (bwd[g], fwd[g])
-    # slots in table_rows order: coset-major, then c*g before c*g^-1
+    # slots in row-by-row order: coset-major, then c*g before c*g^-1
     slot_letters = [x for g in range(1, ngens + 1) for x in (g, -g)]
     slot_rows = [rows[x][0] for x in slot_letters]
     all_rows = fwd + bwd

@@ -196,10 +196,6 @@ class FieldElement:
             rows.append([a - row[-1] * c for a, c in zip([0] + row[:-1], f)])
         return rows
 
-    def multiplication_matrix(self):
-        """Matrix of y -> self*y on the power basis; rows are images."""
-        return [[Fraction(a, self.den) for a in row] for row in self._int_matrix()]
-
     def char_poly(self):
         """Characteristic polynomial of multiplication by self, monic,
         constant first: Berkowitz on the integer matrix, whose

@@ -45,15 +45,6 @@ class CosetGraph:
                 raise ValueError("edge endpoint out of range")
 
     @classmethod
-    def from_subgroup_table(cls, table):
-        edges = []
-        for g in range(len(table.action)):
-            for c in range(table.index):
-                edges.append(tuple(sorted((c, table.action[g][c]))))
-        return cls(table.index, tuple(edges),
-                   generator_set_size=len(table.action))
-
-    @classmethod
     def cycle(cls, n):
         """Schreier graph of Z/n with generating set {1}."""
         if n < 1:

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import kll
-from kll import taugraphs
-from kll.cli import main, verify_paper_examples
+from kll import cli, taugraphs
+from kll.cli import EXAMPLES, main, verify_paper_examples
 
 from oracles import boundary_size
 
@@ -560,9 +560,62 @@ def test_count_stdout_pinned(capsys, m):
 def test_verify_command(capsys):
     rc = main(["verify"])
     assert rc == 0
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert out["all_pass"] is True
     assert len(out["examples"]) >= 10
+    # one timing line per example on stderr; stdout carries no time
+    timings = [json.loads(line) for line in captured.err.splitlines()]
+    assert [t["name"] for t in timings] == [name for name, _ in EXAMPLES] \
+        == [r["name"] for r in out["examples"]]
+    for t in timings:
+        assert set(t) == {"name", "seconds"}
+        assert Fraction(t["seconds"]) >= 0 and "e" not in t["seconds"]
+    assert "seconds" not in captured.out
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """One parser serves every `main` call in a process, and each call
+    behaves as the same argv run alone in a fresh process."""
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    graph = tmp_path / "two-k4.json"
+    graph.write_text(json.dumps(
+        {"V": 8, "edges": K4 + [[u + 4, v + 4] for u, v in K4]}))
+    output = tmp_path / "symbol.json"
+    quintic = ["field", "--poly", "[1,0,-2,-1,0,1]"]
+    argvs = [quintic + ["--prime", "3", "--prime", "5"], quintic,
+             ["no-such-command"], ["--budget", "10", "count", "--modulus", "5"],
+             ["count", "--modulus", "23"],
+             ["graph", "--input", str(graph)],
+             ["algebra", "--symbol", "3", "5", "--prime", "3",
+              "--output", str(output)]]
+    argvs.append(argvs[0])
+
+    def written():
+        if not output.exists():
+            return None
+        text = output.read_text()
+        output.unlink()
+        return text
+
+    alone = []
+    for argv in argvs:
+        proc = run_cli(argv, timeout=60)
+        alone.append((proc.returncode, proc.stdout, proc.stderr, written()))
+    together = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        together.append((rc, captured.out, captured.err, written()))
+    assert [r[0] for r in together] == [0, 0, 2, 3, 3, 2, 0, 0]
+    assert together == alone
+    assert together[-1] == together[0]
+    assert json.loads(together[0][1])["primes"].keys() == {"3", "5"}
+    assert json.loads(together[1][1])["primes"] == {}
 
 
 def test_verify_examples_structure():
@@ -748,6 +801,12 @@ CIRCLE = ["orbifold", "--prime", "2", "--input", {
         {"id": "c", "ends": ["w", "w"], "order": 2, "meridian": "b",
          "core": "a"}]}}]
 K4 = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+# circles of order 3 about a and of order 2 about b: phi = (0, 1) leaves bb
+TWO_CIRCLES = ["orbifold", "--phi", "0,1", "--input", {
+    "manifold": {"gens": ["a", "b"], "rels": []},
+    "locus": {"vertices": ["w", "x"], "edges": [
+        {"id": "c", "ends": ["w", "w"], "order": 3, "meridian": "a"},
+        {"id": "d", "ends": ["x", "x"], "order": 2, "meridian": "b"}]}}]
 FIELD = ["field", "--poly", "[1,0,1]"]
 SYMBOL = ["algebra", "--symbol", "3", "5"]
 
@@ -786,6 +845,7 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
     (CIRCLE + ["--phi", "1"], 2, "has 1 entries"),
     (CIRCLE + ["--phi", "1,0,5"], 2, "has 3 entries"),
     (CIRCLE + ["--phi", "0,0"], 2, "gcd of exponents is not 1"),
+    (TWO_CIRCLES, 2, "relator bb maps to 2"),
     (["field", "--poly", "[1.5,0,1]"], 2, "JSON integers"),
     (["field", "--poly", "[true,1]"], 2, "JSON integers"),
     (["count", "--modulus", "23"], 3, "census order reached 12144"),
@@ -802,6 +862,7 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
         "field-prime-1", "field-prime-negative", "symbol-prime-1",
         "symbol-prime-4", "symbol-prime-9", "orbifold-prime-1",
         "orbifold-phi-short", "orbifold-phi-long", "orbifold-phi-zero",
+        "orbifold-phi-relator",
         "poly-float", "poly-bool", "count-over-budget",
         "order-zero-divisor"])
 def test_bad_input_exits_with_json(tmp_path, argv, code, detail):

@@ -52,7 +52,8 @@ def test_to_json_refuses_names_that_are_not_letters():
     assert "x_1" in sub.generators
     with pytest.raises(ValueError, match="is not a letter a-z"):
         sub.to_json()
-    assert repr(sub).endswith(f"| {', '.join(map(str, sub.relators))}>")
+    assert repr(sub) == ("<y_0, x_1, y_1 | y_0*x_1*y_1^-1*y_0*y_0*x_1*y_1^-1*x_1, "
+                         "y_1*y_0^-1*x_1^-1*y_1*x_1^-1*y_1*y_0^-1>")
 
 
 def test_d_p_examples():
@@ -226,11 +227,19 @@ def test_low_index_matches_rescan_oracle_on_random_presentations():
         assert [t.action for t in got] == want, pres
 
 
+def _table_rows(table):
+    """Row c lists c*g and c*g^-1 for each generator g in turn: the order
+    in which `low_index_subgroups` fills slots and lists tables."""
+    return tuple(tuple(v for perm, inv in zip(table.action, table.inverse)
+                       for v in (perm[c], inv[c]))
+                 for c in range(table.index))
+
+
 def test_low_index_surface_counts_match_mednykh():
     subs = low_index_subgroups(GENUS2, 4)
     by_index = [sum(1 for t in subs if t.index == n) for n in range(1, 5)]
     assert by_index == surface_subgroup_counts(2, 4) == [1, 15, 220, 5275]
-    assert subs == sorted(subs, key=lambda t: (t.index, t.table_rows()))
+    assert subs == sorted(subs, key=lambda t: (t.index, _table_rows(t)))
 
 
 @pytest.mark.parametrize("action", [
@@ -315,6 +324,17 @@ def test_cyclic_tower_rejects_bad_phi():
     z2t = Presentation.from_strings(["x"], ["xx"])
     with pytest.raises(RelatorNotKilled):
         cyclic_tower(z2t, [1], 2)
+
+
+def test_unkilled_relator_is_named_in_the_generator_names():
+    letters = Presentation.from_strings(["x", "y"], ["xYY"])
+    with pytest.raises(RelatorNotKilled, match=r"^relator xYY maps to 1$"):
+        cyclic_quotient_table(letters, [1, 0], 2)
+    # names that are not one letter a-z, as Reidemeister-Schreier gives
+    named = Presentation(("b_0", "a_1"), ((1, -2, -2),))
+    with pytest.raises(RelatorNotKilled,
+                       match=r"^relator b_0\*a_1\^-1\*a_1\^-1 maps to 1$"):
+        cyclic_quotient_table(named, [1, 0], 2)
 
 
 def test_golod_shafarevich_exact():

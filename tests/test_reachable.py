@@ -9,11 +9,16 @@ reached function, class or constant mentions, resolved through its
 module's own definitions and imports; module attributes such as
 `polys.mul` count, method calls on values do not.  A name that only its
 unit tests call is dead code and fails this test.
+
+Methods are judged by name alone: a non-dunder method of a `src/kll`
+class is live if some root or some other `src/kll` code names it, as an
+attribute (`x.apply`) or in a string (`"FieldElement.char_poly"`).
 """
 
 import ast
 import glob
 import os
+from collections import Counter
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 ROOTS = ["src/kll/cli.py", "perfbench/*.py", "tests/oracles.py",
@@ -131,3 +136,43 @@ def unreachable():
 def test_every_library_name_is_reachable():
     dead = unreachable()
     assert not dead, "reached by no user path: " + ", ".join(dead)
+
+
+def _method_mentions(node):
+    """Attribute names and the dotted parts of string constants in `node`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from sub.value.split(".")
+
+
+def unreferenced_methods():
+    paths = set(_keys("src/kll/*.py").values())
+    for pattern in ROOTS:
+        paths.update(_keys(pattern).values())
+    trees = {}
+    for path in paths:
+        with open(path) as fh:
+            trees[path] = ast.parse(fh.read())
+    mentions = Counter(name for tree in trees.values()
+                       for name in _method_mentions(tree))
+    dead = []
+    for key, path in sorted(_keys("src/kll/*.py").items()):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or fn.name.startswith("__"):
+                    continue
+                # mentions inside the method itself do not keep it alive
+                own = Counter(_method_mentions(fn))
+                if mentions[fn.name] == own[fn.name]:
+                    dead.append(f"{key}.{cls.name}.{fn.name}")
+    return dead
+
+
+def test_every_library_method_is_named_outside_itself():
+    dead = unreferenced_methods()
+    assert not dead, "named by no user path: " + ", ".join(dead)

@@ -96,12 +96,20 @@ def test_disconnected_rejected():
         cheeger_spectral_bounds(two_triangles)
 
 
+def _schreier_graph(table):
+    """The coset graph of a subgroup table: one edge c -- c*g per coset c
+    and generator g."""
+    edges = tuple((c, perm[c]) for perm in table.action
+                  for c in range(table.index))
+    return CosetGraph(table.index, edges, generator_set_size=len(table.action))
+
+
 def test_schreier_graph_regularity():
     # index-n cyclic quotient with k generators gives a 2k-regular graph
     pres = Presentation.free(2)
     for n in (3, 5, 8):
         table = cyclic_quotient_table(pres, [1, 0], n)
-        g = CosetGraph.from_subgroup_table(table)
+        g = _schreier_graph(table)
         for v in range(g.num_vertices):
             assert g.degree(v) == 4
 
