@@ -435,12 +435,16 @@ def cmd_cheeger(args):
 
 def cmd_count(args):
     m = args.modulus
-    census = counting.sl2_census(m, args.budget)
+    if m >= 5 and polys.is_prime(m):
+        census = counting.dickson_census(m, args.budget)
+        d2 = index2 = 0  # PSL(2, p) is perfect
+    else:
+        census = counting.sl2_census(m, args.budget)
+        # -I = S^2 is a square, so a PSL table has the same d2 as SL
+        d2 = census.table.d2_quotient_rank()
+        index2 = len(census.subgroups_of_index(2))
     rank = counting.rank_bound_check(census)
     ess = counting.essential_subgroups(m, census)
-    # -I = S^2 is a square, so a PSL table has the same d2 as SL
-    d2 = census.table.d2_quotient_rank()
-    index2 = len(census.subgroups_of_index(2))
     report = {
         "modulus": m,
         "group_order": census.order,
@@ -688,9 +692,10 @@ def build_parser():
                      "trivalent-graph lemmas, cover towers, finite quotients, "
                      "Cheeger constants, subgroup counting"))
     ap.add_argument("--budget", type=int, default=None,
-                    help="cap the group order of the count census, the "
-                         "closure orders of quotient and the connected sets "
-                         "cheeger enumerates for an exact h")
+                    help="cap the group order of the count census (for a "
+                         "prime modulus p >= 5, the orders of its witness "
+                         "closures), the closure orders of quotient and the "
+                         "connected sets cheeger enumerates for an exact h")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="number field arithmetic")

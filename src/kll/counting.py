@@ -45,6 +45,45 @@ The odd-order lift is isomorphic to H.  A congruence kernel M(m') lies
 in a lifted subgroup exactly when its image lies in H: for m' > 1 it
 is a p-group, so it sits in the odd-order part of any preimage holding
 it, and M(1) = SL maps onto PSL, which has even order.
+
+For a prime p >= 5 no census is needed (`dickson_census`): Dickson's
+theorem (Linear Groups, 1901; Huppert, Endliche Gruppen I, II.8.27)
+lists the subgroups of G = PSL(2, p), of order n = p(p^2 - 1)/2, up to
+conjugacy.  Let t be (p - 1)/2 or (p + 1)/2, the order of a split or a
+non-split torus T; N(T) is dihedral of order 2t, and the centraliser
+of an element of order d > 2 in T is T.  The classes, with their sizes
+[G : N(H)], are:
+- 1 and G, one class each;
+- C_d for each d > 1 dividing t: one class of n/2t, since N(C_d) =
+  N(T), and for d = 2 the normaliser of an involution is the N(T) of
+  the torus of even order that holds it;
+- C_p: one class of p + 1, normalised by the Borel subgroup, of order
+  p(p - 1)/2;
+- C_p x| C_d for each d > 1 dividing (p - 1)/2: one class of p + 1, the
+  Borel subgroup having one subgroup of each order pd;
+- D_2d for each d > 2 dividing t: N(T) holds t/d of them over C_d,
+  which form one class of n/2d when t/d is odd, and two classes of n/4d
+  when t/d is even (then N(D_2d) = D_4d);
+- the Klein four V and A_4: one class each of n/12 when p = +-3 mod 8,
+  two of n/24 when p = +-1 mod 8, where N(V) = N(A_4) = S_4;
+- S_4 when p = +-1 mod 8, and A_5 when p = +-1 mod 10: two
+  self-normalising classes each, of n/24 and n/60.
+A family of two classes is one class of PGL(2, p) split in two, so the
+second is the first conjugated by diag(nu, 1), nu a non-square.
+
+Each class carries a generating tuple, checked without enumerating G.
+V, A_4, S_4 and A_5 are closed (`finquot.closure`, at most 60
+elements).  Every other check reads element orders off traces and
+tests the one relation of its family: a torus element r of order d > 2
+and an involution w with w r w^-1 = r^-1 generate D_2d (w is not in
+<r>, which would make r = r^-1), and a transvection u with a diagonal
+h of order d such that h u h^-1 lies in <u> generate <u> x| <h>, of
+order pd.  G is generated by the images of S = [[0, -1], [1, 0]] and
+T = [[1, 1], [0, 1]], as SL(2, p) is by its elementary matrices.  A
+tuple has one entry for a cyclic group and two for every other family,
+none of which is cyclic, so each tuple has d(H) entries and the rank
+is 2, reached by V.  G is simple, so it has no subgroup of index 2 and
+d_2 = 0.  The classes lift to SL(2, p) by the rule above.
 """
 
 from array import array
@@ -52,7 +91,8 @@ from dataclasses import dataclass, field as dc_field, replace
 from operator import itemgetter
 
 from .fpgroups import BudgetExceeded
-from .finquot import ModRing, sl2_elements, psl2_elements, mat_mul, proj_canonical
+from .finquot import (ModRing, closure, mat_inv_sl, mat_mul, proj_canonical,
+                      psl2_elements, sl2_elements)
 from .polys import _prime_factors_int, is_prime
 
 
@@ -280,10 +320,11 @@ def subgroup_census(table, budget=None):
 @dataclass
 class LiftedCensus:
     """The census of SL(2, Z/p^k), p odd, read off `quotient`, a census
-    of PSL(2, Z/p^k) (module docstring).  Each class of `quotient`
-    gives the class of its preimages, and an odd-order class also the
-    class of its odd-order lifts; both keep its representative H, an
-    image in `table`, and differ in `order`: 2|H| against |H|."""
+    of PSL(2, Z/p^k) (module docstring) or Dickson's classes of
+    PSL(2, p).  Each class of `quotient` gives the class of its
+    preimages, and an odd-order class also the class of its odd-order
+    lifts; both keep its representative H (an image in `table`) or its
+    generators, and differ in `order`: 2|H| against |H|."""
     quotient: FiniteGroupCensus
     classes: list = dc_field(init=False)
     projective = True  # the table is the censused group mod {+-I}
@@ -301,7 +342,7 @@ class LiftedCensus:
 
     @property
     def order(self):
-        return 2 * self.table.n
+        return 2 * self.quotient.order
 
     @property
     def count(self):
@@ -335,6 +376,159 @@ def _conjugates(h, rows):
                 seen.add(c)
                 orbit.append(c)
     return orbit
+
+
+# ---------------------------------------------------------------------------
+# PSL(2, p) from Dickson's list
+
+@dataclass
+class DicksonClass:
+    """A conjugacy class of subgroups of PSL(2, p) in Dickson's list:
+    its family, the order of its subgroups, its number of conjugates and
+    d(H) matrices of SL(2, p) whose images generate one of them."""
+    family: str
+    order: int
+    size: int
+    generators: tuple
+
+
+@dataclass
+class DicksonCensus:
+    """Every subgroup of PSL(2, p), p >= 5 prime, up to conjugacy, as
+    Dickson's classes (module docstring)."""
+    p: int
+    classes: list
+
+    @property
+    def order(self):
+        return self.p * (self.p * self.p - 1) // 2
+
+    def rank(self):
+        return max(len(c.generators) for c in self.classes)
+
+
+def _psl_order(g, p):
+    """The order of +-g in PSL(2, p), read off traces in O(p) steps.
+    t_k = tr g^k obeys t_(k+1) = t_1 t_k - t_(k-1) (Cayley-Hamilton).  If
+    t_1 != +-2, g has eigenvalues l != 1/l and g^k = +-I iff l^k = 1/l^k
+    iff t_k = +-2; otherwise g is +-I or +-(a transvection), of order p."""
+    a, b, c, d = g
+    t = (a + d) % p
+    if t in (2, p - 2):
+        return 1 if b == c == 0 else p
+    k, previous, current = 1, 2, t
+    while current not in (2, p - 2):
+        k, previous, current = k + 1, current, (t * current - previous) % p
+    return k
+
+
+def _power(ring, g, k):
+    x = (1, 0, 0, 1)
+    for _ in range(k):
+        x = mat_mul(ring, x, g)
+    return x
+
+
+def dickson_census(p, budget=None):
+    """The census of SL(2, p), p >= 5 prime: Dickson's classes of
+    PSL(2, p) (module docstring), each with a checked witness, lifted
+    through -I.  No step enumerates the group.  `budget` caps the
+    closures that check the Klein four, A_4, S_4 and A_5 witnesses
+    (BudgetExceeded "closure order"); ArithmeticError if a witness fails
+    its check."""
+    ring = ModRing(p)
+    n = p * (p * p - 1) // 2
+    half = (p - 1) // 2
+
+    def is_square(v):  # Euler's criterion
+        return pow(v, half, p) != p - 1
+
+    def sqrt(v):
+        return next(y for y in range(p) if (y * y - v) % p == 0)
+
+    nu = next(x for x in range(2, p) if not is_square(x))
+    w, u = (0, p - 1, 1, 0), (1, 1, 0, 1)
+
+    def conj(x, g):
+        return mat_mul(ring, mat_mul(ring, x, g), mat_inv_sl(ring, x))
+
+    def outer(g):  # conjugation by diag(nu, 1), which is not in PSL(2, p)
+        a, b, c, d = g
+        return a, b * nu % p, c * pow(nu, -1, p) % p, d
+
+    def symmetric(t):  # [[x, y], [y, t - x]] of determinant 1, inverted by w
+        x = next(x for x in range(p) if is_square(x * (t - x) - 1))
+        y = sqrt(x * (t - x) - 1)
+        return x, y, y, (t - x) % p
+
+    def scalar(x, c):
+        return tuple(c * v % p for v in x)
+
+    def add(*xs):
+        return tuple(sum(v) % p for v in zip(*xs))
+
+    classes = []
+
+    def keep(family, order, size, gens, holds):
+        if not holds:
+            raise ArithmeticError(f"the {family} witness of order {order} "
+                                  f"fails its check in PSL(2, {p})")
+        classes.append(DicksonClass(family, order, size, gens))
+
+    def dihedral(d, size, r, s):
+        holds = _psl_order(r, p) == d and _psl_order(s, p) == 2 and \
+            proj_canonical(ring, conj(s, r)) == \
+            proj_canonical(ring, mat_inv_sl(ring, r))
+        keep("dihedral", 2 * d, size, (r, s), holds)
+
+    def closed(family, order, size, gens):
+        keep(family, order, size, gens, len(closure(
+            ring, gens, projective=True, budget=budget)) == order)
+
+    # the tori: diag(a, 1/a) and a symmetric matrix, generating C_half
+    # and C_(half + 1); w inverts both
+    split = next(g for g in ((a, 0, 0, pow(a, -1, p)) for a in range(2, p))
+                 if _psl_order(g, p) == half)
+    nonsplit = symmetric(next(t for t in range(p)
+                              if _psl_order((0, p - 1, 1, t), p) == half + 1))
+    keep("trivial", 1, 1, (), True)
+    for torus, t in ((split, half), (nonsplit, half + 1)):
+        for d in _divisors(t)[1:]:
+            r = _power(ring, torus, t // d)
+            keep("cyclic", d, n // (2 * t), (r,), _psl_order(r, p) == d)
+            if d > 2 and t // d % 2:
+                dihedral(d, n // (2 * d), r, w)
+            elif d > 2:
+                dihedral(d, n // (4 * d), r, w)
+                dihedral(d, n // (4 * d), outer(r), outer(w))
+    keep("cyclic", p, p + 1, (u,), _psl_order(u, p) == p)
+    for d in _divisors(half)[1:]:
+        h = _power(ring, split, half // d)
+        a, _, c, e = conj(h, u)
+        keep("borel", p * d, p + 1, (u, h), _psl_order(u, p) == p
+             and _psl_order(h, p) == d and (a, c, e) == (1, 0, 1))
+    # quaternion units i = w, j, k = ij: i^2 = j^2 = -1 and ij = -ji
+    one = (1, 0, 0, 1)
+    j = symmetric(0)
+    k = mat_mul(ring, w, j)
+    inv2 = (p + 1) // 2
+    omega = scalar(add(scalar(one, p - 1), w, j, k), inv2)  # order 3
+    families = [("klein", 4, (w, j)), ("A4", 12, (w, omega))]
+    twice = p % 8 in (1, 7)  # 2 is a square: S_4 exists and normalises V, A_4
+    if twice:
+        families.append(("S4", 24, (omega, scalar(  # (1 + i)/sqrt 2
+            add(one, w), pow(sqrt(2), -1, p)))))
+    if p % 10 in (1, 9):
+        phi = (1 + sqrt(5)) * inv2 % p  # (i + j/phi + phi k)/2, of order 2
+        families.append(("A5", 60, (omega, scalar(add(
+            w, scalar(j, phi - 1), scalar(k, phi)), inv2))))
+    for family, order, gens in families:
+        size = n // max(order, 24 if twice else 12)
+        closed(family, order, size, gens)
+        if twice or order == 60:
+            closed(family, order, size, tuple(map(outer, gens)))
+    keep("whole", n, 1, (w, u), True)
+    return LiftedCensus(DicksonCensus(p, classes))
 
 
 @dataclass
@@ -373,7 +567,7 @@ def congruence_kernel(table, m, m_prime, projective=False):
 
 @dataclass
 class EssentialReport:
-    essential: list                # class representatives (images if lifted)
+    essential: list                # the essential classes
     count: int                     # essential subgroups, all conjugates counted
     minimal_index: int
     prime_field: bool
@@ -384,24 +578,26 @@ class EssentialReport:
 def essential_subgroups(m, census):
     """Subgroups of SL(2, Z/m) containing no congruence kernel M(m')
     for a proper divisor level m' | m, m' != m.  Congruence kernels are
-    normal, so being essential is a property of a conjugacy class.  A
-    lifted census decides it on the images in its PSL(2, Z/m) table.
+    normal, so being essential is a property of a conjugacy class.
+    M(1) is the whole group; the other kernels are read in the census's
+    table (a lifted census decides on the images in its PSL(2, Z/m)
+    table).
 
-    For a prime field F_q the essential subgroups are exactly the
-    proper ones, and the classical minimal-index statement (at least
-    q + 1, with finitely many exceptional q) is evaluated against the
-    hard-coded exceptional set {2, 3, 5, 7, 11}.
+    For a prime field F_q M(1) is the only such kernel, so the essential
+    subgroups are exactly the proper ones and no table is needed; the
+    classical minimal-index statement (at least q + 1, with finitely
+    many exceptional q) is evaluated against the hard-coded exceptional
+    set {2, 3, 5, 7, 11}.
     """
     kernels = [congruence_kernel(census.table, m, mp, census.projective)
-               for mp in _divisors(m) if mp != m]
-    classes = [c for c in census.classes
-               if not any(k <= c.representative for k in kernels)]
-    essential = [c.representative for c in classes]
-    count = sum(c.size for c in classes)
+               for mp in _divisors(m)[1:-1]]
+    essential = [c for c in census.classes if c.order < census.order
+                 and not any(k <= c.representative for k in kernels)]
+    count = sum(c.size for c in essential)
     if not essential:
         return EssentialReport(essential=[], count=0, minimal_index=0,
                                prime_field=is_prime(m))
-    min_index = min(census.order // c.order for c in classes)
+    min_index = min(census.order // c.order for c in essential)
     prime_field = is_prime(m)
     expected = m + 1 if prime_field else None
     exceptional = prime_field and m in EXCEPTIONAL_MINIMAL_INDEX_Q

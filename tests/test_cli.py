@@ -233,8 +233,10 @@ def test_count_command(capsys):
 # `kll count` stdout as printed by the census with one extension per right
 # coset and d(H) found by an exhaustive generator search: for the odd prime
 # powers m <= 13 by the direct census on the SL(2, Z/m) table, which the
-# lifted PSL census must reproduce byte for byte, and for m = 4, 6, 8, 10,
-# 12, 14 and 15, which still take the direct route
+# lifted PSL census and Dickson's classes must reproduce byte for byte, and
+# for m = 4, 6, 8, 10, 12, 14 and 15, which still take the direct route.
+# m = 17, 19 and 23 are as printed by the lifted PSL census (m = 23 with
+# --budget 20000); Dickson's classes print them at the default budgets.
 COUNT_STDOUT = {
     3: """\
 {
@@ -548,6 +550,78 @@ COUNT_STDOUT = {
   "subgroups": 2939
 }
 """,
+    17: """\
+{
+  "essential": {
+    "count": 2710,
+    "exceptional": false,
+    "expected_minimal": 18,
+    "minimal_index": 18,
+    "prime_field": true
+  },
+  "group_order": 4896,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 17,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 2
+  },
+  "subgroups": 2711
+}
+""",
+    19: """\
+{
+  "essential": {
+    "count": 3523,
+    "exceptional": false,
+    "expected_minimal": 20,
+    "minimal_index": 20,
+    "prime_field": true
+  },
+  "group_order": 6840,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 19,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 2
+  },
+  "subgroups": 3524
+}
+""",
+    23: """\
+{
+  "essential": {
+    "count": 6492,
+    "exceptional": false,
+    "expected_minimal": 24,
+    "minimal_index": 24,
+    "prime_field": true
+  },
+  "group_order": 12144,
+  "index2": {
+    "consistent": true,
+    "count": 0,
+    "expected": 0
+  },
+  "modulus": 23,
+  "rank": {
+    "bound": 3,
+    "holds": true,
+    "value": 2
+  },
+  "subgroups": 6493
+}
+""",
 }
 
 
@@ -585,8 +659,8 @@ def test_parser_reuse_keeps_no_state(tmp_path, capsys, monkeypatch):
     output = tmp_path / "symbol.json"
     quintic = ["field", "--poly", "[1,0,-2,-1,0,1]"]
     argvs = [quintic + ["--prime", "3", "--prime", "5"], quintic,
-             ["no-such-command"], ["--budget", "10", "count", "--modulus", "5"],
-             ["count", "--modulus", "23"],
+             ["no-such-command"], ["--budget", "10", "count", "--modulus", "9"],
+             ["count", "--modulus", "25"],
              ["graph", "--input", str(graph)],
              ["algebra", "--symbol", "3", "5", "--prime", "3",
               "--output", str(output)]]
@@ -645,12 +719,23 @@ def test_output_file(tmp_path):
 
 
 def test_budget_exit_code(capsys):
-    rc = main(["--budget", "10", "count", "--modulus", "5"])
+    rc = main(["--budget", "10", "count", "--modulus", "9"])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["budget"], err["limit"], err["reached"]) == \
-        ("budget", "census order", 10, 120)
-    assert main(["count", "--modulus", "5"]) == 0
+        ("budget", "census order", 10, 648)
+    assert main(["count", "--modulus", "9"]) == 0
+
+
+def test_budget_caps_dickson_witness_closures(capsys):
+    # for a prime p >= 5 the budget caps the witness closures, the largest
+    # of which is A_5 (60 elements in PSL(2, 11)), not |SL(2, p)| = 1320
+    assert main(["--budget", "59", "count", "--modulus", "11"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["budget"], err["limit"], err["reached"]) == \
+        ("budget", "closure order", 59, 60)
+    assert main(["--budget", "60", "count", "--modulus", "11"]) == 0
+    assert capsys.readouterr().out == COUNT_STDOUT[11]
 
 
 def test_budget_caps_quotient_closure(tmp_path, capsys):
@@ -679,7 +764,7 @@ def test_budget_caps_cheeger_sets(capsys):
 
 def test_budget_leaves_environment_alone(capsys):
     before = dict(os.environ)
-    assert main(["--budget", "10", "count", "--modulus", "5"]) == 3
+    assert main(["--budget", "10", "count", "--modulus", "9"]) == 3
     assert dict(os.environ) == before
     assert main(["count", "--modulus", "2"]) == 0
     assert dict(os.environ) == before
@@ -848,7 +933,7 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
     (TWO_CIRCLES, 2, "relator bb maps to 2"),
     (["field", "--poly", "[1.5,0,1]"], 2, "JSON integers"),
     (["field", "--poly", "[true,1]"], 2, "JSON integers"),
-    (["count", "--modulus", "23"], 3, "census order reached 12144"),
+    (["count", "--modulus", "25"], 3, "census order reached 15000"),
     # det(ab - ba) is a nonzero zero divisor of Q[x]/(x^2 - 1)
     (["order", "--poly", "[-1,0,1]", "--matrices",
       json.dumps({"a": [[1, 1], [0, 1]], "b": [[1, 0], [["1/2", "1/2"], 1]]})],

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from exhaustive_census import report
+from exhaustive_census import dickson_differences, report
 from oracles import (all_subgroups, burnside_lower_bound, element_order,
                      group_table_by_products, min_generators_by_search)
 from kll.finquot import ModRing, mat_mul, sl2_elements
 from kll.fpgroups import BudgetExceeded
 from kll.counting import (GroupTable, sl2_group_table, sl2_order,
                           subgroup_census, sl2_census, rank_bound_check,
+                          dickson_census,
                           essential_subgroups, congruence_kernel,
                           s_n,
                           EXCEPTIONAL_MINIMAL_INDEX_Q)
@@ -71,6 +72,24 @@ def test_lifted_census_matches_direct_census(m):
     lifted, direct = sl2_census(m), _direct_census(m)
     assert lifted.projective and 2 * lifted.table.n == direct.order
     assert report(m, lifted) == report(m, direct)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_dickson_classes_match_census(p):
+    # class by class: each witness closes, by plain BFS, to a subgroup of
+    # its order in a census class of its size, one census class each;
+    # the (order, size) multiset, s_n, rank and essentials agree too
+    assert dickson_differences(p, sl2_census(p)) == []
+
+
+def test_dickson_class_totals():
+    # PSL(2, p) classes and subgroups, as the census counts them (CI runs
+    # tests/exhaustive_census.py --dickson 17 19 23 class by class)
+    for p, classes, subgroups in ((17, 22, 2420), (19, 19, 2912),
+                                  (23, 23, 5915)):
+        quotient = dickson_census(p).quotient
+        assert (len(quotient.classes),
+                sum(c.size for c in quotient.classes)) == (classes, subgroups)
 
 
 def _lifted_subgroups(census, sl_table, m):
@@ -309,8 +328,8 @@ def test_essential_composite_m4():
     rep = essential_subgroups(4, census)
     kernel = congruence_kernel(table, 4, 2)
     assert len(kernel) == 8
-    for h in rep.essential:
-        assert not kernel <= h
+    for c in rep.essential:
+        assert not kernel <= c.representative
 
 
 def test_projective_congruence_kernel_is_the_image():
