@@ -407,7 +407,7 @@ def _flatten(tup):
 
 
 def cmd_cheeger(args):
-    if args.cycle:
+    if args.cycle is not None:
         g = taugraphs.CosetGraph.cycle(args.cycle)
     elif not args.input:
         raise ValueError("pass --cycle or --input")
@@ -437,12 +437,12 @@ def cmd_count(args):
     m = args.modulus
     if m >= 5 and polys.is_prime(m):
         census = counting.dickson_census(m, args.budget)
-        d2 = index2 = 0  # PSL(2, p) is perfect
+        d2 = 0  # PSL(2, p) is perfect
     else:
         census = counting.sl2_census(m, args.budget)
         # -I = S^2 is a square, so a PSL table has the same d2 as SL
         d2 = census.table.d2_quotient_rank()
-        index2 = len(census.subgroups_of_index(2))
+    index2 = census.of_index(2)
     rank = counting.rank_bound_check(census)
     ess = counting.essential_subgroups(m, census)
     report = {

@@ -1,6 +1,12 @@
 """Subgroup censuses of SL(2, Z/m): the subgroup counts s_n,
 rank = sup d(H) and the essential subgroups.
 
+A census (`Census`) is its list of conjugacy classes (`SubgroupClass`),
+and every reading is a sum or a maximum over the classes.  A census
+found on a table (`subgroup_census`) also holds the table and every
+subgroup, a lifted census (`lift`) the PSL(2, Z/m) census it was read
+off, and Dickson's census of SL(2, p) neither.
+
 The census finds every subgroup, one conjugacy class at a time.  Each
 class is grown from its representative R by the one-generator
 extensions <R, g>, one g per double coset RgR (`subgroup_census`), and
@@ -26,17 +32,18 @@ the stored tuple has at most k elements.
 
 For an odd prime power m = p^k the census runs on PSL(2, Z/m), whose
 table has a quarter of the entries, and is lifted to SL(2, Z/m)
-(`sl2_census`).  -I is the only involution of SL(2, Z/m): g^2 = I and
+(`lift`).  -I is the only involution of SL(2, Z/m): g^2 = I and
 Cayley-Hamilton g^2 - (tr g) g + I = 0 give (tr g) g = 2I; 2 is a
 unit, so tr g is one too and g is a scalar c with c^2 = det g = 1, and
 c = +-1 in the cyclic group (Z/m)^*.  So a subgroup of even order
 holds an involution (Cauchy), which is -I, and is the preimage H~ of
 its image H, while a subgroup of odd order meets {+-I} trivially and
-is the odd-order subgroup of index 2 in the preimage of its image.  Hence s(SL) = s(PSL) + s_odd(PSL): each
-subgroup H of PSL stands for H~, of order 2|H| and index [PSL : H],
-and each H of odd order also for its odd-order lift, of order |H| and
-index 2[PSL : H].  Both maps commute with conjugation, so class sizes
-carry over.  Ranks carry over too.  If |H| is even, the lifts of
+is the odd-order subgroup of index 2 in the preimage of its image.
+Hence s(SL) = s(PSL) + s_odd(PSL): each subgroup H of PSL stands for
+H~, of order 2|H| and index [PSL : H], and each H of odd order also for
+its odd-order lift, of order |H| and index 2[PSL : H].  Both maps
+commute with conjugation, so class sizes carry over.  Ranks carry over
+too.  If |H| is even, the lifts of
 generators of H generate a subgroup L of H~ onto H; an involution of H
 lifts to an element of L whose square is -I, so L = H~ and
 d(H~) = d(H).  If |H| is odd, H~ = H x C_2, and d(H x C_2) = d(H)
@@ -87,7 +94,7 @@ d_2 = 0.  The classes lift to SL(2, p) by the rule above.
 """
 
 from array import array
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 from .fpgroups import BudgetExceeded
@@ -227,47 +234,53 @@ def sl2_census(m, budget=None):
     primes = set(_prime_factors_int(m))
     if len(primes) != 1 or 2 in primes:
         return subgroup_census(sl2_group_table(m), budget)
-    return LiftedCensus(subgroup_census(psl2_group_table(m), budget))
+    return lift(subgroup_census(psl2_group_table(m), budget))
 
 
 @dataclass
 class SubgroupClass:
-    """A conjugacy class of subgroups: its representative, its number of
-    conjugates, d(H) elements that generate the representative (module
-    docstring), and the order of its subgroups (for a lifted class, of
-    the SL(2, Z/m) subgroups that the PSL(2, Z/m) representative stands
-    for)."""
-    representative: frozenset
+    """A conjugacy class of subgroups: their order, their number, d(H)
+    elements that generate one of them (module docstring) and, on a
+    table, that one as a frozenset of element indices.  A lifted class
+    keeps the generators and representative of the class it lifts."""
+    order: int
     size: int
     generators: tuple
-    order: int
+    representative: frozenset = None
 
 
 @dataclass
-class FiniteGroupCensus:
-    table: GroupTable
-    classes: list   # SubgroupClass, sorted by (order, sorted representative)
-    class_of: dict  # every subgroup -> index of its class in `classes`
-    projective = False  # the table is the censused group itself
+class Census:
+    """Every subgroup of a group of order `order`, as its conjugacy
+    classes.  A census on a table holds `class_of`, every subgroup ->
+    index of its class; a lifted one, the census it lifts (`lift`)."""
+    order: int
+    classes: list
+    table: GroupTable = None
+    class_of: dict = None
+    quotient: "Census" = None
 
     @property
-    def order(self):
-        return self.table.n
+    def projective(self):
+        """Whether `table` is the censused group mod {+-I}."""
+        return self.quotient is not None
 
     @property
     def count(self):
-        return len(self.class_of)
+        return sum(c.size for c in self.classes)
 
     def orders(self):
-        return sorted(len(h) for h in self.class_of)
+        return sorted(c.order for c in self.classes for _ in range(c.size))
 
-    def subgroups_of_index(self, idx):
-        return [h for h in self.class_of if self.table.n == idx * len(h)]
+    def of_index(self, idx):
+        """The number of subgroups of index idx."""
+        return sum(c.size for c in self.classes if self.order == idx * c.order)
 
     def rank(self):
         """sup d(H): each class's generators are as few as any
-        generating tuple's (module docstring)."""
-        return max(len(c.generators) for c in self.classes)
+        generating tuple's (module docstring).  A lift of H needs d(H)
+        generators, but {+-I}, lifted from H = 1, needs 1."""
+        return max(1, max(len(c.generators) for c in self.classes))
 
 
 def subgroup_census(table, budget=None):
@@ -313,55 +326,22 @@ def subgroup_census(table, budget=None):
     classes, class_of = [], {}
     for h, gens, orbit in sorted(grown, key=lambda c: (len(c[0]), sorted(c[0]))):
         class_of.update(dict.fromkeys(orbit, len(classes)))
-        classes.append(SubgroupClass(h, len(orbit), gens, len(h)))
-    return FiniteGroupCensus(table=table, classes=classes, class_of=class_of)
+        classes.append(SubgroupClass(len(h), len(orbit), gens, h))
+    return Census(table.n, classes, table, class_of)
 
 
-@dataclass
-class LiftedCensus:
-    """The census of SL(2, Z/p^k), p odd, read off `quotient`, a census
-    of PSL(2, Z/p^k) (module docstring) or Dickson's classes of
-    PSL(2, p).  Each class of `quotient` gives the class of its
-    preimages, and an odd-order class also the class of its odd-order
-    lifts; both keep its representative H (an image in `table`) or its
-    generators, and differ in `order`: 2|H| against |H|."""
-    quotient: FiniteGroupCensus
-    classes: list = dc_field(init=False)
-    projective = True  # the table is the censused group mod {+-I}
-
-    def __post_init__(self):
-        self.classes = []
-        for c in self.quotient.classes:
-            self.classes.append(replace(c, order=2 * c.order))
-            if c.order % 2:
-                self.classes.append(c)
-
-    @property
-    def table(self):
-        return self.quotient.table
-
-    @property
-    def order(self):
-        return 2 * self.quotient.order
-
-    @property
-    def count(self):
-        return sum(c.size for c in self.classes)
-
-    def orders(self):
-        return sorted(c.order for c in self.classes for _ in range(c.size))
-
-    def subgroups_of_index(self, idx):
-        """The subgroups of index idx, each given by its image in
-        `table`: preimages of the H of index idx, then odd-order lifts
-        of the H of odd order and index idx / 2."""
-        n, subs = self.table.n, self.quotient.class_of
-        return ([h for h in subs if n == idx * len(h)]
-                + [h for h in subs if len(h) % 2 and 2 * n == idx * len(h)])
-
-    def rank(self):
-        # a lift of H needs d(H) generators, but {+-I}, over H = 1, needs 1
-        return max(1, self.quotient.rank())
+def lift(quotient):
+    """The census of SL(2, Z/p^k), p odd, from `quotient`, a census of
+    PSL(2, Z/p^k) (module docstring): each class of `quotient` gives the
+    class of its preimages, of order 2|H|, and an odd-order class also
+    the class of its odd-order lifts, of order |H|."""
+    classes = []
+    for c in quotient.classes:
+        classes.append(replace(c, order=2 * c.order))
+        if c.order % 2:
+            classes.append(c)
+    return Census(2 * quotient.order, classes, quotient.table,
+                  quotient=quotient)
 
 
 def _conjugates(h, rows):
@@ -380,32 +360,6 @@ def _conjugates(h, rows):
 
 # ---------------------------------------------------------------------------
 # PSL(2, p) from Dickson's list
-
-@dataclass
-class DicksonClass:
-    """A conjugacy class of subgroups of PSL(2, p) in Dickson's list:
-    its family, the order of its subgroups, its number of conjugates and
-    d(H) matrices of SL(2, p) whose images generate one of them."""
-    family: str
-    order: int
-    size: int
-    generators: tuple
-
-
-@dataclass
-class DicksonCensus:
-    """Every subgroup of PSL(2, p), p >= 5 prime, up to conjugacy, as
-    Dickson's classes (module docstring)."""
-    p: int
-    classes: list
-
-    @property
-    def order(self):
-        return self.p * (self.p * self.p - 1) // 2
-
-    def rank(self):
-        return max(len(c.generators) for c in self.classes)
-
 
 def _psl_order(g, p):
     """The order of +-g in PSL(2, p), read off traces in O(p) steps.
@@ -469,20 +423,20 @@ def dickson_census(p, budget=None):
 
     classes = []
 
-    def keep(family, order, size, gens, holds):
+    def keep(order, size, gens, holds):
         if not holds:
-            raise ArithmeticError(f"the {family} witness of order {order} "
+            raise ArithmeticError(f"the witness {gens} of order {order} "
                                   f"fails its check in PSL(2, {p})")
-        classes.append(DicksonClass(family, order, size, gens))
+        classes.append(SubgroupClass(order, size, gens))
 
     def dihedral(d, size, r, s):
         holds = _psl_order(r, p) == d and _psl_order(s, p) == 2 and \
             proj_canonical(ring, conj(s, r)) == \
             proj_canonical(ring, mat_inv_sl(ring, r))
-        keep("dihedral", 2 * d, size, (r, s), holds)
+        keep(2 * d, size, (r, s), holds)
 
-    def closed(family, order, size, gens):
-        keep(family, order, size, gens, len(closure(
+    def closed(order, size, gens):
+        keep(order, size, gens, len(closure(
             ring, gens, projective=True, budget=budget)) == order)
 
     # the tori: diag(a, 1/a) and a symmetric matrix, generating C_half
@@ -491,21 +445,21 @@ def dickson_census(p, budget=None):
                  if _psl_order(g, p) == half)
     nonsplit = symmetric(next(t for t in range(p)
                               if _psl_order((0, p - 1, 1, t), p) == half + 1))
-    keep("trivial", 1, 1, (), True)
+    keep(1, 1, (), True)
     for torus, t in ((split, half), (nonsplit, half + 1)):
         for d in _divisors(t)[1:]:
             r = _power(ring, torus, t // d)
-            keep("cyclic", d, n // (2 * t), (r,), _psl_order(r, p) == d)
+            keep(d, n // (2 * t), (r,), _psl_order(r, p) == d)
             if d > 2 and t // d % 2:
                 dihedral(d, n // (2 * d), r, w)
             elif d > 2:
                 dihedral(d, n // (4 * d), r, w)
                 dihedral(d, n // (4 * d), outer(r), outer(w))
-    keep("cyclic", p, p + 1, (u,), _psl_order(u, p) == p)
+    keep(p, p + 1, (u,), _psl_order(u, p) == p)
     for d in _divisors(half)[1:]:
         h = _power(ring, split, half // d)
         a, _, c, e = conj(h, u)
-        keep("borel", p * d, p + 1, (u, h), _psl_order(u, p) == p
+        keep(p * d, p + 1, (u, h), _psl_order(u, p) == p
              and _psl_order(h, p) == d and (a, c, e) == (1, 0, 1))
     # quaternion units i = w, j, k = ij: i^2 = j^2 = -1 and ij = -ji
     one = (1, 0, 0, 1)
@@ -513,22 +467,22 @@ def dickson_census(p, budget=None):
     k = mat_mul(ring, w, j)
     inv2 = (p + 1) // 2
     omega = scalar(add(scalar(one, p - 1), w, j, k), inv2)  # order 3
-    families = [("klein", 4, (w, j)), ("A4", 12, (w, omega))]
+    families = [(4, (w, j)), (12, (w, omega))]  # the Klein four, A_4
     twice = p % 8 in (1, 7)  # 2 is a square: S_4 exists and normalises V, A_4
     if twice:
-        families.append(("S4", 24, (omega, scalar(  # (1 + i)/sqrt 2
+        families.append((24, (omega, scalar(  # S_4; (1 + i)/sqrt 2
             add(one, w), pow(sqrt(2), -1, p)))))
     if p % 10 in (1, 9):
         phi = (1 + sqrt(5)) * inv2 % p  # (i + j/phi + phi k)/2, of order 2
-        families.append(("A5", 60, (omega, scalar(add(
+        families.append((60, (omega, scalar(add(  # A_5
             w, scalar(j, phi - 1), scalar(k, phi)), inv2))))
-    for family, order, gens in families:
+    for order, gens in families:
         size = n // max(order, 24 if twice else 12)
-        closed(family, order, size, gens)
+        closed(order, size, gens)
         if twice or order == 60:
-            closed(family, order, size, tuple(map(outer, gens)))
-    keep("whole", n, 1, (w, u), True)
-    return LiftedCensus(DicksonCensus(p, classes))
+            closed(order, size, tuple(map(outer, gens)))
+    keep(n, 1, (w, u), True)
+    return lift(Census(n, classes))
 
 
 @dataclass
@@ -538,19 +492,17 @@ class RankBoundReport:
     holds: bool
 
 
-def rank_bound_check(census, field_degree=1):
-    """rank(G) = sup d(H) against 3 * field degree."""
+def rank_bound_check(census):
+    """rank(G) = sup d(H) against 3."""
     rank = census.rank()
-    bound = 3 * field_degree
-    return RankBoundReport(rank=rank, bound=bound, holds=rank <= bound)
+    return RankBoundReport(rank=rank, bound=3, holds=rank <= 3)
 
 
 # ---------------------------------------------------------------------------
 # Congruence levels over Z
 
 def _divisors(m):
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
+    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 def congruence_kernel(table, m, m_prime, projective=False):

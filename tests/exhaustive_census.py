@@ -48,7 +48,7 @@ ORACLE_TABLES = (("SL(2, Z/8)", sl2_group_table, 8),
                  ("PSL(2, 13)", psl2_group_table, 13))
 
 
-def class_report(m, census):
+def report(m, census):
     """What `kll count` and the census sums read off a census's classes
     alone: no table, so Dickson's classes give it too."""
     order = census.order
@@ -57,14 +57,9 @@ def class_report(m, census):
             "classes": sorted((c.order, c.size) for c in census.classes),
             "s_n": [s_n(census, n) for n in range(1, order + 1)
                     if order % n == 0],
+            "index2": census.of_index(2),
             "rank": census.rank(),
             "essential": (ess.count, ess.minimal_index)}
-
-
-def report(m, census):
-    """`class_report` and the index-2 count read off the census table."""
-    return {**class_report(m, census),
-            "index2": len(census.subgroups_of_index(2))}
 
 
 def dickson_differences(p, census):
@@ -74,7 +69,7 @@ def dickson_differences(p, census):
     PSL(2, p) table, against its stated order and class size.  The
     witnesses must reach each census class exactly once."""
     dickson = dickson_census(p)
-    want, got = class_report(p, census), class_report(p, dickson)
+    want, got = report(p, census), report(p, dickson)
     differ = [k for k in want if got[k] != want[k]]
     ring, table, quotient = ModRing(p), census.table, census.quotient
     reached = []
@@ -83,9 +78,9 @@ def dickson_differences(p, census):
         h = _bfs_closure(table, gens, (table.identity,))
         i = quotient.class_of[h]
         if (len(h), quotient.classes[i].size) != (c.order, c.size):
-            differ.append(f"{c.family} of order {c.order}: closes to order "
-                          f"{len(h)} in a class of {quotient.classes[i].size}, "
-                          f"stated {c.size}")
+            differ.append(f"the witness {c.generators} of order {c.order} "
+                          f"in a class of {c.size} closes to order {len(h)} "
+                          f"in a class of {quotient.classes[i].size}")
         reached.append(i)
     if sorted(reached) != list(range(len(quotient.classes))):
         differ.append(f"witnesses reach census classes {sorted(reached)}")

@@ -327,6 +327,19 @@ def _bfs_closure(table, gens, start):
     return frozenset(seen)
 
 
+def index2_by_members(census):
+    """The number of index-2 subgroups of the group a census stands for,
+    counted one subgroup at a time off `class_of`, not off class sizes.
+    A lifted census counts the subgroups of its PSL census: the
+    preimages of those of index 2 there, and the odd-order lifts of
+    those of odd order and index 1."""
+    if census.quotient is None:
+        return sum(1 for h in census.class_of if census.order == 2 * len(h))
+    n = census.quotient.order
+    return sum(1 for h in census.quotient.class_of
+               if n == 2 * len(h) or (len(h) % 2 and n == len(h)))
+
+
 # ---------------------------------------------------------------------------
 # d(H) of a subgroup of a table (the census's generator tuples' oracles):
 # an exhaustive search from above, the Burnside basis theorem from below

@@ -21,7 +21,7 @@ from kll.taugraphs import (CosetGraph, cheeger_exact, cheeger_spectral_bounds,
                            tau_family_report)
 from kll.counting import sl2_census, rank_bound_check, essential_subgroups
 
-from oracles import d_p_from_smith
+from oracles import d_p_from_smith, index2_by_members
 from test_orbifold import _random_realizable_instance, theta_locus
 from test_finquot import klein_four
 
@@ -173,8 +173,9 @@ def test_criterion_11_counting_suite():
         assert repq.exceptional
         assert repq.minimal_index == q  # below q+1, the classical exceptions
     for m, census in censuses.items():
-        idx2 = len(census.subgroups_of_index(2))
-        assert idx2 == 2 ** census.table.d2_quotient_rank() - 1
+        idx2 = index2_by_members(census)
+        assert idx2 == census.of_index(2), m
+        assert idx2 == 2 ** census.table.d2_quotient_rank() - 1, m
     _assert_examples("free-product-kernel-rank-3")
     _report(11, "censuses, rank bounds, essential indices, free kernel",
             t0, 600.0)

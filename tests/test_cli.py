@@ -934,6 +934,7 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
     (["field", "--poly", "[1.5,0,1]"], 2, "JSON integers"),
     (["field", "--poly", "[true,1]"], 2, "JSON integers"),
     (["count", "--modulus", "25"], 3, "census order reached 15000"),
+    (["cheeger", "--cycle", "0"], 2, "n >= 1"),
     # det(ab - ba) is a nonzero zero divisor of Q[x]/(x^2 - 1)
     (["order", "--poly", "[-1,0,1]", "--matrices",
       json.dumps({"a": [[1, 1], [0, 1]], "b": [[1, 0], [["1/2", "1/2"], 1]]})],
@@ -948,7 +949,7 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
         "symbol-prime-4", "symbol-prime-9", "orbifold-prime-1",
         "orbifold-phi-short", "orbifold-phi-long", "orbifold-phi-zero",
         "orbifold-phi-relator",
-        "poly-float", "poly-bool", "count-over-budget",
+        "poly-float", "poly-bool", "count-over-budget", "cheeger-cycle-0",
         "order-zero-divisor"])
 def test_bad_input_exits_with_json(tmp_path, argv, code, detail):
     for i, arg in enumerate(argv):

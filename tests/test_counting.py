@@ -6,7 +6,8 @@ import pytest
 
 from exhaustive_census import dickson_differences, report
 from oracles import (all_subgroups, burnside_lower_bound, element_order,
-                     group_table_by_products, min_generators_by_search)
+                     group_table_by_products, index2_by_members,
+                     min_generators_by_search)
 from kll.finquot import ModRing, mat_mul, sl2_elements
 from kll.fpgroups import BudgetExceeded
 from kll.counting import (GroupTable, sl2_group_table, sl2_order,
@@ -252,7 +253,7 @@ def test_classes_are_conjugacy_classes():
     for m in range(2, 9):
         census = _direct_census(m)
         table = census.table
-        assert sum(c.size for c in census.classes) == census.count
+        assert sum(c.size for c in census.classes) == len(census.class_of)
         for i, c in enumerate(census.classes):
             conjugates = {
                 frozenset(table.mul(table.mul(table.inverse[x], h), x)
@@ -287,7 +288,8 @@ def test_index2_count_matches_d2():
     for m in (2, 3, 4, 5, 6):
         table = sl2_group_table(m)
         census = subgroup_census(table)
-        idx2 = len(census.subgroups_of_index(2))
+        idx2 = index2_by_members(census)
+        assert idx2 == census.of_index(2), m
         assert idx2 == 2 ** table.d2_quotient_rank() - 1, m
 
 
