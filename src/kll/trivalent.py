@@ -82,7 +82,9 @@ class TrivalentGraph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form by individualization-refinement
+# Canonical form by individualization-refinement with automorphism pruning
+# (McKay, Congr. Numer. 30, 1981; McKay & Piperno, J. Symbolic Comput. 60,
+# 2014)
 
 def _edge_multiset(g):
     mult = {}
@@ -91,13 +93,29 @@ def _edge_multiset(g):
     return mult
 
 
-def _refined_colors(g):
-    """(colors, neigh, loops): the stable refinement of the coloring by
-    loop count and edge multiplicities, with the neighbour lists
-    [(w, multiplicity)] and loop counts it was refined over.
+def _orbit(points, generators, image):
+    """The orbit of `points` under the group that the permutations
+    `generators` generate, each acting by image(point, s)."""
+    orbit = set(points)
+    stack = list(orbit)
+    while stack:
+        p = stack.pop()
+        for s in generators:
+            q = image(p, s)
+            if q not in orbit:
+                orbit.add(q)
+                stack.append(q)
+    return orbit
 
-    Colors are small integers, canonical across isomorphic graphs
-    (classes are renumbered by sorted signature at every round).
+
+def _vertex_image(v, s):
+    return s[v]
+
+
+def _refined_cells(g):
+    """(cells, colors, neigh): the stable refinement of the partition by
+    loop count and edge multiplicities (`_refine_from`), with the
+    neighbour lists [(w, multiplicity)] it was refined over.
     """
     n = g.num_vertices
     neigh = [[] for _ in range(n)]
@@ -108,79 +126,121 @@ def _refined_colors(g):
         else:
             neigh[u].append((v, m))
             neigh[v].append((u, m))
-    sigs = [(loops[v], tuple(sorted(m for _, m in neigh[v]))) for v in range(n)]
-    palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    colors = _refine_from([palette[s] for s in sigs], neigh, loops, n)
-    return colors, neigh, loops
+    parts = {}
+    for v in range(n):
+        parts.setdefault((loops[v], tuple(sorted(m for _, m in neigh[v]))), []).append(v)
+    cells, colors = _refine_from([parts[s] for s in sorted(parts)], neigh, n)
+    return cells, colors, neigh
 
 
-def _refine_from(colors, neigh, loops, n):
-    """Refine a coloring to stability (classes renumbered canonically).
+def _refine_from(cells, neigh, n):
+    """Refine an ordered partition to stability: (cells, colors), where a
+    vertex's color is the rank of its cell.
 
-    A round only splits classes, since each signature starts with the
-    old color, so a round that makes no new class is stable."""
-    classes = len(set(colors))
+    Each round splits every cell by its vertices' sorted lists of
+    (neighbour color, multiplicity), the parts in sorted order, so the
+    colors are canonical across isomorphic graphs.  A singleton cell
+    cannot split and keeps its place; a round that splits no cell is
+    stable.  Vertices keep their order inside a cell."""
+    colors = [0] * n
     while True:
-        sigs = [(colors[v], loops[v],
-                 tuple(sorted((colors[w], m) for w, m in neigh[v])))
-                for v in range(n)]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [palette[s] for s in sigs]
-        if len(palette) == classes:
-            return colors
-        classes = len(palette)
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                sig = tuple(sorted([(colors[w], m) for w, m in neigh[v]]))
+                parts.setdefault(sig, []).append(v)
+            if len(parts) == 1:
+                out.append(cell)
+            else:
+                out.extend(parts[s] for s in sorted(parts))
+        if len(out) == len(cells):
+            return cells, colors
+        cells = out
 
 
 def canonical_form(g):
-    """(form, labellings): a canonical edge tuple by
-    individualization-refinement, and the labellings that give it.
+    """(form, labelling, generators): a canonical edge tuple by
+    individualization-refinement, one labelling that gives it, and
+    permutations that generate Aut(g).
 
     The form is the minimum over all discrete refinements of the
     relabeled sorted edge list; equal forms iff isomorphic.  The
-    labellings are every leaf whose relabeled edge list is the form,
-    each a list that gives vertex v the label labelling[v].  Refinement
-    commutes with relabeling, so Aut(g) permutes the leaves, and two
-    leaves with the same form differ by an automorphism: for any one of
-    them lambda, the list is exactly {lambda o s : s in Aut(g)}, one
-    labelling per automorphism.
+    labelling gives vertex v the label labelling[v]; a generator s maps
+    v to s[v].  Refinement commutes with relabeling, so a leaf with the
+    form of the first or the best leaf differs from it by an
+    automorphism, kept as a generator; the search then goes back to the
+    two leaves' deepest common node, as the rest of the subtree it left
+    is the image of one already searched.  A child is skipped if the
+    generators that fix its node's individualized vertices map an
+    explored sibling onto it.  The generators found generate Aut(g)
+    (McKay 1981).  Nothing outlives the call.
     """
     n = g.num_vertices
     mult = _edge_multiset(g)
-    base, neigh, loops = _refined_colors(g)
-    best = None
-    leaves = []
+    cells, colors, neigh = _refined_cells(g)
+    generators = []
+    leaves = []  # [first, best], each (form, labelling, path)
 
-    def leaf_form(rank):
+    def leaf(labelling, path):
         out = []
         for (u, v), m in mult.items():
-            a, b = rank[u], rank[v]
+            a, b = labelling[u], labelling[v]
             if a > b:
                 a, b = b, a
             out.extend([(a, b)] * m)
         out.sort()
-        return tuple(out)
+        form = tuple(out)
+        if not leaves:
+            leaves[:] = [(form, labelling, path)] * 2
+            return len(path) - 1
+        for known, lab, known_path in leaves:
+            if form == known:
+                back = [0] * n
+                for v, label in enumerate(lab):
+                    back[label] = v
+                generators.append([back[label] for label in labelling])
+                common = 0
+                while path[common] == known_path[common]:
+                    common += 1
+                return common
+        if form < leaves[1][0]:
+            leaves[1] = (form, labelling, path)
+        return len(path) - 1
 
-    def rec(colors):
-        nonlocal best
-        counts = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min((c for c, k in counts.items() if k > 1), default=None)
-        if target is None:
-            form = leaf_form(colors)
-            if best is None or form < best:
-                best, leaves[:] = form, [colors]
-            elif form == best:
-                leaves.append(colors)
-            return
-        for v in range(n):
-            if colors[v] != target:
+    def search(cells, colors, path):
+        """Search below a node; the depth at which to go on."""
+        depth = len(path)
+        t = next((k for k, cell in enumerate(cells) if len(cell) > 1), None)
+        if t is None:
+            return leaf(colors, path)
+        fixing, seen, explored, covered = [], 0, [], set()
+        for v in cells[t]:
+            if len(generators) > seen:
+                fixing += [s for s in generators[seen:]
+                           if all(s[u] == u for u in path)]
+                seen = len(generators)
+                covered = _orbit(explored, fixing, _vertex_image)
+            if v in covered:
                 continue
-            split = [2 * c + (0 if u == v else 1) for u, c in enumerate(colors)]
-            rec(_refine_from(split, neigh, loops, n))
+            explored.append(v)
+            covered |= _orbit([v], fixing, _vertex_image)
+            rest = [u for u in cells[t] if u != v]
+            child = cells[:t] + [[v], rest] + cells[t + 1:]
+            back = search(*_refine_from(child, neigh, n), path + (v,))
+            if back < depth:
+                return back
+        return depth - 1
 
-    rec(base)
-    return (n, best), leaves
+    search(cells, colors, ())
+    form, labelling, _ = leaves[1]
+    return (n, form), labelling, generators
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +254,22 @@ def _base_graphs():
     return [theta, dumbbell]
 
 
-def _moves(g):
+def _moves(g, generators):
     """One move of g per Aut(g)-orbit, on edges taken as vertex pairs:
     ("loop", e) hangs a loop vertex off a new vertex on e; ("double", e)
     subdivides e twice and doubles the middle edge; ("pair", e, f), e <= f,
     subdivides e and f and joins the two new vertices (e == f takes two
-    parallel copies)."""
+    parallel copies).  The orbits are the components of the moves under
+    the images by `generators`, which generate Aut(g)."""
     mult = _edge_multiset(g)
     edges = sorted(mult)
     moves = [("loop", e) for e in edges] + [("double", e) for e in edges]
     moves += [("pair", e, f) for k, e in enumerate(edges) for f in edges[k:]
               if e != f or mult[e] > 1]
-    _, labellings = canonical_form(g)
-    back = [0] * g.num_vertices
-    for v, label in enumerate(labellings[0]):
-        back[label] = v
-    autos = [[back[label] for label in lab] for lab in labellings]
     seen = set()
     for move in moves:
         if move not in seen:
-            seen.update(_move_image(move, s) for s in autos)
+            seen |= _orbit([move], generators, _move_image)
             yield move
 
 
@@ -303,16 +359,24 @@ def _labelled(reduction, label):
     return tuple(sorted(label[v] for v in reduction[1:]))
 
 
+def _reduction_image(reduction, s):
+    kind, *vertices = reduction
+    return (kind, *sorted(s[v] for v in vertices))
+
+
 def _is_canonical(g, undo):
-    """Whether the reduction `undo` of g lies in the Aut(g)-orbit of its
-    canonical reduction: the least by kind (`_reductions`), then by an
-    invariant key, then, only on a tie, by the labels of its vertices
-    under a canonical labelling.  The key is minus the number of common
-    neighbours of w and x, then the sorted numbers of vertices within
-    distance 2 of the reduction's vertices.  Every key is invariant
-    under isomorphism, so the tied set is a union of Aut(g)-orbits, and
-    undo is in the least orbit iff some canonical labelling (together
-    they are a coset of Aut(g)) gives it the least labels."""
+    """(kept, generators): whether the reduction `undo` of g lies in the
+    Aut(g)-orbit of its canonical reduction, and generators of Aut(g)
+    if deciding it took a search (else None).
+
+    The canonical reduction is the least by kind (`_reductions`), then
+    by an invariant key, then, only on a tie, by the labels of its
+    vertices under the canonical labelling.  The key is minus the number
+    of common neighbours of w and x, then the sorted numbers of vertices
+    within distance 2 of the reduction's vertices.  Every key is
+    invariant under isomorphism, so the tied set is a union of
+    Aut(g)-orbits, and which member of the least orbit the labelling
+    picks does not change the orbit."""
     nbrs = [[] for _ in range(g.num_vertices)]
     for u, v in g.edges:
         if u != v:
@@ -320,7 +384,7 @@ def _is_canonical(g, undo):
             nbrs[v].append(u)
     tied = _reductions(g, nbrs)
     if undo not in tied:
-        return False
+        return False, None
     sizes = {}
 
     def near(v):
@@ -341,13 +405,13 @@ def _is_canonical(g, undo):
     mine = key(undo)
     keys = [key(r) for r in tied]
     if min(keys) < mine:
-        return False
+        return False, None
     tied = [r for r, k in zip(tied, keys) if k == mine]
     if len(tied) == 1:
-        return True
-    _, labellings = canonical_form(g)
-    least = min(_labelled(r, labellings[0]) for r in tied)
-    return any(_labelled(undo, lab) == least for lab in labellings)
+        return True, None
+    _, labelling, generators = canonical_form(g)
+    least = min(tied, key=lambda r: _labelled(r, labelling))
+    return undo in _orbit([least], generators, _reduction_image), generators
 
 
 def generate_connected_trivalent(max_vertices):
@@ -364,26 +428,36 @@ def generate_connected_trivalent(max_vertices):
     exactly once: only from the class of its canonical reduction, and
     two kept children of one parent that are isomorphic would map one
     undoing reduction onto the other, and so one move onto the other by
-    an automorphism of the parent.  No set of forms is kept across
-    parents, and nothing is cached across calls.
+    an automorphism of the parent.  A parent whose keeping took a
+    search reuses that search's generators of Aut; the others are
+    searched once.  No set of forms is kept across parents, and nothing
+    outlives the call.
     """
     if max_vertices < 2:
         return {}
     out = {2: _base_graphs()}
+    known = [None, None]  # generators of Aut(g) for g in out[v], if found
     for v in range(2, max_vertices - 1, 2):
-        found = []
-        for g in out[v]:
-            for move in _moves(g):
+        found, found_generators = [], []
+        for g, generators in zip(out[v], known):
+            if generators is None:
+                generators = canonical_form(g)[2]
+            for move in _moves(g, generators):
                 child = _apply(g, move)
                 undo = ("loop", v + 1) if move[0] == "loop" else ("edge", v, v + 1)
-                if _is_canonical(child, undo):
+                kept, child_generators = _is_canonical(child, undo)
+                if kept:
                     found.append(child)
+                    found_generators.append(child_generators)
         out[v + 2] = found
+        known = found_generators
     return out
 
 
 def random_connected_trivalent(num_vertices, rng=None):
     """Uniform configuration-model pairing, resampled until connected."""
+    if num_vertices < 2:
+        raise ValueError("a connected trivalent graph has at least 2 vertices")
     if num_vertices % 2:
         raise ValueError("a trivalent graph has an even number of vertices")
     rng = rng or random.Random()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -8,6 +9,7 @@ from kll.trivalent import (TrivalentGraph, short_cycle, b1_two_subgraph,
                            random_connected_trivalent, canonical_form,
                            FirstBettiTooSmall, _subgraph_b1, _bridges)
 
+from exhaustive_cubic import group_closure, oracle_mismatches, searched_graphs
 from oracles import (bridges_by_edge_deletion, cubic_multigraphs_by_global_forms,
                      edge_subgraph_betti, girth_by_edge_deletion,
                      multigraphs_isomorphic)
@@ -142,8 +144,8 @@ def _automorphisms_by_permutations(g):
             if sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges) == edges]
 
 
-def test_canonical_labellings_are_a_coset_of_aut():
-    # the generator takes Aut(g) and its orbit tests from these labellings
+def test_canonical_generators_close_to_aut():
+    # the generator takes Aut(g) and its orbit tests from these generators
     rng = random.Random(113)
     gen = generate_connected_trivalent(6)
     for g in (g for v in gen.values() for g in v):
@@ -151,30 +153,48 @@ def test_canonical_labellings_are_a_coset_of_aut():
         rng.shuffle(perm)
         relab = TrivalentGraph(g.num_vertices,
                                tuple((perm[u], perm[v]) for u, v in g.edges))
-        form, labellings = canonical_form(relab)
-        assert len(set(map(tuple, labellings))) == len(labellings)
-        assert len(labellings) == len(_automorphisms_by_permutations(relab))
-        for lab in labellings:
-            image = TrivalentGraph(relab.num_vertices,
-                                   tuple((lab[u], lab[v]) for u, v in relab.edges))
-            assert (image.num_vertices, tuple(sorted(image.edges))) == form
+        form, labelling, generators = canonical_form(relab)
+        assert group_closure(generators, relab.num_vertices) == \
+            set(_automorphisms_by_permutations(relab))
+        image = tuple(sorted(tuple(sorted((labelling[u], labelling[v])))
+                             for u, v in relab.edges))
+        assert (relab.num_vertices, image) == form
+
+
+def test_pruned_search_matches_unpruned_oracle():
+    # every graph that generation to V <= 10 searches, relabelled: the
+    # same form, a labelling the unpruned search also reaches, and
+    # generators of the whole automorphism group
+    graphs = searched_graphs(10)
+    assert len(graphs) > 300
+    assert oracle_mismatches(graphs, random.Random(131)) == []
+
+
+def test_generation_output_pinned():
+    # the edge lists of every class to V <= 10, in order: how the search
+    # finds Aut must not change which graph stands for a class, or when
+    gen = generate_connected_trivalent(10)
+    edges = [g.edges for v in sorted(gen) for g in gen[v]]
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == \
+        "060450c6e161ef7f1160ee8de6ea669c7458cd9ae09eee9daac921af7b3e5ee3"
 
 
 def test_isomorphic_and_canonical_agree():
     rng = random.Random(103)
     gen = generate_connected_trivalent(8)
     graphs = [g for v in gen.values() for g in v]
-    for g in graphs:
+    forms = [canonical_form(g)[0] for g in graphs]
+    for g, form in zip(graphs, forms):
         perm = list(range(g.num_vertices))
         rng.shuffle(perm)
         relab = TrivalentGraph(g.num_vertices,
                                tuple((perm[u], perm[v]) for u, v in g.edges))
         assert multigraphs_isomorphic(g, relab)
-        assert canonical_form(g)[0] == canonical_form(relab)[0]
+        assert canonical_form(relab)[0] == form
     for i, g1 in enumerate(graphs):
-        for g2 in graphs[i + 1:]:
-            assert not multigraphs_isomorphic(g1, g2)
-            assert canonical_form(g1)[0] != canonical_form(g2)[0]
+        for j in range(i + 1, len(graphs)):
+            assert not multigraphs_isomorphic(g1, graphs[j])
+            assert forms[i] != forms[j]
 
 
 def test_bounds_hold_exhaustively_to_v8():
@@ -194,6 +214,13 @@ def test_random_sampling():
         assert g.is_connected()
         assert short_cycle(g).holds
         assert b1_two_subgraph(g).holds
+
+
+@pytest.mark.parametrize("num_vertices", [0, -2])
+def test_random_needs_two_vertices(num_vertices):
+    # the empty graph is never connected, so sampling it would not stop
+    with pytest.raises(ValueError):
+        random_connected_trivalent(num_vertices, random.Random(1))
 
 
 def test_json_roundtrip():
