@@ -97,7 +97,7 @@ from array import array
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
-from .fpgroups import BudgetExceeded
+from .fpgroups import BudgetExceeded, orbit
 from .finquot import (ModRing, closure, mat_inv_sl, mat_mul, proj_canonical,
                       psl2_elements, sl2_elements)
 from .polys import _prime_factors_int, is_prime
@@ -303,7 +303,7 @@ def subgroup_census(table, budget=None):
             for s in table.generators]
     trivial = frozenset([table.identity])
     found = {trivial}
-    grown = [(trivial, (), [trivial])]  # (representative, generators, orbit)
+    grown = [(trivial, (), [trivial])]  # (representative, generators, class)
     for h, base, _ in grown:  # grows as new classes are found
         offsets = [x * n for x in h]
         covered = set(h)
@@ -320,13 +320,14 @@ def subgroup_census(table, budget=None):
                         coset_reps.append(y)
             k = table.closure(base + (g,), h)
             if k not in found:
-                orbit = _conjugates(k, rows)
-                found.update(orbit)
-                grown.append((k, base + (g,), orbit))
+                conjugates = list(orbit([k], rows, _conjugate))
+                found.update(conjugates)
+                grown.append((k, base + (g,), conjugates))
     classes, class_of = [], {}
-    for h, gens, orbit in sorted(grown, key=lambda c: (len(c[0]), sorted(c[0]))):
-        class_of.update(dict.fromkeys(orbit, len(classes)))
-        classes.append(SubgroupClass(len(h), len(orbit), gens, h))
+    for h, gens, conjugates in sorted(grown,
+                                      key=lambda c: (len(c[0]), sorted(c[0]))):
+        class_of.update(dict.fromkeys(conjugates, len(classes)))
+        classes.append(SubgroupClass(len(h), len(conjugates), gens, h))
     return Census(table.n, classes, table, class_of)
 
 
@@ -344,18 +345,9 @@ def lift(quotient):
                   quotient=quotient)
 
 
-def _conjugates(h, rows):
-    """The conjugacy class of h, as its orbit under the conjugation
-    `rows` of a generating set."""
-    orbit = [h]
-    seen = {h}
-    for k in orbit:  # grows as new conjugates are found
-        for row in rows:
-            c = frozenset(map(row.__getitem__, k))
-            if c not in seen:
-                seen.add(c)
-                orbit.append(c)
-    return orbit
+def _conjugate(h, row):
+    """h conjugated by the generator whose conjugation is `row`."""
+    return frozenset(map(row.__getitem__, h))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 from math import gcd, prod
 
-from .fpgroups import BudgetExceeded
+from .fpgroups import BudgetExceeded, orbit
 
 
 class ModRing:
@@ -29,29 +29,6 @@ class ModRing:
 
 
 DEFAULT_ORDER_BUDGET = 10 ** 7
-
-
-def _orbit(start, moves, act, budget=None):
-    """Breadth-first orbit of `start` under act(x, move), yielded in
-    discovery order; BudgetExceeded once it passes `budget` points
-    (default DEFAULT_ORDER_BUDGET)."""
-    if budget is None:
-        budget = DEFAULT_ORDER_BUDGET
-    seen = {start}
-    frontier = [start]
-    yield start
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for m in moves:
-                y = act(x, m)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > budget:
-                        raise BudgetExceeded("closure order", budget, len(seen))
-                    nxt.append(y)
-                    yield y
-        frontier = nxt
 
 
 def mat_mul(ring, x, y):
@@ -104,8 +81,8 @@ def _row_moves(ring, generators, projective, budget):
     found = set()
     for start in ((1, 0), (0, 1)):
         if row_sign(start) not in found:
-            found.update(_orbit(row_sign(start), gens,
-                                lambda r, g: row_sign(row_times(r, g)), budget))
+            found.update(orbit([row_sign(start)], gens,
+                               lambda r, g: row_sign(row_times(r, g)), budget))
     if projective:
         found.update([(-x % m, -y % m) for x, y in found])
     rows = sorted(found)
@@ -148,9 +125,11 @@ def closure(ring, generators, projective=False, budget=None):
     assembled only at the end, and the cost is O(|G|), whatever the
     size of the ring.
     """
+    if budget is None:
+        budget = DEFAULT_ORDER_BUDGET
     rows, moves, start = _row_moves(ring, generators, projective, budget)
     return frozenset(rows[i] + rows[j]
-                     for i, j in _orbit(start, moves, _move, budget))
+                     for i, j in orbit([start], moves, _move, budget))
 
 
 def sl2_elements(ring):
@@ -186,12 +165,14 @@ class ProductGroup:
         """The subgroup the generators span, yielded breadth-first.  A
         state is one pair of row numbers per factor (`closure`), and
         each move acts on every factor at once."""
+        if budget is None:
+            budget = DEFAULT_ORDER_BUDGET
         generators = list(generators)
         factors = [_row_moves(ring, [g[k] for g in generators], True, budget)
                    for k, ring in enumerate(self.rings)]
         rows, moves, start = zip(*factors)
-        for state in _orbit(start, list(zip(*moves)),
-                            lambda x, move: tuple(map(_move, x, move)), budget):
+        for state in orbit([start], list(zip(*moves)),
+                           lambda x, move: tuple(map(_move, x, move)), budget):
             yield tuple(r[i] + r[j] for r, (i, j) in zip(rows, state))
 
     def closure(self, generators, budget=None):

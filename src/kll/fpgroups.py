@@ -1,7 +1,9 @@
 """Finitely presented groups: mod-p homology rank, Reidemeister-Schreier
 subgroup presentations, low-index subgroup enumeration by backtracking
 coset-table completion, cyclic-cover towers, and the Golod-Shafarevich
-margin computations.
+margin computations; also `orbit`, the one breadth-first orbit routine
+behind matrix closures, conjugacy classes, automorphism orbits and
+coset actions.
 
 Words are tuples of nonzero signed integers (+i for generator i-1,
 negative for inverses).  The JSON convention writes words as strings
@@ -35,6 +37,28 @@ class BudgetExceeded(RuntimeError):
 
 DEFAULT_MAX_INDEX = 12
 DEFAULT_NODE_BUDGET = 10 ** 7
+
+
+def orbit(starts, moves, act, budget=None):
+    """The points reached from `starts` under act(x, move), breadth
+    first and yielded lazily in discovery order (a repeated start is
+    skipped); with a `budget`, BudgetExceeded once it passes `budget`
+    points."""
+    seen, queue = set(), []
+    for x in starts:
+        if x not in seen:
+            seen.add(x)
+            queue.append(x)
+            yield x
+    for x in queue:  # grows as new points are found
+        for m in moves:
+            y = act(x, m)
+            if y not in seen:
+                seen.add(y)
+                if budget is not None and len(seen) > budget:
+                    raise BudgetExceeded("closure order", budget, len(seen))
+                queue.append(y)
+                yield y
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +305,10 @@ class SubgroupTable:
         return len(self.action[0]) if self.action else 1
 
     def _transitive(self):
-        seen = {0}
-        stack = [0]
-        perms = self.action + self.inverse
-        while stack:
-            c = stack.pop()
-            for perm in perms:
-                img = perm[c]
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-        return len(seen) == self.index
+        # a permutation's inverse is one of its powers, so the
+        # generators' permutations alone reach the whole orbit of coset 0
+        reached = orbit([0], self.action, lambda c, perm: perm[c])
+        return sum(1 for _ in reached) == self.index
 
     def _perm(self, letter):
         if letter > 0:
@@ -313,25 +330,15 @@ def intersection_table(t1, t2):
     if t1.parent != t2.parent:
         raise ValueError("tables must share a parent presentation")
     pres = t1.parent
-    start = (0, 0)
-    index_of = {start: 0}
-    order = [start]
-    frontier = [start]
-    ngens = pres.rank()
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            for g in range(1, ngens + 1):
-                for letter in (g, -g):
-                    img = (t1.apply(pair[0], letter), t2.apply(pair[1], letter))
-                    if img not in index_of:
-                        index_of[img] = len(order)
-                        order.append(img)
-                        nxt.append(img)
-        frontier = nxt
-    action = tuple(
-        tuple(index_of[(t1.apply(p[0], g), t2.apply(p[1], g))] for p in order)
-        for g in range(1, ngens + 1))
+    gens = range(1, pres.rank() + 1)
+
+    def step(pair, letter):
+        return t1.apply(pair[0], letter), t2.apply(pair[1], letter)
+
+    cosets = list(orbit([(0, 0)], [x for g in gens for x in (g, -g)], step))
+    index_of = {pair: k for k, pair in enumerate(cosets)}
+    action = tuple(tuple(index_of[step(pair, g)] for pair in cosets)
+                   for g in gens)
     return SubgroupTable(pres, action)
 
 

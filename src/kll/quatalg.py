@@ -254,15 +254,6 @@ def _prime_power(n):
 
 
 @dataclass
-class DihedralSymbolInput:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("dihedral parameter n >= 3 required")
-
-
-@dataclass
 class DihedralReport:
     """Ramification constraints from the symbol (-1, tau_n)."""
 
@@ -297,7 +288,7 @@ def dihedral_ramification_analysis(inp):
     neither units nor consistent with a prime-power n are reported as
     discrepancies with the stated norm dichotomy rather than trusted.
     """
-    n = inp.n if isinstance(inp, DihedralSymbolInput) else int(inp)
+    n = int(inp)
     if n < 3:
         raise ValueError("n >= 3 required")
     psi = tuple(two_cos_minpoly(n))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import log2_enclosure
+from .fpgroups import orbit
 
 
 class FirstBettiTooSmall(ValueError):
@@ -91,21 +92,6 @@ def _edge_multiset(g):
     for u, v in g.edges:
         mult[(u, v)] = mult.get((u, v), 0) + 1
     return mult
-
-
-def _orbit(points, generators, image):
-    """The orbit of `points` under the group that the permutations
-    `generators` generate, each acting by image(point, s)."""
-    orbit = set(points)
-    stack = list(orbit)
-    while stack:
-        p = stack.pop()
-        for s in generators:
-            q = image(p, s)
-            if q not in orbit:
-                orbit.add(q)
-                stack.append(q)
-    return orbit
 
 
 def _vertex_image(v, s):
@@ -226,11 +212,11 @@ def canonical_form(g):
                 fixing += [s for s in generators[seen:]
                            if all(s[u] == u for u in path)]
                 seen = len(generators)
-                covered = _orbit(explored, fixing, _vertex_image)
+                covered = set(orbit(explored, fixing, _vertex_image))
             if v in covered:
                 continue
             explored.append(v)
-            covered |= _orbit([v], fixing, _vertex_image)
+            covered.update(orbit([v], fixing, _vertex_image))
             rest = [u for u in cells[t] if u != v]
             child = cells[:t] + [[v], rest] + cells[t + 1:]
             back = search(*_refine_from(child, neigh, n), path + (v,))
@@ -269,7 +255,7 @@ def _moves(g, generators):
     seen = set()
     for move in moves:
         if move not in seen:
-            seen |= _orbit([move], generators, _move_image)
+            seen.update(orbit([move], generators, _move_image))
             yield move
 
 
@@ -411,7 +397,7 @@ def _is_canonical(g, undo):
         return True, None
     _, labelling, generators = canonical_form(g)
     least = min(tied, key=lambda r: _labelled(r, labelling))
-    return undo in _orbit([least], generators, _reduction_image), generators
+    return undo in orbit([least], generators, _reduction_image), generators
 
 
 def generate_connected_trivalent(max_vertices):

@@ -11,8 +11,9 @@ A005967 and both lemma bounds hold on every graph.  The second relabels
 each searched graph at random and exits non-zero unless
 `trivalent.canonical_form` gives the unpruned search's form, one of its
 labellings, and generators whose closure is the automorphism group read
-off its labellings.  Not collected by pytest: at V <= 14 the first
-checks 24,171 graphs.
+off its labellings; for MAX in REFINEMENTS, also unless generation makes
+the pinned number of refinements.  Not collected by pytest: at V <= 14
+the first checks 24,171 graphs.
 """
 
 import random
@@ -23,6 +24,11 @@ from kll import trivalent
 from kll.trivalent import b1_two_subgraph, generate_connected_trivalent, short_cycle
 
 A005967 = {2: 2, 4: 5, 6: 17, 8: 71, 10: 388, 12: 2592, 14: 21096}
+# `trivalent._refine_from` calls made by generation to V <= N: a search
+# that also prunes by generators moving the node's individualized
+# vertices (unsound in general) makes 1,932 and 11,017, and passes the
+# canonical-form oracle
+REFINEMENTS = {10: 1933, 12: 11036}
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,25 @@ def searched_graphs(max_vertices):
     return graphs
 
 
+def refinements(max_vertices):
+    """The number of `trivalent._refine_from` calls that
+    generate_connected_trivalent(max_vertices) makes."""
+    calls = 0
+    refine = trivalent._refine_from
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    trivalent._refine_from = counting
+    try:
+        generate_connected_trivalent(max_vertices)
+    finally:
+        trivalent._refine_from = refine
+    return calls
+
+
 def oracle_mismatches(graphs, rng):
     """[(edges, what differs)] for each graph, relabelled at random, on
     which `trivalent.canonical_form` and the unpruned search disagree."""
@@ -155,8 +180,13 @@ def check_oracle(max_vertices):
     if bad:
         raise SystemExit(f"{len(bad)} of {len(graphs)} searches differ from "
                          f"the unpruned search; first: {bad[0]}")
+    calls = refinements(max_vertices)
+    if calls != REFINEMENTS.get(max_vertices, calls):
+        raise SystemExit(f"{calls} refinements, expected "
+                         f"{REFINEMENTS[max_vertices]}")
     print(f"V <= {max_vertices}: {len(graphs)} searches agree with the "
-          f"unpruned search (generation {generated:.2f} s)")
+          f"unpruned search, {calls} refinements (generation "
+          f"{generated:.2f} s)")
 
 
 def main(max_vertices):

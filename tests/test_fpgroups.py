@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -7,6 +8,7 @@ from kll.fpgroups import (Presentation, SubgroupTable, parse_word,
                           word_to_string, free_reduce, d_p,
                           reidemeister_schreier, low_index_subgroups,
                           cyclic_quotient_table, cyclic_tower,
+                          intersection_table, orbit,
                           golod_shafarevich_check, gs_chained_threshold,
                           largeness_conditions, LargenessDatum,
                           NotSurjective, RelatorNotKilled, BudgetExceeded)
@@ -281,6 +283,34 @@ def test_subgroup_table_rejects_letter_zero():
     table = cyclic_quotient_table(F2, [1, 0], 3)
     with pytest.raises(ValueError, match="letter 0"):
         table.apply(0, 0)
+
+
+def test_orbit_is_breadth_first_from_every_start():
+    # Z/12 under +1 and +2 from 0 and 5; the repeated start is skipped
+    points = orbit([0, 5, 0], [1, 2], lambda x, m: (x + m) % 12)
+    assert list(points) == [0, 5, 1, 2, 6, 7, 3, 4, 8, 9, 10, 11]
+    assert list(orbit([], [1], lambda x, m: x + m)) == []
+
+
+def test_orbit_is_lazy_and_budgeted():
+    # a point is yielded when found, so the first `budget` points come
+    # out before the next one (here 5, found from 3) passes the budget
+    step = lambda x, m: (x + m) % 100
+    prefix = islice(orbit([0], [1, 2], step, budget=5), 5)
+    assert list(prefix) == [0, 1, 2, 3, 4]
+    assert len(list(orbit([0], [1, 2], step))) == 100
+    with pytest.raises(BudgetExceeded) as exc:
+        list(orbit([0], [1, 2], step, budget=5))
+    assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
+        ("closure order", 5, 6)
+
+
+def test_intersection_table_numbering_pinned():
+    # cosets are numbered in breadth-first order from (0, 0) under
+    # a, a^-1, b, b^-1; value taken at the parent commit
+    inter = intersection_table(cyclic_quotient_table(F2, [1, 0], 2),
+                               cyclic_quotient_table(F2, [1, 2], 3))
+    assert inter.action == ((1, 3, 0, 5, 2, 4), (3, 5, 1, 4, 0, 2))
 
 
 def test_reidemeister_schreier_genus2_index3_pinned():

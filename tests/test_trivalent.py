@@ -9,7 +9,8 @@ from kll.trivalent import (TrivalentGraph, short_cycle, b1_two_subgraph,
                            random_connected_trivalent, canonical_form,
                            FirstBettiTooSmall, _subgraph_b1, _bridges)
 
-from exhaustive_cubic import group_closure, oracle_mismatches, searched_graphs
+from exhaustive_cubic import (REFINEMENTS, group_closure, oracle_mismatches,
+                              refinements, searched_graphs)
 from oracles import (bridges_by_edge_deletion, cubic_multigraphs_by_global_forms,
                      edge_subgraph_betti, girth_by_edge_deletion,
                      multigraphs_isomorphic)
@@ -177,6 +178,13 @@ def test_generation_output_pinned():
     edges = [g.edges for v in sorted(gen) for g in gen[v]]
     assert hashlib.sha256(repr(edges).encode()).hexdigest() == \
         "060450c6e161ef7f1160ee8de6ea669c7458cd9ae09eee9daac921af7b3e5ee3"
+
+
+def test_generation_refinements_pinned():
+    # the search's work to V <= 10, value taken at the parent commit:
+    # pruning by generators that move the node's individualized vertices
+    # gives the same forms and output but one refinement fewer
+    assert refinements(10) == REFINEMENTS[10]
 
 
 def test_isomorphic_and_canonical_agree():
