@@ -340,12 +340,14 @@ def cmd_graph(args):
             "length": cyc.length,
             "bound": _enc(cyc.bound_lo, cyc.bound_hi),
             "holds": cyc.holds,
+            "cycle_vertices": cyc.cycle_vertices,
         },
         "b1_two_subgraph": {
             "edges": sub.num_edges,
             "bound": _enc(sub.bound_lo, sub.bound_hi),
             "holds": sub.holds,
             "strategy": sub.strategy,
+            "edge_indices": sub.edge_indices,
         },
     }
     _emit(report, args.output)

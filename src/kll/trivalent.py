@@ -246,12 +246,29 @@ def _moves(g, generators):
     subdivides e twice and doubles the middle edge; ("pair", e, f), e <= f,
     subdivides e and f and joins the two new vertices (e == f takes two
     parallel copies).  The orbits are the components of the moves under
-    the images by `generators`, which generate Aut(g)."""
+    the images by `generators`, which generate Aut(g).
+
+    Only moves whose undoing reduction is of the child's first kind
+    (`_reductions`) are offered; the others' children could never be
+    kept.  With L loops in g: a "loop" child has a loop, so every such
+    move stays.  A "double" child has the doubled edge it undoes and
+    loses a loop only when e is one, so it needs L = [e is a loop].  A
+    "pair" child undoes a single edge, never a bridge since deleting it
+    leaves g subdivided; a loop split by the move becomes a doubled
+    edge, so it needs L = 0 and no doubled d of g that keeps
+    mult(d) - [d = e] - [d = f] >= 2.  The rule reads only loops and
+    multiplicities, so it keeps or drops whole Aut(g)-orbits and leaves
+    the representatives of the kept ones unchanged."""
     mult = _edge_multiset(g)
     edges = sorted(mult)
-    moves = [("loop", e) for e in edges] + [("double", e) for e in edges]
-    moves += [("pair", e, f) for k, e in enumerate(edges) for f in edges[k:]
-              if e != f or mult[e] > 1]
+    loops = sum(u == v for u, v in edges)
+    moves = [("loop", e) for e in edges]
+    moves += [("double", e) for e in edges if loops == (e[0] == e[1])]
+    if not loops:
+        doubled = [d for d in edges if mult[d] > 1]
+        moves += [("pair", e, f) for k, e in enumerate(edges) for f in edges[k:]
+                  if (e != f or mult[e] > 1)
+                  and all(mult[d] - (d == e) - (d == f) < 2 for d in doubled)]
     seen = set()
     for move in moves:
         if move not in seen:
@@ -362,7 +379,10 @@ def _is_canonical(g, undo):
     within distance 2 of the reduction's vertices.  Every key is
     invariant under isomorphism, so the tied set is a union of
     Aut(g)-orbits, and which member of the least orbit the labelling
-    picks does not change the orbit."""
+    picks does not change the orbit.  Generation offers only children
+    whose `undo` is of their first kind (`_moves`), so the kind test
+    rejects none of them; it stays so that the function decides any
+    reduction on its own."""
     nbrs = [[] for _ in range(g.num_vertices)]
     for u, v in g.edges:
         if u != v:
@@ -408,9 +428,11 @@ def generate_connected_trivalent(max_vertices):
     multigraph on V >= 4 vertices has a reduction (`_reductions`) to one
     on V - 2: a loop vertex can be removed, and otherwise any edge on a
     cycle can be deleted.  Each class at V - 2 is kept once, and each of
-    its moves is tried once per Aut-orbit (`_moves`); a child is kept
-    only if the reduction that undoes its move is in the Aut-orbit of
-    its canonical reduction (`_is_canonical`).  A class then comes out
+    its moves is tried once per Aut-orbit (`_moves`, which skips moves
+    whose undoing reduction is not of the child's first kind, read off
+    the parent's loops and doubled edges); a child is kept only if the
+    reduction that undoes its move is in the Aut-orbit of its canonical
+    reduction (`_is_canonical`).  A class then comes out
     exactly once: only from the class of its canonical reduction, and
     two kept children of one parent that are isomorphic would map one
     undoing reduction onto the other, and so one move onto the other by
@@ -468,35 +490,36 @@ def _ball(adj, root, wanted, below=None):
     first layer k whose walks (2k+1 or longer) cannot be shorter than
     `below`.
 
-    Returns (parent, walks).  parent[v] is (tree parent, edge index), or
-    None at the root.  walks lists (length, edge index, u, w) for each
-    non-tree edge u-w met, shortest first, where length = d(u) + d(w) + 1
-    is that of the closed walk root .. u - w .. root.  A non-tree edge
-    met in layer k closes a walk of length 2k+1 or 2k+2, and every later
-    layer only longer ones, so `walks` starts with the root's `wanted`
-    shortest closed walks through a non-tree edge.
+    Returns (parent, dist, walks).  parent[v] is (tree parent, edge
+    index), or None at the root, and dist[v] is the depth of v.  walks
+    lists (length, edge index, u, w) for each non-tree edge u-w met,
+    shortest first, where length = d(u) + d(w) + 1 is that of the closed
+    walk root .. u - w .. root.  A non-tree edge met in layer k closes a
+    walk of length 2k+1 or 2k+2, and every later layer only longer ones,
+    so `walks` starts with the root's `wanted` shortest closed walks
+    through a non-tree edge.
     """
     dist = {root: 0}
     parent = {root: None}
     walks = {}
-    layer = [root]
+    layer = [(root, None)]
     k = 0
     while layer and len(walks) < wanted and (below is None or 2 * k + 1 < below):
         nxt = []
-        for u in layer:
-            up = parent[u][1] if parent[u] else None
+        for u, up in layer:
             for w, i in adj[u]:
-                if i == up or i in walks:
+                if i == up:
                     continue
-                if w in dist:
-                    walks[i] = (dist[u] + dist[w] + 1, i, u, w)
-                else:
-                    dist[w] = dist[u] + 1
+                d = dist.get(w)
+                if d is None:
+                    dist[w] = k + 1
                     parent[w] = (u, i)
-                    nxt.append(w)
+                    nxt.append((w, i))
+                elif i not in walks:
+                    walks[i] = (k + d + 1, i, u, w)
         layer = nxt
         k += 1
-    return parent, sorted(walks.values())
+    return parent, dist, sorted(walks.values())
 
 
 def _path_up(parent, v):
@@ -538,7 +561,7 @@ def short_cycle(g):
     best = None
     for root in range(g.num_vertices):
         below = best[0][0] if best else None
-        parent, walks = _ball(adj, root, 1, below)
+        parent, _, walks = _ball(adj, root, 1, below)
         if walks and (below is None or walks[0][0] < below):
             best = walks[0], root, parent
             if walks[0][0] == 1:  # a loop; nothing is shorter
@@ -581,36 +604,24 @@ def _subgraph_b1(edge_idx, g):
     return len(edge_idx) - len(parent) + len({find(v) for v in list(parent)})
 
 
-def _without_leaves(g, edge_idx):
-    """Delete degree-1 vertices (and their edge) until none is left;
-    b1 and connectivity are unchanged."""
-    edges = set(edge_idx)
-    deg = {}
-    for i in edges:
-        for x in g.edges[i]:
-            deg[x] = deg.get(x, 0) + 1
-    leaves = [x for x, d in deg.items() if d == 1]
-    while leaves:
-        x = leaves.pop()
-        i = next(i for i in edges if x in g.edges[i])
-        edges.remove(i)
-        for y in g.edges[i]:
-            deg[y] -= 1
-            if deg[y] == 1:
-                leaves.append(y)
-    return sorted(edges)
-
-
 def b1_two_subgraph(g):
     """Connected subgraph with b1 exactly 2 and few edges.
 
     From each root, the breadth-first ball that `_ball` grows until two
     non-tree edges have appeared gives a candidate: the two non-tree
-    edges with the shortest closed walks, their tree paths to the root,
-    and no degree-1 vertices.  A tree plus two edges is connected with
-    b1 = 2, so every root yields one, and the fewest edges over all
+    edges with the shortest closed walks, their endpoints' tree paths to
+    the root, less the root's stem.  A tree plus two edges is connected
+    with b1 = 2, so every root yields one, and the fewest edges over all
     roots is returned.  There is no other search, so `strategy` is
     always "ball"; the field stays for callers and `kll graph` output.
+
+    Every vertex but the root lies on a tree path up from an endpoint,
+    so it has its parent edge and either an edge below it or a non-tree
+    edge: only the root's stem can hang.  The first endpoint's path is
+    climbed to the root and each other path only until it meets an edge
+    already taken; the shallowest vertex where one stops lies on the
+    first path, since a path that meets another branch meets it below
+    that branch's own stop, and the stem is the path from there up.
 
     `holds` is the exact comparison 2^edges <= 2^12 (b1-1)^6.
     """
@@ -620,12 +631,24 @@ def b1_two_subgraph(g):
     adj = g.adjacency()
     best = None
     for root in range(g.num_vertices):
-        parent, walks = _ball(adj, root, 2)
-        edges = set()
-        for _, i, u, w in walks[:2]:
-            edges.add(i)
-            edges.update(e for _, e in _path_up(parent, u) + _path_up(parent, w))
-        edges = _without_leaves(g, edges)
+        parent, dist, walks = _ball(adj, root, 2)
+        (_, i, u, w), (_, j, x, y) = walks[:2]
+        taken = {i, j}
+        v = u
+        while parent[v] is not None:
+            v, e = parent[v]
+            taken.add(e)
+        top = u
+        for v in (w, x, y):
+            while parent[v] is not None and parent[v][1] not in taken:
+                v, e = parent[v]
+                taken.add(e)
+            if dist[v] < dist[top]:
+                top = v
+        while parent[top] is not None:
+            top, e = parent[top]
+            taken.remove(e)
+        edges = sorted(taken)
         if best is None or len(edges) < len(best):
             best = edges
     if _subgraph_b1(best, g) != 2:

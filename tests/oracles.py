@@ -543,6 +543,24 @@ def edge_subgraph_betti(edges, indices):
     return len(indices) - len(root) + comps, comps
 
 
+def is_closed_cycle(edges, cycle):
+    """Whether the vertex list is a simple closed cycle of the multigraph
+    with these edges: a loop, a parallel pair, or consecutive vertices
+    (last to first too) joined by an edge."""
+    mult = {}
+    for e in edges:
+        e = tuple(sorted(e))
+        mult[e] = mult.get(e, 0) + 1
+    if len(cycle) == 1:
+        return mult.get((cycle[0], cycle[0]), 0) >= 1
+    if len(set(cycle)) != len(cycle):
+        return False
+    if len(cycle) == 2:
+        return mult.get(tuple(sorted(cycle)), 0) >= 2
+    return all(tuple(sorted((cycle[k], cycle[k - 1]))) in mult
+               for k in range(len(cycle)))
+
+
 
 # ---------------------------------------------------------------------------
 # Connected cubic multigraphs by closing the two 2-vertex graphs under

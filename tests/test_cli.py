@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,8 +10,9 @@ import pytest
 import kll
 from kll import cli, taugraphs
 from kll.cli import EXAMPLES, main, verify_paper_examples
+from kll.trivalent import random_connected_trivalent
 
-from oracles import boundary_size
+from oracles import boundary_size, edge_subgraph_betti, is_closed_cycle
 
 # the child imports the same kll as this process, installed or not
 SRC = os.path.dirname(os.path.dirname(kll.__file__))
@@ -196,6 +198,37 @@ def test_graph_command(tmp_path, capsys):
     assert out["short_cycle"]["length"] == 3
     assert out["short_cycle"]["holds"] is True
     assert out["b1_two_subgraph"]["holds"] is True
+    assert set(out["short_cycle"]) == {"length", "bound", "holds", "cycle_vertices"}
+    assert set(out["b1_two_subgraph"]) == {"edges", "bound", "holds", "strategy",
+                                           "edge_indices"}
+
+
+WITNESS_GRAPHS = {
+    "theta": [[0, 1], [0, 1], [0, 1]],
+    "dumbbell": [[0, 0], [1, 1], [0, 1]],
+    "k4": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+    "loop-and-double": [[0, 0], [0, 1], [1, 2], [1, 3], [2, 3], [2, 3]],
+    "petersen": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [0, 5], [1, 6],
+                 [2, 7], [3, 8], [4, 9], [5, 7], [7, 9], [6, 9], [6, 8],
+                 [5, 8]],
+    "random-64": [list(e) for e in random_connected_trivalent(
+        64, random.Random(211)).edges],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_GRAPHS))
+def test_graph_witnesses_pass_oracles(tmp_path, capsys, name):
+    # the printed cycle and b1 = 2 edges, re-checked on the input alone
+    edges = WITNESS_GRAPHS[name]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"V": 1 + max(map(max, edges)), "edges": edges}))
+    assert main(["graph", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    cyc, sub = out["short_cycle"], out["b1_two_subgraph"]
+    assert len(cyc["cycle_vertices"]) == cyc["length"]
+    assert is_closed_cycle(edges, cyc["cycle_vertices"])
+    assert edge_subgraph_betti(edges, sub["edge_indices"]) == (2, 1)
+    assert len(set(sub["edge_indices"])) == sub["edges"]
 
 
 def test_quotient_command(tmp_path, capsys):

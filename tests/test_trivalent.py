@@ -9,11 +9,13 @@ from kll.trivalent import (TrivalentGraph, short_cycle, b1_two_subgraph,
                            random_connected_trivalent, canonical_form,
                            FirstBettiTooSmall, _subgraph_b1, _bridges)
 
-from exhaustive_cubic import (REFINEMENTS, group_closure, oracle_mismatches,
-                              refinements, searched_graphs)
+from exhaustive_cubic import (CHILDREN, REFINEMENTS, generation_calls,
+                              group_closure, lemma_mismatches,
+                              move_filter_mismatches, oracle_mismatches,
+                              searched_graphs)
 from oracles import (bridges_by_edge_deletion, cubic_multigraphs_by_global_forms,
                      edge_subgraph_betti, girth_by_edge_deletion,
-                     multigraphs_isomorphic)
+                     is_closed_cycle, multigraphs_isomorphic)
 
 K4 = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 THETA = TrivalentGraph(2, ((0, 1), (0, 1), (0, 1)))
@@ -184,7 +186,18 @@ def test_generation_refinements_pinned():
     # the search's work to V <= 10, value taken at the parent commit:
     # pruning by generators that move the node's individualized vertices
     # gives the same forms and output but one refinement fewer
-    assert refinements(10) == REFINEMENTS[10]
+    assert generation_calls("_refine_from", 10) == REFINEMENTS[10]
+
+
+def test_move_filter_drops_only_rejected_children():
+    # every parent generation to V <= 10 extends: the moves `_moves`
+    # drops are exactly ones whose child `_is_canonical` rejects
+    assert move_filter_mismatches(10) == []
+
+
+def test_generation_children_pinned():
+    # children tested to V <= 10, 3,140 with every move kind on offer
+    assert generation_calls("_is_canonical", 10) == CHILDREN[10]
 
 
 def test_isomorphic_and_canonical_agree():
@@ -246,29 +259,20 @@ def _lemma_test_graphs():
     return graphs
 
 
-def _is_closed_cycle(g, cycle):
-    """Whether the vertex list is a simple closed cycle of g."""
-    mult = {}
-    for e in g.edges:
-        mult[e] = mult.get(e, 0) + 1
-    if len(cycle) == 1:
-        return mult.get((cycle[0], cycle[0]), 0) >= 1
-    if len(set(cycle)) != len(cycle):
-        return False
-    if len(cycle) == 2:
-        return mult.get(tuple(sorted(cycle)), 0) >= 2
-    return all(tuple(sorted((cycle[k], cycle[k - 1]))) in mult
-               for k in range(len(cycle)))
-
-
 def test_ball_search_against_oracles():
     for g in _lemma_test_graphs():
         cyc = short_cycle(g)
         assert cyc.length == girth_by_edge_deletion(g)
         assert len(cyc.cycle_vertices) == cyc.length
-        assert _is_closed_cycle(g, cyc.cycle_vertices)
+        assert is_closed_cycle(g.edges, cyc.cycle_vertices)
         sub = b1_two_subgraph(g)
         assert edge_subgraph_betti(g.edges, sub.edge_indices) == (2, 1)
         assert sub.num_edges == len(set(sub.edge_indices))
         assert sub.holds
         assert 2 ** sub.num_edges <= 2 ** 12 * (g.b1() - 1) ** 6
+
+
+def test_lemma_witnesses_match_leaf_stripping_oracle():
+    # the cycle and the b1 = 2 edges, root for root, as when every leaf
+    # of each candidate was stripped one at a time
+    assert lemma_mismatches(_lemma_test_graphs()) == []
