@@ -5,6 +5,15 @@ monogenic primes, and the local tests needed by the quaternion-algebra
 ramification analysis.  The maximal order is never computed: splitting
 is obtained from the factorization of f mod p whenever Dedekind's
 criterion certifies that p does not divide the index [R_k : Z[theta]].
+
+An element is an integer numerator vector over one positive denominator,
+always in lowest terms, so equal elements have equal (nums, den).  As f
+is monic over Z, x^d, ..., x^(2d-2) mod f are integer rows
+(`NumberField.reduction_rows`, kept once per field): a product is a
+schoolbook convolution plus c times a row for each high coefficient c,
+with no pseudo-division.  `dot` sums several products over one common
+denominator with one reduction and one lowest-terms step; a single
+product is `dot` of one pair.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -42,7 +51,7 @@ class NumberField:
         if not polys.is_squarefree(list(mp)):
             raise ReduciblePolynomial("defining polynomial has a repeated factor")
 
-    @property
+    @cached_property
     def degree(self):
         return len(self.min_poly) - 1
 
@@ -50,6 +59,18 @@ class NumberField:
     def discriminant(self):
         """disc(min_poly), computed once per field."""
         return polys.discriminant(list(self.min_poly))
+
+    @cached_property
+    def reduction_rows(self):
+        """x^d, ..., x^(2d-2) mod min_poly as integer rows of length d:
+        x^d = -(f_0 + ... + f_(d-1) x^(d-1)), and each next row is x
+        times the last, its overflow x^d replaced by the first row."""
+        rows = []
+        row = tuple(-c for c in self.min_poly[:-1])
+        for _ in range(self.degree - 1):
+            rows.append(row)
+            row = tuple(a + row[-1] * r for a, r in zip((0,) + row[:-1], rows[0]))
+        return tuple(rows)
 
     @cached_property
     def irreducibility(self):
@@ -73,6 +94,8 @@ class NumberField:
 
     def generator(self):
         # for Q itself, x reduces to minus the constant term
+        if self.degree == 1:
+            return _element(self, [-self.min_poly[0]], 1)
         return _element(self, [0, 1], 1)
 
     def __repr__(self):
@@ -80,22 +103,59 @@ class NumberField:
 
 
 def _element(field, nums, den):
-    """nums / den in lowest terms, with nums reduced mod the monic
-    minimal polynomial and padded to length [k:Q]."""
+    """nums / den in lowest terms with den > 0, for at most [k:Q]
+    integers nums, padded to length [k:Q]."""
+    if den != 1:
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums, den = [a // g for a in nums], den // g
+    return FieldElement(field, tuple(nums) + (0,) * (field.degree - len(nums)), den)
+
+
+def _same_field(field, x):
+    if x.field is not field and x.field != field:
+        raise ValueError("elements of different fields")
+
+
+def dot(field, pairs):
+    """sum of x * y over the pairs of elements of `field`: every product
+    is taken over one common denominator, the sum reduced once through
+    `field.reduction_rows` and brought to lowest terms once."""
     d = field.degree
-    if len(nums) > d:
-        nums = polys.pseudo_divmod(nums, field.min_poly)[1]
-    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-    if g != 1:
-        nums, den = [a // g for a in nums], den // g
-    return FieldElement(field, tuple(nums) + (0,) * (d - len(nums)), den)
+    acc = [0] * (2 * d - 1)
+    den = 1
+    for x, y in pairs:
+        if x.field is not field or y.field is not field:
+            _same_field(field, x)
+            _same_field(field, y)
+        factor, pair_den = 1, x.den * y.den
+        if pair_den != den:
+            common = lcm(den, pair_den)
+            if common != den:
+                acc = [a * (common // den) for a in acc]
+                den = common
+            factor = den // pair_den
+        ys = y.nums
+        for i, a in enumerate(x.nums):
+            if a:
+                a *= factor
+                for j, b in enumerate(ys, i):
+                    acc[j] += a * b
+    for c, row in zip(acc[d:], field.reduction_rows):
+        if c:
+            for i, r in enumerate(row):
+                acc[i] += c * r
+    del acc[d:]
+    return _element(field, acc, den)
 
 
 @dataclass(frozen=True)
 class FieldElement:
     """Power-basis vector nums / den of length [k:Q]: integer numerators
-    over one positive denominator, in lowest terms.  Build elements with
-    `NumberField.element`."""
+    over one denominator.  Every element is kept in lowest terms with
+    den > 0, so two elements are equal exactly when their (nums, den)
+    are, which the generated __eq__ and __hash__ rely on.  Build
+    elements with `NumberField.element`."""
 
     field: NumberField
     nums: tuple
@@ -108,13 +168,14 @@ class FieldElement:
 
     def _check(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
+            _same_field(self.field, other)
             return other
         return self.field.element([other])
 
     def __add__(self, other):
         o = self._check(other)
+        if self.den == o.den == 1:
+            return FieldElement(self.field, tuple(x + y for x, y in zip(self.nums, o.nums)), 1)
         den = lcm(self.den, o.den)
         a, b = den // self.den, den // o.den
         return _element(self.field, [a * x + b * y for x, y in zip(self.nums, o.nums)], den)
@@ -125,14 +186,18 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        o = self._check(other)
+        if self.den == o.den == 1:
+            return FieldElement(self.field, tuple(x - y for x, y in zip(self.nums, o.nums)), 1)
+        den = lcm(self.den, o.den)
+        a, b = den // self.den, den // o.den
+        return _element(self.field, [a * x - b * y for x, y in zip(self.nums, o.nums)], den)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
-        o = self._check(other)
-        return _element(self.field, polys.mul(self.nums, o.nums), self.den * o.den)
+        return dot(self.field, ((self, self._check(other)),))
 
     __rmul__ = __mul__
 
@@ -145,11 +210,11 @@ class FieldElement:
         cp = linalg.char_poly(self._int_matrix())
         if cp[0] == 0:
             raise ZeroDivisionError("inverse of zero or of a zero divisor")
-        acc = [1]
+        b = FieldElement(self.field, self.nums, 1)
+        acc = self.field.one()
         for c in reversed(cp[1:-1]):
-            acc = polys.add(polys.pseudo_divmod(polys.mul(acc, self.nums),
-                                                self.field.min_poly)[1], [c])
-        return _element(self.field, [-self.den * a for a in acc], cp[0])
+            acc = acc * b + c
+        return _element(self.field, [-self.den * a for a in acc.nums], cp[0])
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()

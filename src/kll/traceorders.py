@@ -4,13 +4,15 @@ involution ab - ba with its conjugation relations.
 
 Projective statements (order two, conjugation to inverses, Klein four)
 are decided by exact proportionality of matrices over the field.
+Each entry of a product, a determinant, a linear combination of
+matrices or a cross-multiplication is one `numfield.dot`: one common
+denominator, one reduction, one lowest-terms step.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .numfield import NumberField, FieldElement
+from .numfield import NumberField, FieldElement, dot
 
 
 class NonUnimodular(ValueError):
@@ -54,9 +56,18 @@ class Mat2:
     def __mul__(self, other):
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries
-        return Mat2(self.field, (
-            (a * e + b * g, a * f + b * h),
-            (c * e + d * g, c * f + d * h)))
+        k = self.field
+        return Mat2(k, (
+            (dot(k, ((a, e), (b, g))), dot(k, ((a, f), (b, h)))),
+            (dot(k, ((c, e), (d, g))), dot(k, ((c, f), (d, h))))))
+
+    @classmethod
+    def combination(cls, field, coeffs, mats):
+        """sum c m over the pairs, one `dot` per entry."""
+        return cls(field, tuple(
+            tuple(dot(field, [(c, m.entries[r][s]) for c, m in zip(coeffs, mats)])
+                  for s in range(2))
+            for r in range(2)))
 
     def __add__(self, other):
         return Mat2(self.field, tuple(
@@ -77,7 +88,7 @@ class Mat2:
 
     def det(self):
         (a, b), (c, d) = self.entries
-        return a * d - b * c
+        return dot(self.field, ((a, d), (-b, c)))
 
     def trace(self):
         return self.entries[0][0] + self.entries[1][1]
@@ -100,7 +111,8 @@ class Mat2:
         return b.is_zero() and c.is_zero() and (a - d).is_zero()
 
     def __eq__(self, other):
-        return isinstance(other, Mat2) and (self - other).is_zero()
+        # entries are in lowest terms, so equal values are equal tuples
+        return isinstance(other, Mat2) and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.field, self.entries))
@@ -132,10 +144,12 @@ def proportional(m1, m2):
     f1, f2 = m1.flat(), m2.flat()
     if all(x.is_zero() for x in f2):
         return all(x.is_zero() for x in f1)
-    # cross-multiplication of all entry pairs
+    # cross-multiplication of all entry pairs: the (j, i) product is
+    # minus the (i, j) one and the (i, i) product is zero
+    k = m1.field
     for i in range(4):
-        for j in range(4):
-            if not (f1[i] * f2[j] - f1[j] * f2[i]).is_zero():
+        for j in range(i + 1, 4):
+            if not dot(k, ((f1[i], f2[j]), (-f1[j], f2[i]))).is_zero():
                 return False
     # rule out m1 = 0 against m2 != 0
     return not all(x.is_zero() for x in f1)
@@ -219,8 +233,7 @@ def build_order(a, b):
         (3, 3): [-one, zero, zero, tab],          # (ab)^2 = tab ab - 1
     }
     for (i, j), coords in products.items():
-        combo = reduce(Mat2.__add__, (m.scale(c) for m, c in zip(basis, coords)))
-        if combo != basis[i] * basis[j]:
+        if Mat2.combination(field, coords, basis) != basis[i] * basis[j]:
             raise ArithmeticError(f"Cayley-Hamilton identity fails at ({i},{j})")
     constants.update(products)
     return ElementaryOrder(field=field, basis=basis, structure_constants=constants)

@@ -687,6 +687,14 @@ def _trim(f):
     return f
 
 
+def _mul_q(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 def _divmod_q(f, g):
     f, g = _trim(f), _trim(g)
     q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)

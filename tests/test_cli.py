@@ -165,6 +165,141 @@ def test_order_command(capsys):
     assert out["involution"]["exists"] is True
 
 
+# (poly, matrices, report): `kll order` on one generated pair over each
+# field of the benchmark's degree 1-4 list (perfbench/workloads.py
+# ORDER_FIELDS), then on a commuting pair.  The reports were captured
+# before field products went through `numfield.dot`; stdout must be each
+# report exactly as `_emit` prints it.
+ORDER_STDOUT = [
+    ([0, 1],
+     {"a": [[[-7], [-2]], [[4], [1]]], "b": [[[7], [2]], [[17], [5]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["-42"], ["-12"]], [["144"], ["42"]]]},
+      "order": {"closed": True, "discriminant_generator": ["36"]},
+      "trace_identities": True}),
+    ([2, 0, 1],
+     {"a": [[[-7, -2], [10, -3]], [[6, 20], [-35, -16]]],
+      "b": [[[-3, -2], [-7, 8]], [[3, -4], [-20, -4]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["368", "43"], ["-602", "157"]],
+                                [["-174", "422"], ["-368", "-43"]]]},
+      "order": {"closed": True,
+                "discriminant_generator": ["103966", "-249714"]},
+      "trace_identities": True}),
+    ([-2, 0, 1],
+     {"a": [[[1, 0], [0, 0]], [[6, 2], [1, 0]]],
+      "b": [[[1, -1], [-2, -1]], [[-6, 4], [-1, -3]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["16", "10"], ["0", "0"]],
+                                [["20", "16"], ["-16", "-10"]]]},
+      "order": {"closed": True, "discriminant_generator": ["456", "320"]},
+      "trace_identities": True}),
+    ([1, 1, 1],
+     {"a": [[[-17, -13], [2, 3]], [[-3, 4], [1, 0]]],
+      "b": [[[-3, -4], [-2, -2]], [[1, -10], [-1, -6]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["18", "7"], ["20", "44"]],
+                                [["146", "-59"], ["-18", "-7"]]]},
+      "order": {"closed": True, "discriminant_generator": ["5791", "8043"]},
+      "trace_identities": True}),
+    ([-3, 0, 1],
+     {"a": [[[11, 2], [-4, -3]], [[2, -2], [1, 0]]],
+      "b": [[[1, 0], [0, 0]], [[-1, -1], [1, 0]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["13", "7"], ["0", "0"]],
+                                [["16", "12"], ["-13", "-7"]]]},
+      "order": {"closed": True, "discriminant_generator": ["316", "182"]},
+      "trace_identities": True}),
+    ([-2, 0, 0, 1],
+     {"a": [[[2, -2, 3], [-9, 8, 1]], [[-1, 0, 1], [0, 3, -2]]],
+      "b": [[[-7, 4, 2], [-4, -6, 11]], [[-20, -1, 15], [23, -38, 24]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["426", "-149", "-148"],
+                                 ["-180", "780", "-472"]],
+                                [["314", "-334", "57"],
+                                 ["-426", "149", "148"]]]},
+      "order": {"closed": True,
+                "discriminant_generator": ["617380", "168092", "-522883"]},
+      "trace_identities": True}),
+    ([1, -1, 0, 1],
+     {"a": [[[1, 0, 0], [-2, 4, -3]], [[0, 2, -2], [15, -24, 18]]],
+      "b": [[[-2, 1, 1], [1, 0, 2]], [[-1, 1, 1], [1, 0, 0]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["5", "-12", "8"], ["-67", "118", "-90"]],
+                                [["-8", "10", "-4"], ["-5", "12", "-8"]]]},
+      "order": {"closed": True,
+                "discriminant_generator": ["2125", "-3722", "2816"]},
+      "trace_identities": True}),
+    ([-1, -1, 0, 1],
+     {"a": [[[5, 8, 6], [-1, -1, -1]], [[0, -2, -2], [1, 0, 0]]],
+      "b": [[[-1, 2, 4], [-1, 2, 0]], [[2, 2, 0], [1, 0, 0]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["0", "-4", "-2"], ["12", "22", "18"]],
+                                [["-32", "-52", "-36"], ["0", "4", "2"]]]},
+      "order": {"closed": True,
+                "discriminant_generator": ["-2096", "-3684", "-2780"]},
+      "trace_identities": True}),
+    ([2, 0, 0, 0, 1],
+     {"a": [[[-3, 2, -2, -2], [1, 15, 4, -5]],
+            [[-2, 0, 1, -1], [-3, -2, 1, -4]]],
+      "b": [[[-39, 38, -26, 5], [5, 3, -3, 6]],
+            [[6, 6, -5, 12], [5, 0, 1, 0]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["-256", "-26", "206", "-55"],
+                                 ["-480", "1000", "-444", "17"]],
+                                [["368", "-256", "62", "98"],
+                                 ["256", "26", "-206", "55"]]]},
+      "order": {"closed": True,
+                "discriminant_generator": ["-333936",
+                                           "634428",
+                                           "-563330",
+                                           "152328"]},
+      "trace_identities": True}),
+    ([-2, 0, 0, 0, 1],
+     {"a": [[[-21, 6, 2, 3], [0, 0, -2, 3]], [[-1, -3, 1, 0], [1, 0, 0, 0]]],
+      "b": [[[1, 0, 0, 0], [-2, 0, -1, -1]], [[1, 1, -1, -3], [-1, 6, 7, 4]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["4", "2", "-19", "-3"],
+                                 ["36", "4", "40", "-8"]],
+                                [["64", "26", "15", "-46"],
+                                 ["-4", "-2", "19", "3"]]]},
+      "order": {"closed": True,
+                "discriminant_generator": ["3434", "-2484", "3810", "-1168"]},
+      "trace_identities": True}),
+    ([1, 1, 0, 0, 1],
+     {"a": [[[1, 0, 0, 0], [1, -1, -1, -2]],
+            [[2, 1, -2, -2], [1, -9, -15, -9]]],
+      "b": [[[12, 18, 4, -3], [1, 1, 2, -1]],
+            [[17, -4, -52, -44], [2, 0, -3, -7]]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["-96", "-285", "-304", "-104"],
+                                 ["-87", "-97", "25", "84"]],
+                                [["-1146", "-2379", "-1701", "-54"],
+                                 ["96", "285", "304", "104"]]]},
+      "order": {"closed": True,
+                "discriminant_generator": ["194345",
+                                           "539284",
+                                           "564415",
+                                           "200924"]},
+      "trace_identities": True}),
+    ([0, 1],
+     {"a": [[2, 1], [1, 1]], "b": [[5, 3], [3, 2]]},
+     {"involution": {"exists": False, "reason": "ab - ba is singular"},
+      "order": {"closed": False, "reason": "generators commute"},
+      "trace_identities": True}),
+]
+
+
+
+@pytest.mark.parametrize("poly, matrices, report", ORDER_STDOUT,
+                         ids=[f"{i}-{json.dumps(case[0])}"
+                              for i, case in enumerate(ORDER_STDOUT)])
+def test_order_stdout_pinned(capsys, poly, matrices, report):
+    assert main(["order", "--poly", json.dumps(poly),
+                 "--matrices", json.dumps(matrices)]) == 0
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 ORBIFOLD = {
     "manifold": {"gens": ["a", "b"], "rels": []},
     "locus": {

@@ -5,13 +5,13 @@ from math import gcd
 import pytest
 
 from kll import polys
-from kll.numfield import (NumberField, PrimeIdeal, ReduciblePolynomial,
+from kll.numfield import (NumberField, PrimeIdeal, ReduciblePolynomial, dot,
                           NonMonogenicPrime, signature, split_prime,
                           poly_discriminant, local_quadratic_subextension,
                           certify_irreducible, dedekind_criterion_ok,
                           CONTAINS, DOES_NOT_CONTAIN, UNDECIDED)
 
-from oracles import _divmod_q, brute_factor_modp, grid_real_root_count
+from oracles import _divmod_q, _mul_q, brute_factor_modp, grid_real_root_count
 
 QUINTIC = (1, 0, -2, -1, 0, 1)          # x^5 - x^3 - 2x^2 + 1
 SEXTIC = (1, -1, -2, 2, -1, -1, 1)      # x^6 - x^5 - x^4 + 2x^3 - 2x^2 - x + 1
@@ -184,12 +184,13 @@ def test_irreducibility_certificates():
     assert verdict is True
 
 
-def _mul_q(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
+def _random_element(k, rng):
+    return k.element([Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                      for _ in range(rng.randint(0, k.degree))])
+
+
+def _padded(k, coeffs):
+    return coeffs + [0] * (k.degree - len(coeffs))
 
 
 def test_products_and_inverses_match_fraction_reduction():
@@ -198,17 +199,42 @@ def test_products_and_inverses_match_fraction_reduction():
                  QUINTIC, SEXTIC]:
         k = NumberField(poly)
         for _ in range(25):
-            x, y = (k.element([Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-                               for _ in range(rng.randint(0, k.degree))])
-                    for _ in range(2))
+            x, y = _random_element(k, rng), _random_element(k, rng)
             want = _divmod_q(_mul_q(x.coeffs, y.coeffs), poly)[1]
-            assert list((x * y).coeffs) == want + [0] * (k.degree - len(want))
+            assert list((x * y).coeffs) == _padded(k, want)
             assert x.den > 0 and gcd(x.den, *x.nums) == 1
             if x.is_zero():
                 with pytest.raises(ZeroDivisionError):
                     x.inverse()
             else:
-                assert _divmod_q(_mul_q(x.coeffs, x.inverse().coeffs), poly)[1] == [1]
+                inv = x.inverse()
+                assert _divmod_q(_mul_q(x.coeffs, inv.coeffs), poly)[1] == [1]
+                assert inv.den > 0 and gcd(inv.den, *inv.nums) == 1
+        # sums of 1 to 4 products over mixed denominators, zeros among them
+        for _ in range(25):
+            pairs = [tuple(k.zero() if rng.random() < 0.2 else _random_element(k, rng)
+                           for _ in range(2)) for _ in range(rng.randint(1, 4))]
+            total = [Fraction(0)] * (2 * k.degree - 1)
+            for x, y in pairs:
+                for i, c in enumerate(_mul_q(x.coeffs, y.coeffs)):
+                    total[i] += c
+            z = dot(k, pairs)
+            assert list(z.coeffs) == _padded(k, _divmod_q(total, poly)[1])
+            assert z.den > 0 and gcd(z.den, *z.nums) == 1
+        # each reduction row is x^(d+i) mod f, as pseudo-division finds it
+        for i, row in enumerate(k.reduction_rows):
+            power = [0] * (k.degree + i) + [1]
+            assert list(row) == _padded(k, polys.pseudo_divmod(power, list(poly))[1])
+        assert len(k.reduction_rows) == k.degree - 1
+        # an equal field built apart multiplies; a different field does not
+        x = _random_element(k, rng)
+        twin = NumberField(poly).element(list(x.coeffs))
+        assert twin.field is not k and x * twin == x * x
+        other = NumberField((1, 0, 1))
+        with pytest.raises(ValueError, match="different fields"):
+            x * other.one()
+        with pytest.raises(ValueError, match="different fields"):
+            dot(k, [(x, x), (x, other.one())])
 
 
 def test_zero_divisor_has_no_inverse():
