@@ -59,16 +59,15 @@ def proj_canonical(ring, x):
 
 def _row_moves(ring, generators, projective, budget):
     """The row numbering behind `closure`: (rows, moves, start), where
-    `rows` is the sorted row orbit, move k is the action of the k-th of
-    g_1, g_1^-1, g_2, g_2^-1, ... on pairs of row numbers (`_move`), and
-    `start` is the identity pair."""
+    `rows` is the sorted row orbit, move k is the action of the k-th
+    generator g_k on pairs of row numbers (`_move`), and `start` is the
+    identity pair.  There are no moves for inverses: in a finite group
+    g^-1 = g^(ord g - 1), so every orbit under the generators alone is
+    already closed under their inverses."""
     m = ring.m
-    gens = []
-    for g in generators:
-        g = tuple(g)
-        if mat_det(ring, g) != 1:
-            raise ValueError("generators must have determinant 1")
-        gens += [g, mat_inv_sl(ring, g)]
+    gens = [tuple(g) for g in generators]
+    if any(mat_det(ring, g) != 1 for g in gens):
+        raise ValueError("generators must have determinant 1")
 
     def row_times(r, g):
         x, y = r
@@ -119,11 +118,13 @@ def closure(ring, generators, projective=False, budget=None):
     sign when `projective`, has at most |G| points), and numbered in
     sorted order, so that each generator becomes one integer map on
     rows (`_row_moves`).  The group is then the orbit of the identity
-    pair of row numbers (top, bottom).  The numbering keeps the order of
-    rows, so min(M, -M) is the sign of M with the lesser top row number:
-    r and -r differ unless 2 = 0, and then M = -M.  Matrices are
-    assembled only at the end, and the cost is O(|G|), whatever the
-    size of the ring.
+    pair of row numbers (top, bottom) under the generators alone: in a
+    finite group the monoid they span is the group they span.  The
+    numbering keeps the order of rows, so min(M, -M) is the sign of M
+    with the lesser top row number: r and -r differ unless 2 = 0, and
+    then M = -M.  Matrices are assembled only at the end, and the cost
+    is O(|G|) for one move per generator, whatever the size of the
+    ring.
     """
     if budget is None:
         budget = DEFAULT_ORDER_BUDGET
@@ -164,7 +165,8 @@ class ProductGroup:
     def orbit(self, generators, budget=None):
         """The subgroup the generators span, yielded breadth-first.  A
         state is one pair of row numbers per factor (`closure`), and
-        each move acts on every factor at once."""
+        each move, one per generator and none for its inverse, acts on
+        every factor at once."""
         if budget is None:
             budget = DEFAULT_ORDER_BUDGET
         generators = list(generators)

@@ -276,24 +276,38 @@ class SubgroupTable:
     inverse: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.action) != self.parent.rank():
+        action = self.action
+        if len(action) != self.parent.rank():
             raise ValueError("the action needs one permutation per generator")
         n = self.index
-        for perm in self.action:
-            if sorted(perm) != list(range(n)):
+        cosets = list(range(n))
+        for perm in action:
+            if sorted(perm) != cosets:
                 raise ValueError("generator action is not a permutation")
         inverse = []
-        for perm in self.action:
+        for perm in action:
             inv = [0] * n
             for i, v in enumerate(perm):
                 inv[v] = i
             inverse.append(tuple(inv))
         object.__setattr__(self, "inverse", tuple(inverse))
-        if not self._transitive():
+        # a permutation's inverse is one of its powers, so the
+        # generators' permutations alone reach the whole orbit of coset 0
+        seen, reached = {0}, [0]
+        for c in reached:  # grows as new cosets are found
+            for perm in action:
+                d = perm[c]
+                if d not in seen:
+                    seen.add(d)
+                    reached.append(d)
+        if len(reached) != n:
             raise ValueError("coset action is not transitive")
+        # letter x acts by by_letter[x]: action[x - 1] when x > 0, and
+        # inverse[-x - 1] when x < 0, as a negative index counts back
+        by_letter = (None, *action, *reversed(inverse))
         for r in self.parent.relators:
-            perms = [self._perm(x) for x in r]
-            for c in range(n):
+            perms = [by_letter[x] for x in r]
+            for c in cosets:
                 d = c
                 for perm in perms:
                     d = perm[d]
@@ -303,12 +317,6 @@ class SubgroupTable:
     @property
     def index(self):
         return len(self.action[0]) if self.action else 1
-
-    def _transitive(self):
-        # a permutation's inverse is one of its powers, so the
-        # generators' permutations alone reach the whole orbit of coset 0
-        reached = orbit([0], self.action, lambda c, perm: perm[c])
-        return sum(1 for _ in reached) == self.index
 
     def _perm(self, letter):
         if letter > 0:
@@ -463,10 +471,13 @@ def low_index_subgroups(pres, max_index, node_budget=None):
     O'Brien, Handbook of CGT, 5.4).  The search branches on the first
     undefined slot in that row-by-row order (coset, then generator, image
     before preimage), trying the defined cosets in ascending order and
-    then one new coset.  Each definition c*x = d is queued, and a queued
-    definition scans only the relator cycles through it: the cyclic
-    conjugates of each relator that start with x, at c, and those that
-    start with x^-1, at d.  A scan that leaves one letter unknown
+    then one new coset; a defined coset d whose d*x^-1 is already taken
+    would clash at once, and is skipped untried.  Each definition
+    c*x = d is queued, and a queued definition scans only the relator
+    cycles through it: the cyclic conjugates of each relator that start
+    with x, at c, and those that start with x^-1, at d.  Each such scan
+    begins after its first letter, whose step is the definition itself
+    (c to d, or d to c).  A scan that leaves one letter unknown
     deduces it, and a deduction is queued in turn; a scan that closes at
     the wrong coset is a clash and prunes the branch.  New cosets are
     only ever created at the branch slot, so completed tables are
@@ -476,8 +487,12 @@ def low_index_subgroups(pres, max_index, node_budget=None):
     paths parted, and the smaller value there was tried first, so the
     search already emits each index's tables in row-by-row order: a
     stable sort by index finishes the job.  Every table is validated by
-    `SubgroupTable` as usual.
+    `SubgroupTable` as usual.  ValueError when max_index < 1;
+    BudgetExceeded past DEFAULT_MAX_INDEX or past `node_budget` search
+    nodes.
     """
+    if max_index < 1:
+        raise ValueError("max_index must be >= 1")
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
     if max_index > DEFAULT_MAX_INDEX:
@@ -493,14 +508,17 @@ def low_index_subgroups(pres, max_index, node_budget=None):
     # slots in row-by-row order: coset-major, then c*g before c*g^-1
     slot_letters = [x for g in range(1, ngens + 1) for x in (g, -g)]
     slot_rows = [rows[x][0] for x in slot_letters]
+    slot_backs = [rows[x][1] for x in slot_letters]
     all_rows = fwd + bwd
     width = len(slot_letters)
-    # each cyclic conjugate once, filed by its first letter, as the word
-    # and the rows that step forwards and backwards along each letter
+    # each cyclic conjugate once, filed by its first letter, as the word,
+    # the rows that step forwards along each letter after the first (the
+    # definition that starts a scan is that first step) and the rows that
+    # step backwards along each letter
     conjugates = {r[i:] + r[:i] for r in pres.relators for i in range(len(r))}
     cycles = {x: [] for x in rows}
     for w in sorted(conjugates):
-        cycles[w[0]].append((w, [rows[x][0] for x in w],
+        cycles[w[0]].append((w, [rows[x][0] for x in w[1:]],
                              [rows[x][1] for x in w]))
     # a one-letter relator x forces c*x = c before any edge at c exists
     fixed = sorted({r[0] for r in pres.relators if len(r) == 1})
@@ -522,9 +540,10 @@ def low_index_subgroups(pres, max_index, node_budget=None):
             ahead[c] = d
             back[d] = c
             undo.append((ahead, c, back, d))
-            for base, through in ((c, cycles[x]), (d, cycles[-x])):
+            for base, first, through in ((c, d, cycles[x]),
+                                         (d, c, cycles[-x])):
                 for w, steps, returns in through:
-                    f, i = base, 0
+                    f, i = first, 1
                     for row in steps:
                         nxt = row[f]
                         if nxt is None:
@@ -565,7 +584,12 @@ def low_index_subgroups(pres, max_index, node_budget=None):
             return
         c, k = divmod(slot, width)
         x = slot_letters[k]
+        taken = slot_backs[k]
         for d in range(min(ncosets + 1, max_index)):
+            # d*x^-1 already defined: c*x = d would clash at once in
+            # `close`, so the search tree is the same without trying it
+            if d < ncosets and taken[d] is not None:
+                continue
             mark = len(undo)
             grew = d == ncosets
             if grew:

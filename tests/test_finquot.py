@@ -9,13 +9,14 @@ from kll.finquot import (ModRing, closure, sl2_elements, psl2_elements,
                          psl2_order_formula, mat_det, mat_inv_sl, mat_mul,
                          proj_canonical,
                          product_surjectivity, normalizer_quotient_order,
-                         hall_onto, ProductGroup)
+                         hall_onto, ProductGroup, _row_moves)
 
 from oracles import (closure_by_products, product_closure,
                      product_normalizer_order, psl2_by_scan)
 
 S5, T5 = (0, 4, 1, 0), (1, 1, 0, 1)
 S7, T7 = (0, 6, 1, 0), (1, 1, 0, 1)
+S11, T11 = (0, 10, 1, 0), (1, 1, 0, 1)
 A1, B1 = (0, 4, 1, 0), (2, 0, 0, 3)   # commuting involutions in PSL(2,5)
 A2, B2 = (0, 6, 1, 0), (2, 3, 3, 5)   # commuting involutions in PSL(2,7)
 
@@ -67,6 +68,19 @@ def _closure_cases():
         for k in range(3):
             yield f"Z/{m}-random{k}", ring, [_random_sl2(ring, rng)
                                              for _ in range(2)]
+    # closures take no inverse moves, so these check that the generators
+    # alone reach every inverse: one generator of order p + 1 = 24 (a
+    # non-split torus of SL(2, 23)), the identity alone, and three
+    # generators of which S T is redundant
+    yield "Z/23-order24", ModRing(23), [(0, 1, 22, 3)]
+    yield "Z/7-identity", ModRing(7), [(1, 0, 0, 1)]
+    yield "Z/11-redundant", ModRing(11), [S11, T11,
+                                          mat_mul(ModRing(11), S11, T11)]
+    # moduli where some M = -M: every M when m = 2, and entries in
+    # {0, m/2} for m = 4, 6 and 10
+    for m in (2, 4, 6, 10):
+        ring = ModRing(m)
+        yield f"Z/{m}-random", ring, [_random_sl2(ring, rng) for _ in range(2)]
 
 
 @pytest.mark.parametrize("projective", [False, True], ids=["sl", "psl"])
@@ -100,7 +114,10 @@ def test_product_surjectivity_distinct_factors():
 
 
 def test_product_surjectivity_diagonal_fails():
-    assert not product_surjectivity([5, 5], [(S5, S5), (T5, T5)])
+    gens = [(S5, S5), (T5, T5)]
+    assert not product_surjectivity([5, 5], gens)
+    sub = ProductGroup([5, 5]).closure(gens)
+    assert sub == product_closure([5, 5], gens) and len(sub) == 60
 
 
 def test_product_surjectivity_single_factor():
@@ -250,6 +267,30 @@ def test_normalizer_budget_caps_factor_closure():
         ("closure order", 100, 101)
 
 
+def _pinned_budget(call, budget):
+    with pytest.raises(BudgetExceeded) as exc:
+        call()
+    assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
+        ("closure order", budget, budget + 1)
+
+
 def test_closure_budget():
-    with pytest.raises(BudgetExceeded):
-        closure(ModRing(13), [(0, 12, 1, 0), (1, 1, 0, 1)], budget=100)
+    # the row stage: SL(2, 13) moves all 168 nonzero rows, so 100 is
+    # passed before any element is made
+    ring, gens = ModRing(13), [(0, 12, 1, 0), (1, 1, 0, 1)]
+    _pinned_budget(lambda: _row_moves(ring, gens, False, 100), 100)
+    _pinned_budget(lambda: closure(ring, gens, budget=100), 100)
+
+
+def test_closure_budget_caps_element_stage():
+    # PSL(2, 13) has 84 rows up to sign, within 500 (168 once both signs
+    # are numbered), but 1,092 elements
+    ring, gens = ModRing(13), [(0, 12, 1, 0), (1, 1, 0, 1)]
+    assert len(_row_moves(ring, gens, True, 500)[0]) == 168
+    _pinned_budget(lambda: closure(ring, gens, True, budget=500), 500)
+
+
+def test_product_orbit_budget():
+    # each factor's rows fit; the 10,080 elements of the product do not
+    orbit = ProductGroup([5, 7]).orbit([(S5, S7), (T5, T7)], budget=1000)
+    _pinned_budget(lambda: list(orbit), 1000)

@@ -202,7 +202,12 @@ def test_low_index_budget():
     (Presentation.from_strings(["a", "b"], ["aa", "bbb"]), 6),
     # a one-letter relator fixes its coset before any edge reaches it
     (Presentation.from_strings(["a", "b", "c"], ["c", "abAB"]), 4),
-], ids=["F2", "star4", "genus2", "figure-eight", "C6", "Z2*Z3", "one-letter"])
+    # a scan starts after its definition's letter: these repeat that
+    # letter inside one cycle, by a cancelling pair or by a proper power
+    (Presentation.from_strings(["a", "b"], ["abA", "bbb"]), 6),
+    (Presentation.from_strings(["a", "b"], ["ababab"]), 5),
+], ids=["F2", "star4", "genus2", "figure-eight", "C6", "Z2*Z3", "one-letter",
+        "not-cyclically-reduced", "proper-power"])
 def test_low_index_matches_rescan_oracle(pres, max_index):
     want, nodes = low_index_by_rescans(pres.rank(), pres.relators, max_index)
     got = low_index_subgroups(pres, max_index, node_budget=nodes)
@@ -211,6 +216,15 @@ def test_low_index_matches_rescan_oracle(pres, max_index):
     with pytest.raises(BudgetExceeded) as exc:
         low_index_subgroups(pres, max_index, node_budget=nodes - 1)
     assert exc.value.reached == nodes
+
+
+@pytest.mark.parametrize("pres", [
+    Presentation((), ()), Presentation.from_strings(["a"], ["aa"]), F2],
+    ids=["no-generators", "C2", "F2"])
+@pytest.mark.parametrize("max_index", [0, -3])
+def test_low_index_rejects_max_index_below_one(pres, max_index):
+    with pytest.raises(ValueError, match=r"max_index must be >= 1"):
+        low_index_subgroups(pres, max_index)
 
 
 def test_low_index_matches_rescan_oracle_on_random_presentations():
