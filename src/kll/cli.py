@@ -269,7 +269,7 @@ def cmd_order(args):
     report = {"trace_identities": traceorders.verify_trace_identities(a, b)}
     try:
         order = traceorders.build_order(a, b)
-        disc = order.discriminant_generator()
+        disc = order.discriminant
         report["order"] = {
             "closed": True,
             "discriminant_generator": [_rat(c) for c in disc.coeffs],

@@ -280,6 +280,8 @@ class SubgroupTable:
         if len(action) != self.parent.rank():
             raise ValueError("the action needs one permutation per generator")
         n = self.index
+        if n < 1:
+            raise ValueError("the action needs at least one coset")
         cosets = list(range(n))
         for perm in action:
             if sorted(perm) != cosets:

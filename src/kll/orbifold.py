@@ -59,16 +59,9 @@ class SingularLocus:
                 if v not in vs:
                     raise ValueError(f"edge {e.id} touches unknown vertex {v}")
         for comp in _components(self.vertices, self.edges):
-            degs = {v: 0 for v in comp.vertices}
-            for e in comp.edges:
-                for v in e.ends:
-                    degs[v] += 1
-            if all(d == 3 for d in degs.values()):
-                continue
-            if all(d == 2 for d in degs.values()):
-                continue
-            raise ValueError(
-                "component is neither trivalent nor a closed circle")
+            if comp.kind not in ("trivalent", "circle"):
+                raise ValueError(
+                    "component is neither trivalent nor a closed circle")
 
     def is_empty(self):
         return not self.edges

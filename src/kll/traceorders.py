@@ -2,8 +2,13 @@
 R_k[1, a, b, ab] with its closure certificate, and the trace-zero
 involution ab - ba with its conjugation relations.
 
-Projective statements (order two, conjugation to inverses, Klein four)
-are decided by exact proportionality of matrices over the field.
+Each trace identity is one linear relation sum c_i m_i = 0 with
+coefficients in the field, checked as one `Mat2.combination`; the
+inverse of a unimodular matrix is its adjugate, with no field
+inversion.  `build_order` keeps the Fricke value tr[a, b] - 2 it tests
+for spanning as the order's discriminant generator.  Projective
+statements (order two, conjugation to inverses, Klein four) are
+decided by exact proportionality of matrices over the field.
 Each entry of a product, a determinant, a linear combination of
 matrices or a cross-multiplication is one `numfield.dot`: one common
 denominator, one reduction, one lowest-terms step.
@@ -69,22 +74,10 @@ class Mat2:
                   for s in range(2))
             for r in range(2)))
 
-    def __add__(self, other):
-        return Mat2(self.field, tuple(
-            tuple(x + y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.entries, other.entries)))
-
     def __sub__(self, other):
         return Mat2(self.field, tuple(
             tuple(x - y for x, y in zip(r1, r2))
             for r1, r2 in zip(self.entries, other.entries)))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = _coerce(self.field, c)
-        return Mat2(self.field, tuple(tuple(c * x for x in r) for r in self.entries))
 
     def det(self):
         (a, b), (c, d) = self.entries
@@ -93,15 +86,19 @@ class Mat2:
     def trace(self):
         return self.entries[0][0] + self.entries[1][1]
 
-    def inverse(self):
+    def adjugate(self):
+        """[[d, -b], [-c, a]], so m adj(m) = det(m) 1: the inverse of a
+        unimodular matrix, with no field inversion."""
         (a, b), (c, d) = self.entries
+        return Mat2(self.field, ((d, -b), (-c, a)))
+
+    def inverse(self):
+        """adj(m) det(m)^-1; ZeroDivisionError when det(m) is zero or a
+        zero divisor of k."""
         det = self.det()
         if det.is_zero():
             raise ZeroDivisionError("singular matrix")
-        inv = det.inverse()
-        return Mat2(self.field, (
-            (d * inv, -b * inv),
-            (-c * inv, a * inv)))
+        return Mat2.combination(self.field, (det.inverse(),), (self.adjugate(),))
 
     def is_zero(self):
         return all(x.is_zero() for r in self.entries for x in r)
@@ -161,23 +158,27 @@ def verify_trace_identities(a, b):
     a + a^-1 = tr(a) 1                a^2 = tr(a) a - 1
     a^2 b = tr(a) ab - b              aba = -tr(b) 1 + tr(ab) a + b
     b^-1 a^-1 = tr(b) a^-1 - b a^-1   ba + ab = (tr(ab) - tr(a)tr(b)) 1 + tr(b) a + tr(a) b
+
+    Each is checked as sum c_i m_i = 0, one `Mat2.combination`, with
+    a^-1 and b^-1 the adjugates of the unimodular a and b.
     """
-    one = Mat2.identity(a.field)
-    if not (a.det() - a.field.one()).is_zero() or not (b.det() - b.field.one()).is_zero():
-        raise NonUnimodular("both determinants must equal 1")
+    _require_unimodular(a, b)
+    k = a.field
+    eye, one = Mat2.identity(k), k.one()
     ta, tb = a.trace(), b.trace()
-    ab = a * b
+    aa, ab = a * a, a * b
     tab = ab.trace()
-    ainv, binv = a.inverse(), b.inverse()
-    checks = [
-        (a + ainv) - one.scale(ta),
-        (a * a) - (a.scale(ta) - one),
-        (a * a * b) - (ab.scale(ta) - b),
-        (a * b * a) - (one.scale(-tb) + a.scale(tab) + b),
-        (binv * ainv) - (ainv.scale(tb) - b * ainv),
-        (b * a + ab) - (one.scale(tab - ta * tb) + a.scale(tb) + b.scale(ta)),
+    ainv, binv = a.adjugate(), b.adjugate()
+    identities = [
+        ((one, one, -ta), (a, ainv, eye)),
+        ((one, -ta, one), (aa, a, eye)),
+        ((one, -ta, one), (aa * b, ab, b)),
+        ((one, tb, -tab, -one), (ab * a, eye, a, b)),
+        ((one, -tb, one), (binv * ainv, ainv, b * ainv)),
+        ((one, one, ta * tb - tab, -tb, -ta), (b * a, ab, eye, a, b)),
     ]
-    return all(m.is_zero() for m in checks)
+    return all(Mat2.combination(k, coeffs, mats).is_zero()
+               for coeffs, mats in identities)
 
 
 @dataclass
@@ -191,9 +192,7 @@ class ElementaryOrder:
     field: NumberField
     basis: tuple
     structure_constants: dict
-
-    def discriminant_generator(self):
-        return order_discriminant_from_pair(self.basis[1], self.basis[2])
+    discriminant: FieldElement  # tr[a, b] - 2, generating the discriminant ideal
 
 
 def build_order(a, b):
@@ -209,13 +208,14 @@ def build_order(a, b):
     field = a.field
     _require_unimodular(a, b)
     ab = a * b
-    if (ab - b * a).is_zero():
+    if ab == b * a:
         raise CommutingGenerators("generators commute")
     ta, tb, tab = a.trace(), b.trace(), ab.trace()
     for t in (ta, tb, tab):
         if not t.is_integral():
             raise NonIntegralTraces(f"trace {t} is not an algebraic integer")
-    if _fricke_discriminant(ta, tb, tab).is_zero():
+    discriminant = _fricke_discriminant(ta, tb, tab)
+    if discriminant.is_zero():
         raise CommutingGenerators("basis does not span the algebra")
     basis = (Mat2.identity(field), a, b, ab)
     zero, one = field.zero(), field.one()
@@ -236,24 +236,19 @@ def build_order(a, b):
         if Mat2.combination(field, coords, basis) != basis[i] * basis[j]:
             raise ArithmeticError(f"Cayley-Hamilton identity fails at ({i},{j})")
     constants.update(products)
-    return ElementaryOrder(field=field, basis=basis, structure_constants=constants)
+    return ElementaryOrder(field=field, basis=basis, structure_constants=constants,
+                           discriminant=discriminant)
 
 
 def _require_unimodular(a, b):
     one = a.field.one()
     if not (a.det() - one).is_zero() or not (b.det() - one).is_zero():
-        raise NonUnimodular("generators must have determinant 1")
+        raise NonUnimodular("both determinants must equal 1")
 
 
 def _fricke_discriminant(ta, tb, tab):
     """tr[a, b] - 2 = ta^2 + tb^2 + tab^2 - ta tb tab - 4 (Fricke)."""
     return ta * ta + tb * tb + tab * tab - ta * tb * tab - 4
-
-
-def order_discriminant_from_pair(a, b):
-    """tr([a,b]) - 2, the generator of the order discriminant ideal."""
-    _require_unimodular(a, b)
-    return _fricke_discriminant(a.trace(), b.trace(), (a * b).trace())
 
 
 def jorgensen_involution(a, b):

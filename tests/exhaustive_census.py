@@ -23,8 +23,10 @@ the two sets differ.  The oracle takes about two minutes on PSL(2, 13).
 With --rank: the rank certificates of the census `kll count` runs for
 each m given.  Every class's generators must close, by plain breadth-first
 search, to its representative, so d(H) is at most their number; and
-`oracles.burnside_lower_bound` must not exceed it.  Prints the rank and
-the largest Burnside bound.  The census takes about 20 s at m = 20.
+`oracles.burnside_lower_bound` must not exceed it.  Exits non-zero
+unless the largest Burnside bound equals the census rank, so the rank
+is certified exactly.  They meet at m = 12 and 20, but not at m = 2,
+where SL(2, Z/2) = S_3 has rank 2 and Burnside bound 1.  Prints the rank and the largest Burnside bound.  The census takes about 20 s at m = 20.
 
 With --dickson: Dickson's classes of PSL(2, p), which `kll count`
 prints for each prime p >= 5 given, against the census of SL(2, p) with
@@ -136,6 +138,9 @@ def check_rank(moduli):
                 raise SystemExit(f"m = {m}: Burnside bound {b} over "
                                  f"{len(c.generators)} generators")
             bound = max(bound, b)
+        if bound != census.rank():
+            raise SystemExit(f"m = {m}: largest Burnside bound {bound}, "
+                             f"rank {census.rank()}")
         print(f"m = {m}: rank {census.rank()}, largest Burnside bound {bound}, "
               f"{len(census.classes)} classes certified "
               f"(census {t1 - t0:.1f} s, checks {time.time() - t1:.1f} s)")

@@ -1107,6 +1107,9 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
     (["order", "--poly", "[-1,0,1]", "--matrices",
       json.dumps({"a": [[1, 1], [0, 1]], "b": [[1, 0], [["1/2", "1/2"], 1]]})],
      2, "zero divisor"),
+    (["order", "--poly", "[0,1]", "--matrices",
+      json.dumps({"a": [[2, 0], [0, 1]], "b": B})],
+     2, "both determinants must equal 1"),
 ], ids=["vertices-int", "vertices-string", "core-int", "core-unknown-letter",
         "end-not-a-name", "end-unknown-vertex", "order-below-2",
         "multi-letter-generator", "duplicate-generator",
@@ -1118,7 +1121,7 @@ SYMBOL = ["algebra", "--symbol", "3", "5"]
         "orbifold-phi-short", "orbifold-phi-long", "orbifold-phi-zero",
         "orbifold-phi-relator",
         "poly-float", "poly-bool", "count-over-budget", "cheeger-cycle-0",
-        "order-zero-divisor"])
+        "order-zero-divisor", "order-not-unimodular"])
 def test_bad_input_exits_with_json(tmp_path, argv, code, detail):
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):

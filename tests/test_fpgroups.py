@@ -279,6 +279,12 @@ def test_subgroup_table_rejects_intransitive_action():
         SubgroupTable(F2, ((1, 0, 2), (0, 1, 2)))
 
 
+def test_subgroup_table_rejects_index_zero():
+    # rows of length 0 are permutations of no cosets
+    with pytest.raises(ValueError, match="at least one coset"):
+        SubgroupTable(F2, ((), ()))
+
+
 def test_subgroup_table_rejects_relator_acting_nontrivially():
     # a -> (0 1 2) does not satisfy a^2 = 1
     with pytest.raises(ValueError, match="acts nontrivially"):

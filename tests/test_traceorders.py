@@ -7,7 +7,6 @@ from kll import linalg
 from kll.linalg import rref
 from kll.numfield import FieldElement, NumberField
 from kll.traceorders import (Mat2, verify_trace_identities, build_order,
-                             order_discriminant_from_pair,
                              jorgensen_involution, klein_four_relations,
                              proportional,
                              NonUnimodular, CommutingGenerators,
@@ -70,6 +69,20 @@ def test_identities_reject_nonunimodular():
         verify_trace_identities(a, b)
 
 
+def test_identities_make_no_field_inversion(monkeypatch):
+    # a^-1 and b^-1 are adjugates: no FieldElement.inverse, over any field
+    def no_inverse(self):
+        raise AssertionError("verify_trace_identities inverted a field element")
+
+    monkeypatch.setattr(FieldElement, "inverse", no_inverse)
+    rng = random.Random(89)
+    for field in (Q, QSQRT2M, CUBIC):
+        for _ in range(5):
+            a = _rand_unimodular(field, rng)
+            b = _rand_unimodular(field, rng)
+            assert verify_trace_identities(a, b)
+
+
 def test_build_order_shear_pair():
     a = Mat2.from_rows(Q, [[1, 1], [0, 1]])
     b = Mat2.from_rows(Q, [[1, 0], [1, 1]])
@@ -80,8 +93,7 @@ def test_build_order_shear_pair():
     # b^-1 a^-1 has integral coordinates in the basis
     coords = _solve_in_basis(order.basis, b.inverse() * a.inverse())
     assert coords is not None and all(c.is_integral() for c in coords)
-    disc = order.discriminant_generator()
-    assert disc.rational_value() == 1  # tr[a,b] = 3
+    assert order.discriminant.rational_value() == 1  # tr[a,b] = 3
 
 
 def test_build_order_rejects_commuting():
@@ -138,13 +150,13 @@ def test_structure_constants_match_linear_solve():
 def test_fricke_discriminant_matches_commutator_trace():
     for a, b in _noncommuting_pairs(random.Random(79), 10):
         comm = a * b * a.inverse() * b.inverse()
-        assert order_discriminant_from_pair(a, b) == comm.trace() - 2
+        assert build_order(a, b).discriminant == comm.trace() - 2
 
 
 def test_order_discriminant_rejects_nonunimodular():
     a = Mat2.from_rows(Q, [[2, 0], [0, 1]])
     with pytest.raises(NonUnimodular):
-        order_discriminant_from_pair(a, Mat2.identity(Q))
+        build_order(a, Mat2.identity(Q))
 
 
 def test_build_order_rejects_common_fixed_point():
@@ -249,5 +261,5 @@ def test_klein_four_nonscalar_square_rejected():
 
 def test_proportional_is_projective_equality():
     m = Mat2.from_rows(Q, [[1, 2], [3, 4]])
-    assert proportional(m, m.scale(-7))
+    assert proportional(m, Mat2.combination(Q, [Q.element([-7])], [m]))
     assert not proportional(m, Mat2.identity(Q))
