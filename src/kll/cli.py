@@ -328,10 +328,7 @@ def cmd_graph(args):
     obj = _load_json(args.input)
     _validate_graph(obj)
     g = trivalent.TrivalentGraph.from_json(obj)
-    if not g.is_connected():
-        # b1 = E - V + 1 and both lemmas are stated for connected graphs
-        raise ValueError("the graph is not connected")
-    cyc = trivalent.short_cycle(g)
+    cyc = trivalent.short_cycle(g)  # ValueError unless g is connected
     sub = trivalent.b1_two_subgraph(g)
     report = {
         "V": g.num_vertices,

@@ -2,16 +2,20 @@
 plus generation of every connected cubic multigraph up to isomorphism
 (loops and parallel edges are first-class).
 
-Both bounds are read off one breadth-first ball per root: the first
-non-tree edge it meets closes a shortest cycle through the root, the
-first two close a connected b1 = 2 subgraph.  The bounds have the form
-c1*log2(t) + c2 and are decided by exact integer power comparison;
+Both bounds are read off one pass per graph that grows one
+breadth-first ball per root: the first non-tree edge a ball meets closes
+a shortest cycle through the root, the first two close a connected
+b1 = 2 subgraph.  The graph keeps only the two winning roots
+(`TrivalentGraph._lemma_roots`), and `short_cycle` and `b1_two_subgraph`
+each regrow one ball there to build a fresh report.  The bounds have the
+form c1*log2(t) + c2 and are decided by exact integer power comparison;
 dyadic enclosures of the bound values are reported alongside.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dyadic import log2_enclosure
 from .fpgroups import orbit
@@ -61,18 +65,13 @@ class TrivalentGraph:
         return adj
 
     def is_connected(self):
-        if self.num_vertices == 0:
-            return False
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w, _ in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_vertices
+        return self.num_vertices > 0 and _connected(self.adjacency())
+
+    @cached_property
+    def _lemma_roots(self):
+        """The two roots `_lemma_pass` picks, kept after the first call;
+        not a field, so equality and hashing ignore it."""
+        return _lemma_pass(self)
 
     def to_json(self):
         return {"V": self.num_vertices, "edges": [list(e) for e in self.edges]}
@@ -482,54 +481,120 @@ def random_connected_trivalent(num_vertices, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# Lemma-style bounds, both read off one breadth-first ball per root
+# Lemma-style bounds, both read off one pass of breadth-first balls
 
-def _ball(adj, root, wanted, below=None):
-    """Breadth-first search from `root`, stopped at the end of the first
-    layer by which `wanted` non-tree edges have appeared, or before the
-    first layer k whose walks (2k+1 or longer) cannot be shorter than
-    `below`.
+def _connected(adj):
+    """Whether a depth-first search from vertex 0 reaches every vertex."""
+    seen = [False] * len(adj)
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for w, _ in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == len(adj)
 
-    Returns (parent, dist, walks).  parent[v] is (tree parent, edge
-    index), or None at the root, and dist[v] is the depth of v.  walks
-    lists (length, edge index, u, w) for each non-tree edge u-w met,
-    shortest first, where length = d(u) + d(w) + 1 is that of the closed
-    walk root .. u - w .. root.  A non-tree edge met in layer k closes a
-    walk of length 2k+1 or 2k+2, and every later layer only longer ones,
-    so `walks` starts with the root's `wanted` shortest closed walks
-    through a non-tree edge.
+
+def _balls(adj, roots):
+    """For each root in turn, the breadth-first ball stopped at the end of
+    the first layer by which two non-tree edges have appeared.
+
+    Yields (root, walks, depth, up, up_edge).  The per-vertex lists are
+    allocated once and reused, so each is valid only until the next
+    root: a vertex v of the ball has depth[v], and unless v is the root,
+    its tree parent up[v] by the edge up_edge[v].  walks lists
+    (length, edge index, u, w) for each non-tree edge u-w met, shortest
+    first, where length = d(u) + d(w) + 1 is that of the closed walk
+    root .. u - w .. root.  A non-tree edge met in layer k closes a walk
+    of length 2k+1 or 2k+2, and every later layer only longer ones, so
+    `walks` starts with the root's two shortest closed walks through a
+    non-tree edge.  The ball of a connected cubic graph always has two:
+    its b1 = V/2 + 1 is at least 2.
     """
-    dist = {root: 0}
-    parent = {root: None}
-    walks = {}
-    layer = [(root, None)]
-    k = 0
-    while layer and len(walks) < wanted and (below is None or 2 * k + 1 < below):
-        nxt = []
-        for u, up in layer:
-            for w, i in adj[u]:
-                if i == up:
-                    continue
-                d = dist.get(w)
-                if d is None:
-                    dist[w] = k + 1
-                    parent[w] = (u, i)
-                    nxt.append((w, i))
-                elif i not in walks:
-                    walks[i] = (k + d + 1, i, u, w)
-        layer = nxt
-        k += 1
-    return parent, dist, sorted(walks.values())
+    n = len(adj)
+    depth = [0] * n
+    up = [0] * n
+    up_edge = [-1] * n
+    mark = [-1] * n  # mark[v] == root: v is in root's ball
+    for root in roots:
+        mark[root] = root
+        depth[root] = 0
+        up_edge[root] = -1
+        walks = []
+        met = set()
+        layer = [root]
+        k = 0
+        while len(walks) < 2 and layer:
+            nxt = []
+            for u in layer:
+                skip = up_edge[u]
+                for w, i in adj[u]:
+                    if i == skip:
+                        continue
+                    if mark[w] != root:
+                        mark[w] = root
+                        depth[w] = k + 1
+                        up[w] = u
+                        up_edge[w] = i
+                        nxt.append(w)
+                    elif i not in met:
+                        met.add(i)
+                        walks.append((k + depth[w] + 1, i, u, w))
+            layer = nxt
+            k += 1
+        walks.sort()
+        yield root, walks, depth, up, up_edge
 
 
-def _path_up(parent, v):
-    """[(vertex, edge to its tree parent), ...] from v up to the root."""
-    out = []
-    while parent[v] is not None:
-        up, i = parent[v]
-        out.append((v, i))
-        v = up
-    return out
+def _two_walk_edges(root, walks, depth, up, up_edge):
+    """The edges of the b1 = 2 candidate that one ball gives: the two
+    shortest walks' non-tree edges and their endpoints' tree paths to
+    the root, less the root's stem (see `b1_two_subgraph`), as a set."""
+    (_, i, u, w), (_, j, x, y) = walks[:2]
+    taken = {i, j}
+    v = u
+    while v != root:
+        taken.add(up_edge[v])
+        v = up[v]
+    top = u
+    for v in (w, x, y):
+        while v != root and up_edge[v] not in taken:
+            taken.add(up_edge[v])
+            v = up[v]
+        if depth[v] < depth[top]:
+            top = v
+    while top != root:
+        taken.remove(up_edge[top])
+        top = up[top]
+    return taken
+
+
+def _lemma_pass(g):
+    """(cycle root, subgraph root): the first root whose ball has the
+    shortest closed walk, and the first whose b1 = 2 candidate has the
+    fewest edges, from one ball per root.  `TrivalentGraph._lemma_roots`
+    keeps the pair, so each graph makes this pass once.
+
+    A ball grown only until its first non-tree edge would find the same
+    first walk and the same tree paths to its ends: later layers only
+    add longer walks, and every vertex on those paths is placed by then.
+    So the cycle root is the one a search for the girth alone picks.
+    """
+    adj = g.adjacency()
+    if not _connected(adj):
+        # b1 = E - V + 1 and both lemmas are stated for connected graphs
+        raise ValueError("the graph is not connected")
+    cycle_root = subgraph_root = girth = fewest = None
+    for root, walks, depth, up, up_edge in _balls(adj, range(len(adj))):
+        if cycle_root is None or walks[0][0] < girth:
+            girth, cycle_root = walks[0][0], root
+        size = len(_two_walk_edges(root, walks, depth, up, up_edge))
+        if subgraph_root is None or size < fewest:
+            fewest, subgraph_root = size, root
+    return cycle_root, subgraph_root
 
 
 @dataclass
@@ -547,28 +612,28 @@ def short_cycle(g):
     Every closed walk through a non-tree edge contains a cycle no longer
     than itself, and a root on a shortest cycle meets one of its edges
     as a non-tree edge, so the shortest such walk over all roots is a
-    shortest cycle.  Each root's ball stops once no walk it could still
-    find is shorter than the best so far, and a loop ends the search.
-    `cycle_vertices` is [u] for a loop, [u, v] for a parallel pair,
-    otherwise the cycle in order.
+    shortest cycle.  The root is the first with the shortest walk in
+    the graph's one lemma pass (`_lemma_pass`, kept on the graph), and
+    the cycle is read off one ball regrown there.  `cycle_vertices` is
+    [u] for a loop, [u, v] for a parallel pair, otherwise the cycle in
+    order.  Raises ValueError for an empty or disconnected graph.
 
     `holds` is the exact comparison 9 * 2^g <= 4 (V+2)^2; the reported
     bound value is a certified dyadic enclosure.
     """
     if g.num_vertices < 1:
         raise ValueError("empty graph")
-    adj = g.adjacency()
-    best = None
-    for root in range(g.num_vertices):
-        below = best[0][0] if best else None
-        parent, _, walks = _ball(adj, root, 1, below)
-        if walks and (below is None or walks[0][0] < below):
-            best = walks[0], root, parent
-            if walks[0][0] == 1:  # a loop; nothing is shorter
-                break
-    (girth, _, u, w), root, parent = best
-    cyc = ([x for x, _ in _path_up(parent, u)] + [root]
-           + [x for x, _ in reversed(_path_up(parent, w))])
+    root = g._lemma_roots[0]
+    _, walks, _, up, _ = next(_balls(g.adjacency(), [root]))
+    girth, _, u, w = walks[0]
+    ends = []
+    for v in (u, w):
+        path = []
+        while v != root:
+            path.append(v)
+            v = up[v]
+        ends.append(path)
+    cyc = ends[0] + [root] + ends[1][::-1]
     v = g.num_vertices
     lo, hi = log2_enclosure(Fraction(v + 2, 3))
     holds = 9 * (2 ** girth) <= 4 * (v + 2) ** 2
@@ -607,13 +672,15 @@ def _subgraph_b1(edge_idx, g):
 def b1_two_subgraph(g):
     """Connected subgraph with b1 exactly 2 and few edges.
 
-    From each root, the breadth-first ball that `_ball` grows until two
+    From each root, the breadth-first ball that `_balls` grows until two
     non-tree edges have appeared gives a candidate: the two non-tree
     edges with the shortest closed walks, their endpoints' tree paths to
     the root, less the root's stem.  A tree plus two edges is connected
-    with b1 = 2, so every root yields one, and the fewest edges over all
-    roots is returned.  There is no other search, so `strategy` is
-    always "ball"; the field stays for callers and `kll graph` output.
+    with b1 = 2, so every root yields one.  The graph's one lemma pass
+    (`_lemma_pass`, kept on the graph) finds the first root with the
+    fewest edges, and the candidate is cut again from one ball regrown
+    there.  There is no other search, so `strategy` is always "ball";
+    the field stays for callers and `kll graph` output.
 
     Every vertex but the root lies on a tree path up from an endpoint,
     so it has its parent edge and either an edge below it or a non-tree
@@ -623,34 +690,14 @@ def b1_two_subgraph(g):
     first path, since a path that meets another branch meets it below
     that branch's own stop, and the stem is the path from there up.
 
-    `holds` is the exact comparison 2^edges <= 2^12 (b1-1)^6.
+    `holds` is the exact comparison 2^edges <= 2^12 (b1-1)^6.  Raises
+    FirstBettiTooSmall for b1 < 2, then ValueError for a disconnected
+    graph.
     """
     b = g.b1()
     if b < 2:
         raise FirstBettiTooSmall(f"b1 = {b} < 2")
-    adj = g.adjacency()
-    best = None
-    for root in range(g.num_vertices):
-        parent, dist, walks = _ball(adj, root, 2)
-        (_, i, u, w), (_, j, x, y) = walks[:2]
-        taken = {i, j}
-        v = u
-        while parent[v] is not None:
-            v, e = parent[v]
-            taken.add(e)
-        top = u
-        for v in (w, x, y):
-            while parent[v] is not None and parent[v][1] not in taken:
-                v, e = parent[v]
-                taken.add(e)
-            if dist[v] < dist[top]:
-                top = v
-        while parent[top] is not None:
-            top, e = parent[top]
-            taken.remove(e)
-        edges = sorted(taken)
-        if best is None or len(edges) < len(best):
-            best = edges
+    best = sorted(_two_walk_edges(*next(_balls(g.adjacency(), [g._lemma_roots[1]]))))
     if _subgraph_b1(best, g) != 2:
         raise AssertionError("ball candidate is not a b1=2 subgraph")
     lo, hi = log2_enclosure(b - 1) if b > 2 else (Fraction(0), Fraction(0))

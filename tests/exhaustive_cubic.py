@@ -18,7 +18,7 @@ the automorphism group read off its labellings; unless every move that
 same children kept; and, for MAX in REFINEMENTS and CHILDREN, unless
 generation makes the pinned number of refinements and tests the pinned
 number of children.  Not collected by pytest: at V <= 14 the first
-checks 24,171 graphs.
+checks 24,171 graphs, and at V <= 16 (a CI job of its own) 228,809.
 """
 
 import random
@@ -27,10 +27,9 @@ import time
 
 from kll import trivalent
 from kll.fpgroups import orbit
-from kll.trivalent import (_path_up, b1_two_subgraph, generate_connected_trivalent,
-                           short_cycle)
+from kll.trivalent import b1_two_subgraph, generate_connected_trivalent, short_cycle
 
-A005967 = {2: 2, 4: 5, 6: 17, 8: 71, 10: 388, 12: 2592, 14: 21096}
+A005967 = {2: 2, 4: 5, 6: 17, 8: 71, 10: 388, 12: 2592, 14: 21096, 16: 204638}
 # `trivalent._refine_from` calls made by generation to V <= N: a search
 # that also prunes by generators moving the node's individualized
 # vertices (unsound in general) makes 1,932 and 11,017, and passes the
@@ -138,9 +137,8 @@ def searched_graphs(max_vertices):
     return graphs
 
 
-def generation_calls(name, max_vertices):
-    """The number of calls to `trivalent.<name>` that
-    generate_connected_trivalent(max_vertices) makes."""
+def counted_calls(name, work):
+    """The number of calls to `trivalent.<name>` that work() makes."""
     calls = 0
     function = getattr(trivalent, name)
 
@@ -151,10 +149,16 @@ def generation_calls(name, max_vertices):
 
     setattr(trivalent, name, counting)
     try:
-        generate_connected_trivalent(max_vertices)
+        work()
     finally:
         setattr(trivalent, name, function)
     return calls
+
+
+def generation_calls(name, max_vertices):
+    """The number of calls to `trivalent.<name>` that
+    generate_connected_trivalent(max_vertices) makes."""
+    return counted_calls(name, lambda: generate_connected_trivalent(max_vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +236,10 @@ def oracle_mismatches(graphs, rng):
 # Lemma witnesses from each root's ball, leaves stripped one at a time
 
 def _ball_walks(adj, root, wanted):
-    """(parent, walks) as `trivalent._ball(adj, root, wanted)` returns
-    them: the breadth-first tree and the closed walks through non-tree
-    edges, shortest first, to the end of the layer where `wanted` have
-    appeared."""
+    """(parent, walks): the breadth-first tree from `root`, parent[v] =
+    (tree parent, edge index) or None at the root, and the closed walks
+    (length, edge index, u, w) through non-tree edges, shortest first,
+    to the end of the layer where `wanted` have appeared."""
     dist = {root: 0}
     parent = {root: None}
     walks = {}
@@ -255,6 +259,16 @@ def _ball_walks(adj, root, wanted):
                     nxt.append(w)
         layer = nxt
     return parent, sorted(walks.values())
+
+
+def _path_up(parent, v):
+    """[(vertex, edge to its tree parent), ...] from v up to the root."""
+    out = []
+    while parent[v] is not None:
+        up, i = parent[v]
+        out.append((v, i))
+        v = up
+    return out
 
 
 def _without_leaves(g, edge_idx):

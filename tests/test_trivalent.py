@@ -9,7 +9,7 @@ from kll.trivalent import (TrivalentGraph, short_cycle, b1_two_subgraph,
                            random_connected_trivalent, canonical_form,
                            FirstBettiTooSmall, _subgraph_b1, _bridges)
 
-from exhaustive_cubic import (CHILDREN, REFINEMENTS, generation_calls,
+from exhaustive_cubic import (CHILDREN, REFINEMENTS, counted_calls, generation_calls,
                               group_closure, lemma_mismatches,
                               move_filter_mismatches, oracle_mismatches,
                               searched_graphs)
@@ -74,6 +74,17 @@ def test_b1_two_subgraph_named():
     assert _subgraph_b1(r.edge_indices, PETERSEN) == 2
 
 
+def test_lemmas_reject_disconnected():
+    # b1 = E - V + 1 is 5 for two disjoint K4s, but the true b1 is 6
+    two_k4 = TrivalentGraph(8, K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges))
+    for lemma in (short_cycle, b1_two_subgraph):
+        with pytest.raises(ValueError, match="the graph is not connected"):
+            lemma(two_k4)
+    # the empty graph keeps its own message
+    with pytest.raises(ValueError, match="empty graph"):
+        short_cycle(TrivalentGraph(0, ()))
+
+
 def test_b1_two_subgraph_rejects_small():
     # a connected trivalent graph always has b1 >= 2, so feed a fake via
     # direct call on the bound check path: b1(THETA)=2 works, but a
@@ -82,9 +93,11 @@ def test_b1_two_subgraph_rejects_small():
     class Fake(TrivalentGraph):
         def b1(self):
             return 1
-    fake = Fake(2, ((0, 1), (0, 1), (0, 1)))
-    with pytest.raises(FirstBettiTooSmall):
-        b1_two_subgraph(fake)
+    # the second is two disjoint thetas: b1 < 2 is refused before
+    # connectivity is checked
+    for fake in (Fake(2, THETA.edges), Fake(4, THETA.edges + ((2, 3),) * 3)):
+        with pytest.raises(FirstBettiTooSmall):
+            b1_two_subgraph(fake)
 
 
 def test_generation_counts_match_known_sequence():
@@ -276,3 +289,21 @@ def test_lemma_witnesses_match_leaf_stripping_oracle():
     # the cycle and the b1 = 2 edges, root for root, as when every leaf
     # of each candidate was stripped one at a time
     assert lemma_mismatches(_lemma_test_graphs()) == []
+
+
+def test_one_lemma_pass_per_graph():
+    # fresh graphs, so no memo is filled by an earlier test
+    graphs = [TrivalentGraph(g.num_vertices, g.edges) for g in _lemma_test_graphs()]
+    reports = []
+    calls = counted_calls("_lemma_pass", lambda: reports.extend(
+        (short_cycle(g), b1_two_subgraph(g)) for g in graphs))
+    assert calls == len(graphs)
+    for g, (cyc, sub) in zip(graphs, reports):
+        cycle, edges = list(cyc.cycle_vertices), list(sub.edge_indices)
+        cyc.cycle_vertices.append(-1)
+        sub.edge_indices.clear()
+        assert short_cycle(g).cycle_vertices == cycle
+        assert b1_two_subgraph(g).edge_indices == edges
+        apart = TrivalentGraph(g.num_vertices, g.edges)
+        assert "_lemma_roots" in vars(g) and "_lemma_roots" not in vars(apart)
+        assert g == apart and hash(g) == hash(apart)
