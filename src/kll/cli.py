@@ -57,9 +57,13 @@ def _parse_field(poly_str):
 # sees it; types match exactly, so a JSON true is no integer and 0.5 no
 # rational.  Keys a format does not name are ignored.
 
+def _bad(pointer, expected):
+    return ValueError(f"bad value at {pointer}: expected {expected}")
+
+
 def _check(ok, pointer, expected):
     if not ok:
-        raise ValueError(f"bad value at {pointer}: expected {expected}")
+        raise _bad(pointer, expected)
 
 
 def _require(obj, key, pointer, kind=None):
@@ -73,14 +77,17 @@ def _require(obj, key, pointer, kind=None):
 
 
 def _validate_graph(obj):
-    """{"V": n >= 1, "edges": [[u, v], ...]} with 0 <= u, v < n."""
+    """{"V": n >= 1, "edges": [[u, v], ...]} with 0 <= u, v < n.  Each
+    edge is one plain test; only the first bad value builds a message."""
     v = _require(obj, "V", "", int)
     _check(v >= 1, "/V", "a positive integer")
     for i, e in enumerate(_require(obj, "edges", "", list)):
-        _check(type(e) is list and len(e) == 2, f"/edges/{i}", "[u, v]")
-        for j, u in enumerate(e):
-            _check(type(u) is int and 0 <= u < v, f"/edges/{i}/{j}",
-                   f"an integer in [0, {v})")
+        if type(e) is not list or len(e) != 2:
+            raise _bad(f"/edges/{i}", "[u, v]")
+        a, b = e
+        if not (type(a) is int and type(b) is int and 0 <= a < v and 0 <= b < v):
+            j = int(type(a) is int and 0 <= a < v)  # the first bad endpoint
+            raise _bad(f"/edges/{i}/{j}", f"an integer in [0, {v})")
 
 
 def _validate_orbifold(obj):

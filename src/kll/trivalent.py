@@ -1,6 +1,8 @@
 """Finite trivalent multigraphs: short-cycle and small-b1-subgraph bounds,
 plus generation of every connected cubic multigraph up to isomorphism
-(loops and parallel edges are first-class).
+(loops and parallel edges are first-class) as one lazy depth-first
+stream, `connected_trivalent`, which holds one path of parents at a
+time; `generate_connected_trivalent` buckets it by vertex count.
 
 Both bounds are read off one pass per graph that grows one
 breadth-first ball per root: the first non-tree edge a ball meets closes
@@ -53,8 +55,7 @@ class TrivalentGraph:
         return len(self.edges)
 
     def b1(self):
-        # connected graph: E - V + 1
-        return self.num_edges - self.num_vertices + 1
+        return self.num_edges - self.num_vertices + _components(self.adjacency())
 
     def adjacency(self):
         adj = [[] for _ in range(self.num_vertices)]
@@ -65,7 +66,7 @@ class TrivalentGraph:
         return adj
 
     def is_connected(self):
-        return self.num_vertices > 0 and _connected(self.adjacency())
+        return _components(self.adjacency()) == 1
 
     @cached_property
     def _lemma_roots(self):
@@ -419,9 +420,10 @@ def _is_canonical(g, undo):
     return undo in orbit([least], generators, _reduction_image), generators
 
 
-def generate_connected_trivalent(max_vertices):
-    """All connected trivalent multigraphs with <= max_vertices vertices,
-    one per isomorphism class, grouped {V: [graphs]}.
+def connected_trivalent(max_vertices):
+    """Every connected trivalent multigraph with <= max_vertices vertices,
+    one per isomorphism class, as a lazy depth-first stream: each graph
+    is yielded before its children are built.
 
     Canonical construction path (McKay 1998).  Every connected cubic
     multigraph on V >= 4 vertices has a reduction (`_reductions`) to one
@@ -435,29 +437,38 @@ def generate_connected_trivalent(max_vertices):
     exactly once: only from the class of its canonical reduction, and
     two kept children of one parent that are isomorphic would map one
     undoing reduction onto the other, and so one move onto the other by
-    an automorphism of the parent.  A parent whose keeping took a
-    search reuses that search's generators of Aut; the others are
-    searched once.  No set of forms is kept across parents, and nothing
-    outlives the call.
+    an automorphism of the parent.  Keeping a child depends only on the
+    child and its parent, so a walk holds one path of parents, not a
+    level.  A parent whose keeping took a search reuses that search's
+    generators of Aut; the others with room for children are searched
+    once.  No set of forms is kept across parents.
     """
-    if max_vertices < 2:
-        return {}
-    out = {2: _base_graphs()}
-    known = [None, None]  # generators of Aut(g) for g in out[v], if found
-    for v in range(2, max_vertices - 1, 2):
-        found, found_generators = [], []
-        for g, generators in zip(out[v], known):
-            if generators is None:
-                generators = canonical_form(g)[2]
-            for move in _moves(g, generators):
-                child = _apply(g, move)
-                undo = ("loop", v + 1) if move[0] == "loop" else ("edge", v, v + 1)
-                kept, child_generators = _is_canonical(child, undo)
-                if kept:
-                    found.append(child)
-                    found_generators.append(child_generators)
-        out[v + 2] = found
-        known = found_generators
+    def descend(g, generators):
+        yield g
+        v = g.num_vertices
+        if v + 2 > max_vertices:
+            return
+        if generators is None:
+            generators = canonical_form(g)[2]
+        for move in _moves(g, generators):
+            child = _apply(g, move)
+            undo = ("loop", v + 1) if move[0] == "loop" else ("edge", v, v + 1)
+            kept, child_generators = _is_canonical(child, undo)
+            if kept:
+                yield from descend(child, child_generators)
+
+    if max_vertices >= 2:
+        for g in _base_graphs():
+            yield from descend(g, None)
+
+
+def generate_connected_trivalent(max_vertices):
+    """`connected_trivalent(max_vertices)` bucketed {V: [graphs]}, a key
+    for every even 2 <= V <= max_vertices; within one V, children come
+    grouped by parent, in parent order, then in `_moves` order."""
+    out = {v: [] for v in range(2, max_vertices + 1, 2)}
+    for g in connected_trivalent(max_vertices):
+        out[g.num_vertices].append(g)
     return out
 
 
@@ -483,19 +494,23 @@ def random_connected_trivalent(num_vertices, rng=None):
 # ---------------------------------------------------------------------------
 # Lemma-style bounds, both read off one pass of breadth-first balls
 
-def _connected(adj):
-    """Whether a depth-first search from vertex 0 reaches every vertex."""
+def _components(adj):
+    """The number of connected components, by one depth-first search
+    from each vertex no earlier search reached."""
     seen = [False] * len(adj)
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        for w, _ in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                stack.append(w)
-    return reached == len(adj)
+    count = 0
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        count += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            for w, _ in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
 
 
 def _balls(adj, roots):
@@ -584,8 +599,8 @@ def _lemma_pass(g):
     So the cycle root is the one a search for the girth alone picks.
     """
     adj = g.adjacency()
-    if not _connected(adj):
-        # b1 = E - V + 1 and both lemmas are stated for connected graphs
+    if _components(adj) != 1:
+        # both lemmas are stated for connected graphs
         raise ValueError("the graph is not connected")
     cycle_root = subgraph_root = girth = fewest = None
     for root, walks, depth, up, up_edge in _balls(adj, range(len(adj))):

@@ -7,17 +7,18 @@ and the filtered moves against the unfiltered ones on every parent.
     PYTHONPATH=src python tests/exhaustive_cubic.py [MAX]
     PYTHONPATH=src python tests/exhaustive_cubic.py --oracle MAX
 
-The first exits non-zero unless the class counts are those of OEIS
-A005967, both lemma bounds hold on every graph, and `short_cycle` and
-`b1_two_subgraph` report the cycle and edges that the leaf-stripping
-oracle finds.  The second relabels each searched graph at random and
-exits non-zero unless `trivalent.canonical_form` gives the unpruned
-search's form, one of its labellings, and generators whose closure is
-the automorphism group read off its labellings; unless every move that
-`trivalent._moves` drops has a child `_is_canonical` rejects, with the
-same children kept; and, for MAX in REFINEMENTS and CHILDREN, unless
-generation makes the pinned number of refinements and tests the pinned
-number of children.  Not collected by pytest: at V <= 14 the first
+The first checks each graph as `trivalent.connected_trivalent` yields
+it, holding no level, and exits non-zero unless the class counts are
+those of OEIS A005967, both lemma bounds hold on every graph, and
+`short_cycle` and `b1_two_subgraph` report the cycle and edges that the
+leaf-stripping oracle finds.  The second relabels each searched graph
+at random and exits non-zero unless `trivalent.canonical_form` gives
+the unpruned search's form, one of its labellings, and generators whose
+closure is the automorphism group read off its labellings; unless
+every move that `trivalent._moves` drops has a child `_is_canonical`
+rejects, with the same children kept; and, for MAX in REFINEMENTS and
+CHILDREN, unless generation makes the pinned number of refinements and
+tests the pinned number of children.  Not collected by pytest: at V <= 14 the first
 checks 24,171 graphs, and at V <= 16 (a CI job of its own) 228,809.
 """
 
@@ -27,7 +28,8 @@ import time
 
 from kll import trivalent
 from kll.fpgroups import orbit
-from kll.trivalent import b1_two_subgraph, generate_connected_trivalent, short_cycle
+from kll.trivalent import (b1_two_subgraph, connected_trivalent,
+                           generate_connected_trivalent, short_cycle)
 
 A005967 = {2: 2, 4: 5, 6: 17, 8: 71, 10: 388, 12: 2592, 14: 21096, 16: 204638}
 # `trivalent._refine_from` calls made by generation to V <= N: a search
@@ -354,23 +356,22 @@ def check_oracle(max_vertices):
 
 def main(max_vertices):
     t0 = time.time()
-    gen = generate_connected_trivalent(max_vertices)
-    counts = {v: len(graphs) for v, graphs in gen.items()}
+    counts = {v: 0 for v in range(2, max_vertices + 1, 2)}
+    bad = []
+    for g in connected_trivalent(max_vertices):
+        counts[g.num_vertices] += 1
+        if not (short_cycle(g).holds and b1_two_subgraph(g).holds):
+            raise SystemExit(f"lemma bound fails on V={g.num_vertices} "
+                             f"edges {g.edges}")
+        bad += lemma_mismatches([g])
     expected = {v: k for v, k in A005967.items() if v <= max_vertices}
     if counts != expected:
         raise SystemExit(f"class counts {counts}, expected {expected}")
-    generated = time.time() - t0
-    for v, graphs in gen.items():
-        for g in graphs:
-            if not (short_cycle(g).holds and b1_two_subgraph(g).holds):
-                raise SystemExit(f"lemma bound fails on V={v} edges {g.edges}")
-    bad = lemma_mismatches([g for graphs in gen.values() for g in graphs])
     if bad:
         raise SystemExit(f"{len(bad)} graphs' lemma witnesses differ from the "
                          f"leaf-stripping oracle; first: {bad[0]}")
     print(f"{sum(counts.values())} graphs, counts {counts}: both bounds hold "
-          f"and the witnesses match the oracle (generation {generated:.1f} s, "
-          f"total {time.time() - t0:.1f} s)")
+          f"and the witnesses match the oracle ({time.time() - t0:.1f} s)")
 
 
 if __name__ == "__main__":

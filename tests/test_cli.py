@@ -102,6 +102,31 @@ def test_graph_rejects_bad_endpoint(tmp_path, capsys):
     assert "/edges/1/1" in json.loads(capsys.readouterr().err)["detail"]
 
 
+# each message of the graph format, as `kll graph` and `kll cheeger --input`
+# print it on stderr
+@pytest.mark.parametrize("obj, detail", [
+    ({"edges": []}, "missing field at /V"),
+    ({"V": "2", "edges": []}, "bad value at /V: expected int"),
+    ({"V": 0, "edges": []}, "bad value at /V: expected a positive integer"),
+    ({"V": 2}, "missing field at /edges"),
+    ({"V": 2, "edges": [[0, 1], [0, 1, 1]]},
+     "bad value at /edges/1: expected [u, v]"),
+    ({"V": 2, "edges": [[0, 1], "01"]}, "bad value at /edges/1: expected [u, v]"),
+    ({"V": 2, "edges": [[0, 1], [True, 1]]},
+     "bad value at /edges/1/0: expected an integer in [0, 2)"),
+    ({"V": 2, "edges": [[0, 1], [0, 2]]},
+     "bad value at /edges/1/1: expected an integer in [0, 2)"),
+], ids=["missing-V", "V-not-int", "V-below-1", "missing-edges",
+        "edge-not-pair", "edge-not-list", "endpoint-bool", "endpoint-out-of-range"])
+def test_graph_messages_pinned(tmp_path, capsys, obj, detail):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    for command in ("graph", "cheeger"):
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            '{"error": "ValueError", "detail": "%s"}\n' % detail
+
+
 def test_tower_command(capsys):
     rc = main(["tower", "--n1", "50", "--depth", "5"])
     assert rc == 0

@@ -1,11 +1,12 @@
 import hashlib
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
+from kll import trivalent
 from kll.trivalent import (TrivalentGraph, short_cycle, b1_two_subgraph,
-                           generate_connected_trivalent,
+                           connected_trivalent, generate_connected_trivalent,
                            random_connected_trivalent, canonical_form,
                            FirstBettiTooSmall, _subgraph_b1, _bridges)
 
@@ -18,6 +19,7 @@ from oracles import (bridges_by_edge_deletion, cubic_multigraphs_by_global_forms
                      is_closed_cycle, multigraphs_isomorphic)
 
 K4 = TrivalentGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+TWO_K4 = TrivalentGraph(8, K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges))
 THETA = TrivalentGraph(2, ((0, 1), (0, 1), (0, 1)))
 DUMBBELL = TrivalentGraph(2, ((0, 0), (1, 1), (0, 1)))
 Q3 = TrivalentGraph(8, ((0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
@@ -35,6 +37,9 @@ def test_degree_validation():
 def test_b1_formula():
     for g in (K4, THETA, DUMBBELL, Q3, PETERSEN):
         assert g.b1() == g.num_vertices // 2 + 1
+    # E - V + components: two disjoint K4s have b1 = 6, two thetas 4
+    assert TWO_K4.b1() == 6
+    assert TrivalentGraph(4, THETA.edges + ((2, 3),) * 3).b1() == 4
 
 
 def test_girth_named_graphs():
@@ -75,11 +80,10 @@ def test_b1_two_subgraph_named():
 
 
 def test_lemmas_reject_disconnected():
-    # b1 = E - V + 1 is 5 for two disjoint K4s, but the true b1 is 6
-    two_k4 = TrivalentGraph(8, K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges))
+    # both lemmas are stated for connected graphs
     for lemma in (short_cycle, b1_two_subgraph):
         with pytest.raises(ValueError, match="the graph is not connected"):
-            lemma(two_k4)
+            lemma(TWO_K4)
     # the empty graph keeps its own message
     with pytest.raises(ValueError, match="empty graph"):
         short_cycle(TrivalentGraph(0, ()))
@@ -193,6 +197,32 @@ def test_generation_output_pinned():
     edges = [g.edges for v in sorted(gen) for g in gen[v]]
     assert hashlib.sha256(repr(edges).encode()).hexdigest() == \
         "060450c6e161ef7f1160ee8de6ea669c7458cd9ae09eee9daac921af7b3e5ee3"
+
+
+def test_stream_is_lazy():
+    # the first 20 graphs to V <= 40 lie on a few paths down the walk; a
+    # level-by-level build would test every child of each whole level
+    first = []
+    calls = counted_calls("_is_canonical", lambda: first.extend(
+        islice(connected_trivalent(40), 20)))
+    assert calls == 195
+    assert [g.num_vertices for g in first][:7] == [2, 4, 6, 8, 10, 12, 14]
+
+
+def test_stream_yields_each_graph_before_its_children(monkeypatch):
+    yielded = set()
+    apply = trivalent._apply
+
+    def applying(g, move):
+        assert id(g) in yielded
+        return apply(g, move)
+
+    monkeypatch.setattr(trivalent, "_apply", applying)
+    graphs = []
+    for g in connected_trivalent(10):
+        graphs.append(g)  # keeps every id in use
+        yielded.add(id(g))
+    assert len(graphs) == 2 + 5 + 17 + 71 + 388
 
 
 def test_generation_refinements_pinned():
