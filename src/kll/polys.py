@@ -4,9 +4,11 @@ Polynomials are coefficient lists with the constant term first
 (little-endian), trailing zeros stripped.  The zero polynomial is [].
 A polynomial over Q is handled through an integer multiple of it:
 division is pseudo-division, gcds and Sturm chains are primitive
-pseudo-remainder sequences, and resultants are Sylvester determinants.
-No rational arithmetic is done (`sturm_count` reads its rational
-endpoints as numerator and denominator), and nothing touches floats.
+pseudo-remainder sequences, and resultants are Sylvester determinants
+by Bareiss elimination.  No rational arithmetic is done (`sturm_count`
+reads its rational endpoints as numerator and denominator, and
+`scaled_value` evaluates at them by homogeneous Horner), and nothing
+touches floats.
 """
 
 from math import gcd, isqrt
@@ -136,16 +138,14 @@ def poly_gcd(f, g):
 
 
 def resultant(f, g):
-    """Res(f, g) = det of the Sylvester matrix, by Berkowitz's
-    division-free `linalg.char_poly`: integer in, integer out."""
+    """Res(f, g) = det of the Sylvester matrix, by Bareiss' fraction-free
+    `linalg.det`: integer in, integer out."""
     f, g = normalize(f), normalize(g)
     if not f or not g:
         return 0
     m, n = degree(f), degree(g)
-    rows = ([[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
-            + [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)])
-    # char_poly(M)[0] = det(-M) = (-1)^(m+n) det(M)
-    return (-1) ** (m + n) * linalg.char_poly(rows)[0]
+    return linalg.det([[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+                      + [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)])
 
 
 def discriminant(f):
@@ -170,17 +170,23 @@ def sturm_chain(f):
     return _prs(f, derivative(f))
 
 
-def sign_changes_at(chain, num, den=1):
-    """Sign changes of an integer Sturm chain at num/den, den > 0.
+def scaled_value(f, num, den=1):
+    """den^deg(f) * f(num/den) for an integer polynomial f, by
+    homogeneous Horner: an integer with the sign of f(num/den) when
+    den > 0."""
+    acc, power = 0, 1
+    for a in reversed(f):
+        acc = acc * num + a * power
+        power *= den
+    return acc
 
-    Homogeneous Horner gives den^deg(s) * s(num/den), an integer with
-    the sign of s(num/den); zeros are skipped."""
+
+def sign_changes_at(chain, num, den=1):
+    """Sign changes of an integer Sturm chain at num/den, den > 0, read
+    off each member's `scaled_value`; zeros are skipped."""
     changes, last = 0, 0
     for s in chain:
-        acc, power = 0, 1
-        for a in reversed(s):
-            acc = acc * num + a * power
-            power *= den
+        acc = scaled_value(s, num, den)
         if acc:
             if last and (acc > 0) != (last > 0):
                 changes += 1

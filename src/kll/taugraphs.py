@@ -8,9 +8,11 @@ include/exclude branch on frontier vertices, with incremental boundary
 updates; EXACT_SET_BUDGET caps the sets enumerated.  Loops never
 contribute to a boundary; a generator fixing a coset adds a loop
 (degree 2) and nothing else.  Spectral bounds come from the exact
-characteristic polynomial of the combinatorial Laplacian with
-Sturm-certified eigenvalue isolation, bisecting at dyadic points on an
-integer Sturm chain.
+characteristic polynomial of the combinatorial Laplacian (Berkowitz on
+its nonzero entries) with Sturm-certified eigenvalue isolation, bisecting
+at dyadic points on an integer Sturm chain until (lo, hi] holds one
+distinct eigenvalue, then on the sign of the chain's squarefree first
+member alone.
 """
 
 from dataclasses import dataclass
@@ -213,7 +215,11 @@ def char_poly_laplacian(graph):
 
 def lambda2_enclosure(graph, precision_bits=30):
     """Certified rational interval (lo, hi] containing the smallest
-    positive Laplacian eigenvalue of a connected graph."""
+    positive Laplacian eigenvalue of a connected graph.
+
+    Each step halves (lo, hi] at a dyadic midpoint.  While it holds
+    several distinct eigenvalues, Sturm counts pick the half; once it
+    holds one, the sign of the squarefree part at the midpoint does."""
     if not graph.is_connected():
         raise Disconnected("spectral bounds need a connected graph")
     cp = char_poly_laplacian(graph)
@@ -223,17 +229,30 @@ def lambda2_enclosure(graph, precision_bits=30):
     q = cp[1:]
     if q[0] == 0:
         raise Disconnected("zero eigenvalue is not simple")
-    # one integer Sturm chain, evaluated once per midpoint num / 2^k: lo
-    # only moves past no root, so the sign-change count at lo stays that at 0
+    # one integer Sturm chain, evaluated at midpoints num / 2^k: lo only
+    # moves past no root, so the sign-change count at lo stays that at 0
     chain = polys.sturm_chain(q)
     lo, hi, k = 0, 2 * graph.max_degree() + 1, 0
     at_zero = polys.sign_changes_at(chain, 0)
-    if at_zero - polys.sign_changes_at(chain, hi) < 1:
+    inside = at_zero - polys.sign_changes_at(chain, hi)  # roots in (lo, hi]
+    if inside < 1:
         raise ArithmeticError("no positive eigenvalue below 2*dmax")
+    # once (lo, hi] holds one root of the squarefree chain[0], it is simple
+    # and s = chain[0] keeps the sign s(0) on [0, root): the root is <= mid
+    # iff s(mid) is 0 or has the other sign
+    positive_at_zero = chain[0][0] > 0
     while (hi - lo) << precision_bits > 1 << k:
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
-        if at_zero - polys.sign_changes_at(chain, mid, 1 << k) >= 1:
+        if inside == 1:
+            value = polys.scaled_value(chain[0], mid, 1 << k)
+            below = not value or (value > 0) != positive_at_zero
+        else:
+            count = at_zero - polys.sign_changes_at(chain, mid, 1 << k)
+            below = count > 0
+            if below:
+                inside = count
+        if below:
             hi = mid
         else:
             lo = mid

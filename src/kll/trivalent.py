@@ -55,6 +55,10 @@ class TrivalentGraph:
         return len(self.edges)
 
     def b1(self):
+        """E - V + components: read off the lemma pass once it has run
+        (the graph is then connected), else one component count."""
+        if "_lemma_roots" in vars(self):
+            return self._lemma_roots[2]
         return self.num_edges - self.num_vertices + _components(self.adjacency())
 
     def adjacency(self):
@@ -70,8 +74,8 @@ class TrivalentGraph:
 
     @cached_property
     def _lemma_roots(self):
-        """The two roots `_lemma_pass` picks, kept after the first call;
-        not a field, so equality and hashing ignore it."""
+        """The two roots `_lemma_pass` picks and b1, kept after the first
+        call; not a field, so equality and hashing ignore it."""
         return _lemma_pass(self)
 
     def to_json(self):
@@ -588,10 +592,11 @@ def _two_walk_edges(root, walks, depth, up, up_edge):
 
 
 def _lemma_pass(g):
-    """(cycle root, subgraph root): the first root whose ball has the
+    """(cycle root, subgraph root, b1): the first root whose ball has the
     shortest closed walk, and the first whose b1 = 2 candidate has the
-    fewest edges, from one ball per root.  `TrivalentGraph._lemma_roots`
-    keeps the pair, so each graph makes this pass once.
+    fewest edges, from one ball per root, and E - V + 1, as the graph is
+    connected.  `TrivalentGraph._lemma_roots` keeps the triple, so each
+    graph makes this pass, and builds its adjacency for b1, once.
 
     A ball grown only until its first non-tree edge would find the same
     first walk and the same tree paths to its ends: later layers only
@@ -609,7 +614,7 @@ def _lemma_pass(g):
         size = len(_two_walk_edges(root, walks, depth, up, up_edge))
         if subgraph_root is None or size < fewest:
             fewest, subgraph_root = size, root
-    return cycle_root, subgraph_root
+    return cycle_root, subgraph_root, g.num_edges - g.num_vertices + 1
 
 
 @dataclass

@@ -319,12 +319,18 @@ def lemma_witnesses(g):
     return cycle, edges
 
 
+def witnesses_differ(g, cycle_report, subgraph_report):
+    """Whether `short_cycle`'s and `b1_two_subgraph`'s reports on g name
+    other witnesses than `lemma_witnesses`."""
+    return ((cycle_report.cycle_vertices, subgraph_report.edge_indices)
+            != lemma_witnesses(g))
+
+
 def lemma_mismatches(graphs):
     """The edge lists of the graphs on which `short_cycle` or
     `b1_two_subgraph` reports other witnesses than `lemma_witnesses`."""
     return [g.edges for g in graphs
-            if (short_cycle(g).cycle_vertices, b1_two_subgraph(g).edge_indices)
-            != lemma_witnesses(g)]
+            if witnesses_differ(g, short_cycle(g), b1_two_subgraph(g))]
 
 
 def check_oracle(max_vertices):
@@ -360,10 +366,12 @@ def main(max_vertices):
     bad = []
     for g in connected_trivalent(max_vertices):
         counts[g.num_vertices] += 1
-        if not (short_cycle(g).holds and b1_two_subgraph(g).holds):
+        cyc, sub = short_cycle(g), b1_two_subgraph(g)
+        if not (cyc.holds and sub.holds):
             raise SystemExit(f"lemma bound fails on V={g.num_vertices} "
                              f"edges {g.edges}")
-        bad += lemma_mismatches([g])
+        if witnesses_differ(g, cyc, sub):
+            bad.append(g.edges)
     expected = {v: k for v, k in A005967.items() if v <= max_vertices}
     if counts != expected:
         raise SystemExit(f"class counts {counts}, expected {expected}")

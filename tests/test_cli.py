@@ -363,6 +363,24 @@ def test_graph_command(tmp_path, capsys):
                                            "edge_indices"}
 
 
+def test_graph_builds_adjacency_once_per_ball_pass(tmp_path, capsys, monkeypatch):
+    # the lemma pass and the one ball each lemma regrows at its root;
+    # b1, for b1_two_subgraph and the report, comes from the lemma pass
+    from kll import trivalent
+    calls = []
+    adjacency = trivalent.TrivalentGraph.adjacency
+
+    def counted(self):
+        calls.append(self)
+        return adjacency(self)
+    monkeypatch.setattr(trivalent.TrivalentGraph, "adjacency", counted)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"V": 10, "edges": WITNESS_GRAPHS["petersen"]}))
+    assert main(["graph", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["b1"] == 6
+    assert len(calls) == 3
+
+
 WITNESS_GRAPHS = {
     "theta": [[0, 1], [0, 1], [0, 1]],
     "dumbbell": [[0, 0], [1, 1], [0, 1]],
@@ -822,6 +840,108 @@ COUNT_STDOUT = {
 def test_count_stdout_pinned(capsys, m):
     assert main(["count", "--modulus", str(m)]) == 0
     assert capsys.readouterr().out == COUNT_STDOUT[m]
+
+
+# stdout of exact spectral bounds (Laplacian characteristic polynomial,
+# lambda2 bisection) and of a sextic field's discriminant and splitting
+SPECTRAL_FIELD_STDOUT = {
+    ("cheeger", "--cycle", "15", "--spectral"): """{
+  "V": 15,
+  "h": "2/7",
+  "h_set": [
+    0,
+    1,
+    2,
+    3,
+    12,
+    13,
+    14
+  ],
+  "spectral_bounds": {
+    "hi": "446486957/536870912",
+    "lo": "1485277725/17179869184"
+  }
+}
+""",
+    ("cheeger", "--cycle", "22", "--spectral"): """{
+  "V": 22,
+  "h": "2/11",
+  "h_set": [
+    0,
+    1,
+    2,
+    3,
+    4,
+    5,
+    17,
+    18,
+    19,
+    20,
+    21
+  ],
+  "spectral_bounds": {
+    "hi": "1222475153/2147483648",
+    "lo": "347952705/8589934592"
+  }
+}
+""",
+    ("field", "--poly", "[1,-1,-2,2,-1,-1,1]", "--prime", "163"): """{
+  "degree": 6,
+  "irreducibility": {
+    "certified": true,
+    "method": "irreducible mod 2"
+  },
+  "poly": [
+    1,
+    -1,
+    -2,
+    2,
+    -1,
+    -1,
+    1
+  ],
+  "poly_discriminant": "-104483",
+  "primes": {
+    "163": [
+      {
+        "e": 2,
+        "f": 1,
+        "local_factor": [
+          113,
+          1
+        ],
+        "norm": 163,
+        "quadratic_subextension": "Contains"
+      },
+      {
+        "e": 1,
+        "f": 4,
+        "local_factor": [
+          83,
+          142,
+          64,
+          99,
+          1
+        ],
+        "norm": 705911761,
+        "quadratic_subextension": "Contains"
+      }
+    ]
+  },
+  "signature": [
+    4,
+    1
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(SPECTRAL_FIELD_STDOUT),
+                         ids=["cycle-15", "cycle-22", "sextic-163"])
+def test_spectral_and_field_stdout_pinned(capsys, args):
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == SPECTRAL_FIELD_STDOUT[args]
 
 
 def test_verify_command(capsys):

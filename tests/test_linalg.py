@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from kll.linalg import char_poly, integer_kernel, mat_mul, rank, rank_modp
+from kll.linalg import char_poly, det, integer_kernel, mat_mul, rank, rank_modp
 from kll.numfield import NumberField
 from kll.taugraphs import CosetGraph, _laplacian, char_poly_laplacian
 from kll.trivalent import random_connected_trivalent
 
-from oracles import (char_poly_by_interpolation, d_p_from_smith,
-                     smith_normal_form)
+from oracles import (_det_by_elimination, char_poly_by_interpolation,
+                     d_p_from_smith, smith_normal_form)
 
 # monic irreducible polynomials of degree 2..6, constant term first
 FIELDS = [(1, 0, 1), (-2, 0, 0, 1), (1, 1, 1, 1, 1), (1, 0, -2, -1, 0, 1),
@@ -18,6 +18,44 @@ FIELDS = [(1, 0, 1), (-2, 0, 0, 1), (1, 1, 1, 1, 1), (1, 0, -2, -1, 0, 1),
 def _random_matrix(rng, nrows, ncols, bound=3):
     return [[rng.randint(-bound, bound) for _ in range(ncols)]
             for _ in range(nrows)]
+
+
+def _random_sparse(rng, n, density, bound=4):
+    return [[rng.randint(-bound, bound) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_det_matches_elimination():
+    # sizes 0-9, dense and sparse; every third with a zero leading pivot,
+    # every fourth made singular by a dependent last row
+    rng = random.Random(17)
+    singular = swapped = 0
+    for t in range(400):
+        n = t % 10
+        rows = _random_sparse(rng, n, rng.choice((1, 0.5, 0.2)))
+        if n > 1 and t % 3 == 0:
+            rows[0][0] = 0
+        if n > 2 and t % 4 == 1:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        d = det(rows)
+        assert type(d) is int and d == _det_by_elimination(rows), rows
+        singular += d == 0
+        swapped += n > 1 and rows[0][0] == 0 and d != 0
+    assert singular >= 100 and swapped >= 30
+
+
+def test_char_poly_sparse_and_dense_match_interpolation():
+    # int in, int out; Fraction in, Fraction out below the leading 1
+    rng = random.Random(19)
+    for t in range(90):
+        n = rng.randint(0, 8)
+        rows = _random_sparse(rng, n, (1, 0.4, 0.15)[t % 3])
+        kind = Fraction if t % 2 else int
+        if kind is Fraction:
+            rows = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in rows]
+        cp = char_poly(rows)
+        assert cp == char_poly_by_interpolation(rows), rows
+        assert cp[-1] == 1 and all(type(c) is kind for c in cp[:-1])
 
 
 def test_char_poly_laplacian_cycles_match_interpolation():

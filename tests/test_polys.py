@@ -55,6 +55,22 @@ def test_resultant_and_discriminant_match_fraction_oracle():
             assert polys.discriminant(f) == want, f
 
 
+def test_resultant_matches_fraction_oracle_with_common_factors():
+    # Sylvester matrices up to 22 x 22; a shared factor makes Res zero
+    rng = random.Random(23)
+    zeros = 0
+    for t in range(150):
+        f, g = ([rng.randint(-5, 5) for _ in range(rng.randint(1, 9))]
+                for _ in range(2))
+        if t % 2:
+            h = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))] + [rng.choice((1, -2))]
+            f, g = polys.mul(f, h), polys.mul(g, h)
+        res = polys.resultant(f, g)
+        assert type(res) is int and res == fraction_resultant(f, g), (f, g)
+        zeros += res == 0
+    assert zeros >= 75
+
+
 def test_sturm_vs_grid_oracle():
     rng = random.Random(7)
     done = 0

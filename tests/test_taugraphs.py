@@ -12,6 +12,7 @@ from kll.taugraphs import (CheegerValue, CosetGraph, cheeger_exact,
                            cheeger_spectral_bounds, lambda2_enclosure,
                            char_poly_laplacian, tau_family_report,
                            Disconnected)
+from kll.trivalent import random_connected_trivalent
 
 from oracles import (boundary_size, cheeger_by_subsets, fraction_sturm_count,
                      lambda2_by_fraction_sturm)
@@ -214,6 +215,18 @@ def test_spectral_kernels_match_fraction_oracles():
                      (1, 2 * dmax), (Fraction(-5, 7), 2 * dmax + 1)):
             assert polys.sturm_count(cp, a, b) == \
                 fraction_sturm_count(cp, a, b), (g, a, b)
+
+
+def test_lambda2_matches_fraction_oracle_on_cycles_complete_and_cubic():
+    # cycles: lambda2 = 2 - 2 cos(2 pi / n) has multiplicity 2, so the
+    # bisection isolates it as a simple root of the squarefree part
+    graphs = [CosetGraph.cycle(n) for n in range(3, 31)]
+    graphs += [CosetGraph.complete(n) for n in range(4, 9)]
+    rng = random.Random(29)
+    graphs += [CosetGraph(v, random_connected_trivalent(v, rng).edges)
+               for v in range(2, 21, 2) for _ in range(2)]
+    for g in graphs:
+        assert lambda2_enclosure(g) == lambda2_by_fraction_sturm(g), g
 
 
 def test_family_requires_same_generator_count():
