@@ -686,6 +686,14 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+def budget(text):
+    """A `--budget` cap: an integer N >= 0, else an argparse error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"a budget must be >= 0, not {n}")
+    return n
+
+
 @functools.cache
 def build_parser():
     """The `kll` parser, built on first use and shared by every `main`
@@ -697,7 +705,7 @@ def build_parser():
                      "ramification, trace orders, orbifold homology bounds, "
                      "trivalent-graph lemmas, cover towers, finite quotients, "
                      "Cheeger constants, subgroup counting"))
-    ap.add_argument("--budget", type=int, default=None,
+    ap.add_argument("--budget", type=budget, default=None,
                     help="cap the group order of the count census (for a "
                          "prime modulus p >= 5, the orders of its witness "
                          "closures), the closure orders of quotient and the "

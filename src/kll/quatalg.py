@@ -1,11 +1,9 @@
 """Quaternion algebras as Hilbert symbols, and their ramification.
 
-Local symbols over Q_p are decided by isotropy of the ternary form
-a x^2 + b y^2 - z^2: a primitive zero modulo p^3 (odd p) or 2^5 lifts
-to Z_p by Hensel's lemma at these precisions, and an isotropic form
-over Q_p produces such a zero, so the search is a complete decision
-procedure.  The dihedral symbol (-1, tau_n) with
-tau_n = 4cos^2(2pi/n) - 4 is handled through the exact minimal
+Local symbols over Q_p are read off the valuations and unit parts of
+their entries by Serre's closed formula (A Course in Arithmetic, 1973,
+III.1.2, Theorem 1), with no search.  The dihedral symbol (-1, tau_n)
+with tau_n = 4cos^2(2pi/n) - 4 is handled through the exact minimal
 polynomial of 2cos(2pi/n).
 """
 
@@ -21,98 +19,30 @@ SPLIT = "Split"
 
 INFINITE_PLACE = "inf"
 
-def _valuation(n, p):
-    if n == 0:
+def _valuation(x, p):
+    """(v, u) with x = p^v w for a p-adic unit w, and u an integer prime
+    to p in the square class of w: for x = n/d it is the product of the
+    unit parts of n and d, since 1/d = d / d^2."""
+    x = Fraction(x)
+    if x == 0:
         raise ValueError("valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
-def _normalize_at_p(a, p):
-    """Integer representative of the square class of a in Q_p* with val in {0,1}."""
-    a = Fraction(a)
-    vn, num = _valuation(a.numerator, p) if a.numerator % p == 0 else (0, a.numerator)
-    vd, den = _valuation(a.denominator, p) if a.denominator % p == 0 else (0, a.denominator)
-    unit = num * den  # unit part times denominator^2 square class
-    return unit * (p ** ((vn - vd) % 2))
-
-
-def _is_qr(u, p):
-    u %= p
-    if u == 0:
-        raise ValueError("not a unit")
-    return pow(u, (p - 1) // 2, p) == 1
-
-
-def _search_zero_all_units(c, p):
-    """Nontrivial zero of c1 x^2 + c2 y^2 + c3 z^2 mod p, all c_i units, p odd.
-
-    Always exists (Chevalley-Warning); returned zero is nonsingular, so it
-    Hensel-lifts.  O(p) via a table of squares.
-    """
-    sq = {}
-    for z in range((p + 1) // 2 + 1):
-        sq[z * z % p] = z
-    inv_c3 = pow(c[2] % p, -1, p)
-    for x in range(p):
-        t1 = c[0] * x * x
-        for y in range(p):
-            if x == 0 and y == 0:
-                continue
-            need = (-(t1 + c[1] * y * y) * inv_c3) % p
-            if need in sq:
-                return (x, y, sq[need])
-    raise ArithmeticError("no zero of a nondegenerate ternary form mod p")
-
-
-def _ternary_isotropic_odd(c, p):
-    """Isotropy of diag(c1, c2, c3) over Q_p, p odd, val_p(c_i) in {0, 1}.
-
-    Searches for a Hensel-liftable primitive zero level by level; branches
-    where every zero mod p is singular are descended by the forced
-    substitution x_i -> p x_i.  Terminates within two descents.
-    """
-    units = [i for i in range(3) if c[i] % p != 0]
-    if len(units) == 3:
-        _search_zero_all_units(c, p)  # witness exists; certifies Split
-        return True
-    if len(units) == 2:
-        i, j = units
-        return _is_qr(-c[i] * c[j], p)
-    if len(units) == 1:
-        i = units[0]
-        nxt = [c[t] * p if t == i else c[t] // p for t in range(3)]
-        return _ternary_isotropic_odd(nxt, p)
-    # all divisible: divide the form by p
-    return _ternary_isotropic_odd([ci // p for ci in c], p)
-
-
-def _ternary_isotropic_2(a, b):
-    """Exhaustive primitive-zero search for a x^2 + b y^2 - z^2 mod 2^5.
-
-    val_2(a), val_2(b) <= 1 after square-class reduction, so any primitive
-    zero mod 32 has |Q(x)| < |grad Q(x)|^2 and lifts; conversely a zero over
-    Q_2 scales to a primitive one mod 32.
-    """
-    m = 32
-    for x in range(m):
-        for y in range(m):
-            t = a * x * x + b * y * y
-            for z in range(m):
-                if x % 2 == 0 and y % 2 == 0 and z % 2 == 0:
-                    continue
-                if (t - z * z) % m == 0:
-                    return True
-    return False
+    v, u = 0, 1
+    for n, step in ((x.numerator, 1), (x.denominator, -1)):
+        while n % p == 0:
+            n //= p
+            v += step
+        u *= n
+    return v, u
 
 
 def hilbert_symbol_qp(a, b, p):
     """Status of (a, b / Q_p): RAMIFIED (division algebra) or SPLIT.
 
-    p is a prime or INFINITE_PLACE for the real place.
+    p is a prime or INFINITE_PLACE for the real place.  With a = p^alpha u
+    and b = p^beta v, (a, b)_p = (-1)^e where, for odd p,
+    e = alpha beta eps(p) + beta [u/p = -1] + alpha [v/p = -1], and at
+    p = 2, e = eps(u) eps(v) + alpha omega(v) + beta omega(u), with
+    eps(w) = (w - 1)/2 and omega(w) = (w^2 - 1)/8 mod 2.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
@@ -122,11 +52,16 @@ def hilbert_symbol_qp(a, b, p):
     p = int(p)
     if not polys.is_prime(p):
         raise ValueError(f"p = {p} is not a prime")
-    an = _normalize_at_p(a, p)
-    bn = _normalize_at_p(b, p)
+    (alpha, u), (beta, v) = _valuation(a, p), _valuation(b, p)
     if p == 2:
-        return SPLIT if _ternary_isotropic_2(an, bn) else RAMIFIED
-    return SPLIT if _ternary_isotropic_odd([an, bn, -1], p) else RAMIFIED
+        u, v = u % 8, v % 8
+        e = ((u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8)
+             + beta * ((u * u - 1) // 8))
+    else:
+        half = (p - 1) // 2
+        e = (alpha * beta * half + beta * (pow(u, half, p) != 1)
+             + alpha * (pow(v, half, p) != 1))
+    return RAMIFIED if e % 2 else SPLIT
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +177,8 @@ def clozel_hypothesis(field, finite_ramification):
 def _prime_power(n):
     """(p, t) if n = p^t for a prime p, else None."""
     for p in polys._prime_factors_int(n):
-        t = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            t += 1
-        if m == 1:
-            return p, t
-        return None
+        t, m = _valuation(n, p)
+        return (p, t) if m == 1 else None
     return None
 
 

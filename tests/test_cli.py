@@ -1084,9 +1084,12 @@ def test_budget_leaves_environment_alone(capsys):
 
 
 def test_budget_flag_rejects_non_integer(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--budget", "ten", "count", "--modulus", "5"])
-    assert exc.value.code == 2
+    # a negative cap is an argparse error too; 0 stays a valid cap
+    for value in ("ten", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--budget", value, "count", "--modulus", "5"])
+        assert exc.value.code == 2, value
+    assert main(["--budget", "0", "cheeger", "--cycle", "6"]) == 0
 
 
 def test_no_module_reads_the_environment():

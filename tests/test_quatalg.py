@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from kll.quatalg import (hilbert_symbol_qp, tau_n,
                          tau_n_norm, two_cos_minpoly, clozel_hypothesis,
                          dihedral_ramification_analysis,
                          RAMIFIED, SPLIT, SATISFIED, VIOLATED,
-                         INFINITE_PLACE, _normalize_at_p)
+                         INFINITE_PLACE)
 
+from exhaustive_symbols import mismatches, square_classes
 from oracles import exhaustive_hilbert_split, two_cos_minpoly_by_square_root
 
 
@@ -28,11 +30,31 @@ def test_hilbert_symbol_against_exhaustive_oracle():
         p = rng.choice([2, 3, 5, 7])
         a = rng.choice([1, -1, 2, -2, 3, 5, -5, 6, 7, -7, 10, 15])
         b = rng.choice([1, -1, 2, -2, 3, 5, -5, 6, 7, -7, 10, 15])
-        an = _normalize_at_p(Fraction(a), p)
-        bn = _normalize_at_p(Fraction(b), p)
-        oracle = exhaustive_hilbert_split(an, bn, p)
+        # every entry has val_p <= 1, as the oracle requires
+        oracle = exhaustive_hilbert_split(a, b, p)
         mine = hilbert_symbol_qp(a, b, p)
         assert (mine == SPLIT) == oracle, (a, b, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hilbert_symbol_square_class_sweep(p):
+    # every pair of square classes, with integer entries and again as
+    # reciprocals, whose units and valuations sit in the denominator;
+    # CI runs p = 11 and 13
+    checks, bad = mismatches(p)
+    assert (checks, bad) == (2 * len(square_classes(p)) ** 2, [])
+
+
+def test_hilbert_symbol_at_a_large_prime_needs_no_table():
+    # a unit pair at an odd p is split; deciding it allocates nothing
+    # that grows with p
+    tracemalloc.start()
+    try:
+        assert hilbert_symbol_qp(3, 5, 1_000_003) == SPLIT
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_hilbert_symbol_rational_entries():
