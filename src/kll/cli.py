@@ -636,8 +636,9 @@ def _free_product_kernel():
 
 
 def _sl2_11_census():
-    """Minimal proper index q = 11, the exceptional case, from 2.A5."""
-    census = counting.sl2_census(11)
+    """Minimal proper index q = 11, the exceptional case, from 2.A5:
+    Dickson's classes, as `kll count --modulus 11` reads them."""
+    census = counting.dickson_census(11)
     ess = counting.essential_subgroups(11, census)
     return (census.count == 766 and ess.minimal_index == 11,
             {"subgroups": census.count, "minimal_index": ess.minimal_index})

@@ -12,8 +12,9 @@ with capital letters for inverses: "aabAB" = a a b a^-1 b^-1.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
-from .dyadic import Enclosure
+from .dyadic import log2_enclosure
 from .linalg import rank_modp
 from .polys import is_prime
 
@@ -360,8 +361,6 @@ def cyclic_quotient_table(pres, phi, index):
     action = tuple(
         tuple((c + phi[g]) % index for c in range(index))
         for g in range(pres.rank()))
-    if index == 1:
-        action = tuple((0,) for _ in range(pres.rank()))
     return SubgroupTable(pres, action)
 
 
@@ -369,11 +368,7 @@ def _check_phi(pres, phi):
     if len(phi) != pres.rank():
         raise ValueError(f"exponent vector has {len(phi)} entries, "
                          f"one per generator needs {pres.rank()}")
-    from math import gcd
-    g = 0
-    for e in phi:
-        g = gcd(g, e)
-    if g != 1:
+    if gcd(*phi) != 1:
         raise NotSurjective("gcd of exponents is not 1")
     for r in pres.relators:
         total = sum(phi[abs(x) - 1] * (1 if x > 0 else -1) for x in r)
@@ -623,7 +618,6 @@ def low_index_subgroups(pres, max_index, node_budget=None):
 class TowerLevel:
     index: int
     dims: dict  # prime -> d_p of the subgroup
-    presentation_rank: int
 
 
 def cyclic_tower(pres, phi, depth, primes=(2,)):
@@ -634,7 +628,7 @@ def cyclic_tower(pres, phi, depth, primes=(2,)):
         table = cyclic_quotient_table(pres, phi, i)
         sub = reidemeister_schreier(table)
         dims = {p: d_p(sub, p) for p in primes}
-        out.append(TowerLevel(index=i, dims=dims, presentation_rank=sub.rank()))
+        out.append(TowerLevel(index=i, dims=dims))
     return out
 
 
@@ -678,14 +672,14 @@ def gs_chained_threshold(d):
     """
     if d < 2:
         raise ValueError("d >= 2 required")
-    log_enc = Enclosure.log2(d - 1)
-    base = Enclosure(d) - 6 * log_enc - 12
-    margin = base.square() * Fraction(1, 4) - 3 * d + 2
-    if margin.definitely_positive():
-        return ChainedGSResult(True, margin.lo, margin.hi, decided=True)
-    if margin.definitely_nonpositive():
-        return ChainedGSResult(False, margin.lo, margin.hi, decided=True)
-    return ChainedGSResult(False, margin.lo, margin.hi, decided=False)
+    lo, hi = log2_enclosure(d - 1)
+    base_lo, base_hi = d - 12 - 6 * hi, d - 12 - 6 * lo
+    squares = (base_lo * base_lo, base_hi * base_hi)
+    # a base straddling zero squares to [0, max]; Fraction(0), not 0 / 4
+    sq_lo = Fraction(0) if base_lo < 0 < base_hi else min(squares)
+    margin_lo, margin_hi = (s / 4 - 3 * d + 2 for s in (sq_lo, max(squares)))
+    return ChainedGSResult(margin_lo > 0, margin_lo, margin_hi,
+                           decided=margin_lo > 0 or margin_hi <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +699,11 @@ class LargenessDatum:
 
 @dataclass
 class LargenessReport:
+    """The three verdicts of `largeness_conditions` on a finite prefix,
+    with d(J/K)/[G:J] at its last level."""
+
     abelian_ok: bool
-    growth_values: list      # log2([H:J]) / [G:H] enclosure midpoints, for display
     growth_increasing: bool
-    sup_quotient: Fraction
     last_quotient: Fraction
     rank_condition_ok: bool
 
@@ -728,27 +723,20 @@ def largeness_conditions(data):
     if not data:
         raise ValueError("empty data list")
     abelian_ok = all(rec.abelian for rec in data)
-    growth = []
     ratios = []
     for rec in data:
         if rec.index_h < 1 or rec.index_j < 1 or rec.index_j % rec.index_h:
             raise ValueError("index_j must be a positive multiple of index_h")
-        ratio = rec.index_j // rec.index_h
-        enc = Enclosure.log2(ratio) if ratio > 1 else Enclosure(0)
-        growth.append((enc.lo + enc.hi) / 2 / rec.index_h)
-        ratios.append((ratio, rec.index_h))
+        ratios.append((rec.index_j // rec.index_h, rec.index_h))
     # log2(r)/h < log2(r')/h'  iff  r^h' < r'^h, decided on integers
     increasing = all(r ** h2 < r2 ** h
                      for (r, h), (r2, h2) in zip(ratios, ratios[1:]))
     positive_tail = ratios[-1][0] > 1
     quotients = [Fraction(rec.d_quotient, rec.index_j) for rec in data]
-    sup_q = max(quotients)
     last_q = quotients[-1]
-    rank_ok = last_q > 0 and 2 * last_q >= sup_q
+    rank_ok = last_q > 0 and 2 * last_q >= max(quotients)
     return LargenessReport(
         abelian_ok=abelian_ok,
-        growth_values=growth,
         growth_increasing=increasing and positive_tail,
-        sup_quotient=sup_q,
         last_quotient=last_q,
         rank_condition_ok=rank_ok)

@@ -305,7 +305,11 @@ class PrimeIdeal:
         return self.rational_prime ** self.residue_degree
 
 
-def certify_irreducible(f, prime_bound=100):
+# certify_irreducible tries the primes p <= IRREDUCIBLE_PRIME_BOUND
+IRREDUCIBLE_PRIME_BOUND = 100
+
+
+def certify_irreducible(f):
     """Opportunistic irreducibility certificate over Q.
 
     Returns (verdict, method) with verdict in {True, False, None}:
@@ -323,7 +327,7 @@ def certify_irreducible(f, prime_bound=100):
     if d <= 3:
         return True, "no rational root, degree <= 3"
     p = 2
-    while p <= prime_bound:
+    while p <= IRREDUCIBLE_PRIME_BOUND:
         if f[-1] % p != 0 and polys.is_irreducible_modp(f, p):
             return True, f"irreducible mod {p}"
         p = _next_prime(p)

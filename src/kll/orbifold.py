@@ -262,7 +262,6 @@ NOT_SATISFIED = "NotSatisfied"
 @dataclass
 class FiberingResult:
     status: str
-    component: GraphComponent = None
 
     def __bool__(self):
         return self.status == SATISFIED
@@ -286,7 +285,7 @@ def theorem55_hypothesis(data, phi, p):
         if core is None:
             continue
         if _phi_of_word(phi, core) == 0:
-            return FiberingResult(SATISFIED, component=comp)
+            return FiberingResult(SATISFIED)
     return FiberingResult(NOT_SATISFIED)
 
 

@@ -30,6 +30,9 @@ class Disconnected(ValueError):
 # connected sets cheeger_exact may enumerate before giving up
 EXACT_SET_BUDGET = 4_000_000
 
+# lambda2_enclosure bisects until hi - lo <= 2^-LAMBDA2_BITS
+LAMBDA2_BITS = 30
+
 
 @dataclass(frozen=True)
 class CosetGraph:
@@ -213,7 +216,7 @@ def char_poly_laplacian(graph):
     return linalg.char_poly(_laplacian(graph))
 
 
-def lambda2_enclosure(graph, precision_bits=30):
+def lambda2_enclosure(graph):
     """Certified rational interval (lo, hi] containing the smallest
     positive Laplacian eigenvalue of a connected graph.
 
@@ -241,7 +244,7 @@ def lambda2_enclosure(graph, precision_bits=30):
     # and s = chain[0] keeps the sign s(0) on [0, root): the root is <= mid
     # iff s(mid) is 0 or has the other sign
     positive_at_zero = chain[0][0] > 0
-    while (hi - lo) << precision_bits > 1 << k:
+    while (hi - lo) << LAMBDA2_BITS > 1 << k:
         lo, hi, k = 2 * lo, 2 * hi, k + 1
         mid = (lo + hi) // 2
         if inside == 1:
@@ -277,23 +280,14 @@ def cheeger_spectral_bounds(graph):
 
 
 @dataclass
-class CheegerValue:
-    exact: Fraction = None
-    lower: Fraction = None
-    upper: Fraction = None
-
-    def best_lower(self):
-        return self.exact if self.exact is not None else self.lower
-
-    def best_upper(self):
-        return self.exact if self.exact is not None else self.upper
-
-
-@dataclass
 class FamilyReport:
+    """`values` holds one (lower, upper) pair of Fractions per graph:
+    (h, h) for an exact Cheeger constant h, else the spectral bounds."""
+
     values: list
     inf_lower: Fraction
-    verdict: str   # "consistent with (tau) on prefix" or "h -> 0 trend"
+    verdict: str   # "h -> 0 trend", "consistent with (tau) on prefix"
+                   # or "undetermined on prefix"
 
 
 def tau_family_report(graphs):
@@ -309,12 +303,12 @@ def tau_family_report(graphs):
     values = []
     for g in graphs:
         try:
-            values.append(CheegerValue(exact=cheeger_exact(g)))
+            h = cheeger_exact(g)
+            values.append((h, h))
         except BudgetExceeded:
-            lo, hi = cheeger_spectral_bounds(g)
-            values.append(CheegerValue(lower=lo, upper=hi))
-    inf_lower = min(v.best_lower() for v in values)
-    uppers = [v.best_upper() for v in values]
+            values.append(cheeger_spectral_bounds(g))
+    inf_lower = min(lo for lo, _ in values)
+    uppers = [hi for _, hi in values]
     decreasing = all(uppers[i + 1] < uppers[i] for i in range(len(uppers) - 1))
     if decreasing and len(uppers) >= 3 and 2 * uppers[-1] <= uppers[0]:
         verdict = "h -> 0 trend"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import islice
@@ -15,6 +16,7 @@ from kll.fpgroups import (Presentation, SubgroupTable, parse_word,
 
 from kll.orbifold import OrbifoldData
 
+from exhaustive_bounds import mismatches as gs_margin_mismatches
 from oracles import (d_p_from_smith, count_index_le2_subgroups,
                      low_index_by_rescans, surface_subgroup_counts)
 
@@ -403,6 +405,24 @@ def test_gs_chained_threshold_81_80():
     at80 = gs_chained_threshold(80)
     assert not at80.holds and at80.decided
     assert at80.margin_hi < 0
+
+
+def test_gs_chained_threshold_digest_2_to_500():
+    # one line "d holds decided margin_lo margin_hi" per d: the digest
+    # pins every verdict and every margin end exactly
+    lines = []
+    for d in range(2, 501):
+        r = gs_chained_threshold(d)
+        assert type(r.margin_lo) is Fraction and type(r.margin_hi) is Fraction
+        lines.append(f"{d} {r.holds} {r.decided} {r.margin_lo} {r.margin_hi}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == ("aad1e6dcf9aef4ebffdde72a7dc907ff"
+                      "2c9859d68c21336a5b5a7a987727685e")
+
+
+def test_gs_chained_threshold_holds_a_decimal_log2_to_500():
+    checks, bad = gs_margin_mismatches(500)
+    assert (checks, bad) == (499, [])
 
 
 def test_largeness_conditions_tower_style():

@@ -1,14 +1,14 @@
+import copy
 import pickle
 import random
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
-from kll import polys
+from kll import polys, taugraphs
 from kll.fpgroups import BudgetExceeded, Presentation, cyclic_quotient_table
-from kll.taugraphs import (CheegerValue, CosetGraph, cheeger_exact,
+from kll.taugraphs import (CosetGraph, cheeger_exact,
                            cheeger_spectral_bounds, lambda2_enclosure,
                            char_poly_laplacian, tau_family_report,
                            Disconnected)
@@ -37,8 +37,7 @@ def test_exact_budget():
 
 def test_cheeger_constant_keeps_its_minimiser():
     h = cheeger_exact(CosetGraph.cycle(6))
-    for kept in (pickle.loads(pickle.dumps(h)),
-                 asdict(CheegerValue(exact=h))["exact"]):
+    for kept in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)):
         assert kept == Fraction(2, 3) and kept.minimiser == h.minimiser
 
 
@@ -161,7 +160,23 @@ def test_projective_line_family_bounded_below():
 def test_projective_line_family_exact_to_24_vertices():
     graphs = [_psl2_projective_line_graph(p) for p in (13, 17, 19, 23)]
     fam = tau_family_report(graphs)
-    assert all(v.exact is not None and v.lower is None for v in fam.values)
+    assert fam.values == [(cheeger_exact(g),) * 2 for g in graphs]
+
+
+def test_family_past_the_exact_budget_keeps_spectral_bounds(monkeypatch):
+    graphs = [CosetGraph.cycle(n) for n in (6, 9, 12, 15)]
+    monkeypatch.setattr(taugraphs, "EXACT_SET_BUDGET", 3)
+    for g in graphs:
+        with pytest.raises(BudgetExceeded):
+            cheeger_exact(g)
+    bounds = [cheeger_spectral_bounds(g) for g in graphs]
+    fam = tau_family_report(graphs)
+    assert fam.values == bounds
+    # the C15 lower bound is the least; the upper bounds shrink to below half
+    assert fam.inf_lower == min(lo for lo, _ in bounds) == bounds[-1][0] > 0
+    uppers = [hi for _, hi in bounds]
+    assert uppers == sorted(uppers, reverse=True) and 2 * uppers[-1] <= uppers[0]
+    assert fam.verdict == "h -> 0 trend"
 
 
 def _random_cubic(v, rng):
