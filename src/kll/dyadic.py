@@ -1,10 +1,12 @@
 """Certified dyadic enclosures for log2.
 
-Every bound in this package that involves log2 is decided either by an
-exact integer power comparison (preferred) or by an interval (lo, hi)
-of dyadic rationals, a pair of Fractions with lo <= log2(q) <= hi and
-width below 2^-LOG2_BITS; callers do the interval arithmetic they need
-on the two ends directly.
+Every bound in this package that involves log2 is decided either
+exactly on integers (preferred: one floor_log2 call decides a tower
+step) or by an interval (lo, hi) of dyadic rationals, a pair of
+Fractions with lo <= log2(q) <= hi and width below 2^-LOG2_BITS;
+callers do the interval arithmetic they need on the two ends directly.
+The enclosure collects its bits in integers and builds its two
+Fractions once, at the end.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from functools import lru_cache
 LOG2_BITS = 64
 
 
-def _floor_log2(num, den):
+def floor_log2(num, den):
     """Largest m with 2^m <= num/den (num, den positive integers)."""
     m = num.bit_length() - den.bit_length()
     # candidate m or m-1/m+1; fix up exactly
@@ -37,30 +39,29 @@ def log2_enclosure(q):
     if q <= 0:
         raise ValueError("log2 of non-positive value")
     num, den = q.numerator, q.denominator
-    m = _floor_log2(num, den)
-    # x = q / 2^m in [1, 2); track integer fixed-point bounds at P fractional bits
+    m = floor_log2(num, den)
+    # x = q / 2^m in [1, 2); track integer fixed-point bounds at `work` fractional bits
     work = LOG2_BITS + 10
-    P = 1 << work
     if m >= 0:
-        xlo = (num * P) // (den << m)
+        xlo = (num << work) // (den << m)
     else:
-        xlo = ((num << -m) * P) // den
+        xlo = (num << (work - m)) // den
     xhi = xlo + 1  # floor and floor+1 bracket the real value
 
-    acc_lo = Fraction(m)
-    acc_hi = Fraction(m)
-    s = Fraction(1)
-    for _ in range(LOG2_BITS + 4):
-        s /= 2
-        xlo = (xlo * xlo) // P
-        xhi = -((-xhi * xhi) // P)  # ceiling
-        if xlo >= 2 * P:
-            acc_lo += s
-            xlo //= 2
-        if xhi >= 2 * P:
-            acc_hi += s
-            xhi = -((-xhi) // 2)
-    # residual: log2 of constants in [1/2, 4) bounded by [-1, 2] scaled by s
-    lo = acc_lo - s
-    hi = acc_hi + 2 * s
-    return lo, hi
+    # squaring x in [1, 2) gives the next bit of log2(x): 1 iff x^2 >= 2
+    frac, two = LOG2_BITS + 4, 2 << work
+    bits_lo = bits_hi = 0
+    for _ in range(frac):
+        xlo = (xlo * xlo) >> work
+        xhi = -((-xhi * xhi) >> work)  # ceiling
+        bits_lo <<= 1
+        bits_hi <<= 1
+        if xlo >= two:
+            bits_lo |= 1
+            xlo >>= 1
+        if xhi >= two:
+            bits_hi |= 1
+            xhi = (xhi + 1) >> 1
+    # residual: log2 of constants in [1/2, 4) bounded by [-1, 2] in the last bit
+    return (Fraction((m << frac) + bits_lo - 1, 1 << frac),
+            Fraction((m << frac) + bits_hi + 2, 1 << frac))

@@ -9,7 +9,7 @@ exactly: with K = 2 n_i - 4 - n_{i+1}, the step holds iff
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import log2_enclosure
+from .dyadic import floor_log2
 
 
 class HypothesisViolated(ValueError):
@@ -25,15 +25,10 @@ def _step_holds(n_i, n_next):
 
 
 def _minimal_next(n_i):
-    """ceil(2 n_i - 4 (log2((n_i+2)/3) + 1)), exactly."""
-    lo, hi = log2_enclosure(Fraction(n_i + 2, 3))
-    approx = 2 * n_i - 4 - int(4 * hi) - 2
-    t = max(approx, 0)
-    while not _step_holds(n_i, t):
-        t += 1
-    while t > 0 and _step_holds(n_i, t - 1):
-        t -= 1
-    return t
+    """max(0, ceil(2 n_i - 4 (log2((n_i+2)/3) + 1))) for n_i >= 1, the
+    least t >= 0 with _step_holds(n_i, t): the step holds iff
+    2 n_i - 4 - t <= floor(log2((n_i + 2)^4 / 81)), one exact floor-log."""
+    return max(0, 2 * n_i - 4 - floor_log2((n_i + 2) ** 4, 81))
 
 
 @dataclass
@@ -46,17 +41,17 @@ class RecurrenceStep:
 
 
 def recurrence_check(n_sequence):
-    """Per-step verdicts for the cover-tower recurrence."""
-    if not n_sequence or n_sequence[0] < 1:
-        raise ValueError("need a sequence starting at n_1 >= 1")
-    out = []
-    for i in range(len(n_sequence) - 1):
-        n_i, n_next = n_sequence[i], n_sequence[i + 1]
-        out.append(RecurrenceStep(
-            level=i + 1, n=n_i, n_next=n_next,
-            holds=_step_holds(n_i, n_next),
-            small_n_warning=n_i < 4))
-    return out
+    """Per-step verdicts for the cover-tower recurrence.  Needs at least
+    two terms, each a vertex count n_i >= 1."""
+    if len(n_sequence) < 2:
+        raise ValueError(f"need at least two terms n_1, n_2; got {len(n_sequence)}")
+    for i, n_i in enumerate(n_sequence, start=1):
+        if n_i < 1:
+            raise ValueError(f"n_{i} = {n_i} < 1")
+    return [RecurrenceStep(level=i, n=n_i, n_next=n_next,
+                           holds=_step_holds(n_i, n_next),
+                           small_n_warning=n_i < 4)
+            for i, (n_i, n_next) in enumerate(zip(n_sequence, n_sequence[1:]), start=1)]
 
 
 @dataclass
@@ -87,12 +82,12 @@ def tower_lower_bound(n1, depth):
     levels = []
     n = n1
     for i in range(1, depth + 1):
-        bound = Fraction(2 ** i) * (1 + Fraction(24, i))
-        holds = Fraction(n) >= bound
+        scaled = 2 ** i * (i + 24)  # i * 2^i (1 + 24/i)
+        bound = Fraction(scaled, i)
         levels.append(TowerBoundLevel(
             level=i, minimal_n=n,
             bound_num=bound.numerator, bound_den=bound.denominator,
-            holds=holds))
+            holds=n * i >= scaled))
         n = _minimal_next(n)
     inf_q = min(Fraction(lv.minimal_n, 2 ** lv.level) for lv in levels)
     return TowerBoundReport(levels=levels, inf_quotient=inf_q)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -137,9 +138,41 @@ def test_tower_command(capsys):
     assert out["recurrence"][0]["holds"] is False
 
 
+# sha256 of `kll tower` stdout: the two README jobs, a deeper tower and a
+# 3,000-level one (3 MB of JSON)
+TOWER_STDOUT_SHA256 = {
+    "--n1 50 --depth 10":
+        "c8a1e1db6e8c1f29f146516e2f13d3e08a1e401d6ae452bdeb8ca8fa6824645f",
+    "--check 50,80,140":
+        "193f32ee5ade2fd3a760e42eea38964d8149e5ab08e47bb5bb8dd29c0dd56d0c",
+    "--n1 370 --depth 30":
+        "1df158fe78327db43f5e2282b09dc8b7c55fd264a1a8638b211c9d11d6d54531",
+    "--n1 50 --depth 3000":
+        "3b61e46ff2f18064aefa059282cd696d8fa91f34ed5747951bb24d7e1bda7177",
+}
+
+
+@pytest.mark.parametrize("args", list(TOWER_STDOUT_SHA256))
+def test_tower_stdout_pinned(capsys, args):
+    assert main(["tower", *args.split()]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == TOWER_STDOUT_SHA256[args]
+
+
 def test_tower_hypothesis_violation_exit_code(capsys):
     rc = main(["tower", "--n1", "49", "--depth", "2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("check, detail", [
+    ("7", "need at least two terms n_1, n_2; got 1"),
+    ("50,-5,7", "n_2 = -5 < 1"),
+])
+def test_tower_check_rejects_bad_sequence(capsys, check, detail):
+    assert main(["tower", "--check", check]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError", "detail": detail}
 
 
 def test_algebra_symbol(capsys):

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from kll.dyadic import log2_enclosure
 from kll.towers import (recurrence_check, tower_lower_bound,
                         auxiliary_inequality_holds,
                         HypothesisViolated, _minimal_next, _step_holds)
+
+from exhaustive_bounds import minimal_next_mismatches
 
 
 def test_recurrence_examples():
@@ -22,6 +25,19 @@ def test_recurrence_small_n_warning():
     assert steps[0].small_n_warning
 
 
+@pytest.mark.parametrize("seq, message", [
+    ([], "need at least two terms n_1, n_2; got 0"),
+    ([7], "need at least two terms n_1, n_2; got 1"),
+    ([0, 5], "n_1 = 0 < 1"),
+    ([50, -5, 7], "n_2 = -5 < 1"),
+    ([50, 80, 0], "n_3 = 0 < 1"),
+])
+def test_recurrence_rejects_short_or_nonpositive(seq, message):
+    with pytest.raises(ValueError) as err:
+        recurrence_check(seq)
+    assert str(err.value) == message
+
+
 def test_step_matches_float_computation():
     for n in range(4, 400, 7):
         rhs = 2 * n - 4 * (math.log2((n + 2) / 3) + 1)
@@ -32,14 +48,37 @@ def test_step_matches_float_computation():
                 assert _step_holds(n, cand) == expected, (n, cand)
 
 
+def _minimal_next_by_search(n_i):
+    """The search that _minimal_next replaced: start below the minimum
+    from a log2 enclosure, then step to it with the exact test."""
+    lo, hi = log2_enclosure(Fraction(n_i + 2, 3))
+    t = max(2 * n_i - 4 - int(4 * hi) - 2, 0)
+    while not _step_holds(n_i, t):
+        t += 1
+    while t > 0 and _step_holds(n_i, t - 1):
+        t -= 1
+    return t
+
+
 def test_minimal_next_values():
     # ceil(2*50 - 4(log2(52/3)+1)) = ceil(79.538) = 80
     assert _minimal_next(50) == 80
     assert _minimal_next(80) == 137
-    for n in (50, 73, 129):
+    # n = 3 * 2^j - 2 are the exact ties: (n + 2)^4 = 81 * 2^(4j)
+    ties = [3 * 2 ** j - 2 for j in range(201)]
+    assert all((n + 2) ** 4 == 81 * 2 ** (4 * j) for j, n in enumerate(ties))
+    powers = [2 ** k + e for k in range(1, 201) for e in (-1, 1)]
+    for n in [*range(1, 20001), *powers, *ties]:
         t = _minimal_next(n)
-        assert _step_holds(n, t)
-        assert not _step_holds(n, t - 1)
+        assert _step_holds(n, t), n
+        # the least t >= 0; below n = 5 the step holds even at t = 0
+        assert (t == 0 and n < 5) or not _step_holds(n, t - 1), n
+        assert t == _minimal_next_by_search(n), n
+
+
+def test_minimal_next_matches_decimal_ceiling():
+    checks, bad = minimal_next_mismatches(500)
+    assert (checks, bad) == (492, [])  # 500 less the 8 ties n <= 382
 
 
 def test_tower_lower_bound_depth1_equality():
