@@ -360,8 +360,8 @@ def cmd_graph(args):
 
 def cmd_tower(args):
     report = {}
-    if args.check:
-        seq = [int(x) for x in args.check.split(",")]
+    if args.check is not None:  # "" is an empty sequence, refused below
+        seq = [int(x) for x in args.check.split(",")] if args.check else []
         steps = towers.recurrence_check(seq)
         report["recurrence"] = [
             {"level": s.level, "n": s.n, "next": s.n_next, "holds": s.holds,

@@ -11,12 +11,13 @@ The census finds every subgroup, one conjugacy class at a time.  Each
 class is grown from its representative R by the one-generator
 extensions <R, g>, one g per double coset RgR (`subgroup_census`), and
 a new class is stored as its orbit under conjugation by the table's
-generators, which gives its size and its members.  This is complete:
-every subgroup K is reached from the trivial group by adding its
-generators one at a time, and if K_i^x = R then <K_i, g>^x = <R, g^x>
-is reached from R.  s_n and the essential subgroups weight each
-representative by its class size, and d(H) is a conjugacy invariant,
-so the rank runs over representatives.
+generators, which gives its size and its members.  Once g is tried,
+the double cosets R g^j R, j prime to ord(g), are passed over, as
+<R, g^j> = <R, g>.  This is complete: every subgroup K is reached from
+the trivial group by adding its generators one at a time, and if
+K_i^x = R then <K_i, g>^x = <R, g^x> is reached from R.  s_n and the
+essential subgroups weight each representative by its class size, and
+d(H) is a conjugacy invariant, so the rank runs over representatives.
 
 The census also reads d(H) off its classes: the tuple stored with a
 class is as short as any that generates its representative.  It
@@ -24,11 +25,13 @@ generates the representative, so it has at least d(H) elements.
 Conversely, by induction on k, the class of K = <x_1, ..., x_k> is
 stored with at most k elements.  Some conjugate R = <x_1, ...,
 x_(k-1)>^c is a representative stored with at most k - 1.  R is
-extended once per double coset RgR, and <R, a x_k^c b> = K^c for a, b
-in R, so the class of K is stored when R is extended, if not before.
-`grown` is worked through first in, first out, so before means from a
-representative stored with no more elements than R, and either way
-the stored tuple has at most k elements.
+extended by each double coset RgR not passed over, <R, a x_k^c b> =
+K^c for a, b in R, and a passed-over R x_k^c R is R g^j R for an
+extension g with <R, g> = K^c, so the class of K is stored when R is
+extended, if not before.  `grown` is worked through first in, first
+out, so before means from a representative stored with no more
+elements than R, and either way the stored tuple has at most k
+elements.
 
 For an odd prime power m = p^k the census runs on PSL(2, Z/m), whose
 table has a quarter of the entries, and is lifted to SL(2, Z/m)
@@ -95,6 +98,7 @@ d_2 = 0.  The classes lift to SL(2, p) by the rule above.
 
 from array import array
 from dataclasses import dataclass, replace
+from math import gcd
 from operator import itemgetter
 
 from .fpgroups import BudgetExceeded, orbit
@@ -295,7 +299,9 @@ def subgroup_census(table, budget=None):
     the least element of its least right coset, the one that one
     extension per right coset would try first, and the other right
     cosets give the same subgroup again; so the classes, their order,
-    representatives and generators are those of that search."""
+    representatives and generators are those of that search.  So are
+    they when h g^j h, j prime to ord(g), is covered with hgh: it holds
+    only later elements, whose <h, g^j> = <h, g> would store nothing."""
     check_census_order(table.n, budget)
     n, t = table.n, table.table
     # x -> s^-1 x s for each generator s
@@ -310,14 +316,19 @@ def subgroup_census(table, budget=None):
         for g in range(n):
             if g in covered:
                 continue
-            coset_reps = [g]
-            covered.update([t[o + g] for o in offsets])
-            for r in coset_reps:  # grows as the double coset hgh fills
-                for s in base:
-                    y = t[r * n + s]
-                    if y not in covered:
-                        covered.update([t[o + y] for o in offsets])
-                        coset_reps.append(y)
+            powers = [g]  # g, g^2, ..., the identity
+            while powers[-1] != table.identity:
+                powers.append(t[powers[-1] * n + g])
+            for x in [x for j, x in enumerate(powers, 1)
+                      if gcd(j, len(powers)) == 1 and x not in covered]:
+                coset_reps = [x]
+                covered.update([t[o + x] for o in offsets])
+                for r in coset_reps:  # grows as h x h fills (if x is covered, by nothing)
+                    for s in base:
+                        y = t[r * n + s]
+                        if y not in covered:
+                            covered.update([t[o + y] for o in offsets])
+                            coset_reps.append(y)
             k = table.closure(base + (g,), h)
             if k not in found:
                 conjugates = list(orbit([k], rows, _conjugate))

@@ -2,16 +2,17 @@
 R_k[1, a, b, ab] with its closure certificate, and the trace-zero
 involution ab - ba with its conjugation relations.
 
-Each trace identity is one linear relation sum c_i m_i = 0 with
-coefficients in the field, checked as one `Mat2.combination`; the
-inverse of a unimodular matrix is its adjugate, with no field
-inversion.  `build_order` keeps the Fricke value tr[a, b] - 2 it tests
-for spanning as the order's discriminant generator.  Projective
-statements (order two, conjugation to inverses, Klein four) are
-decided by exact proportionality of matrices over the field.
-Each entry of a product, a determinant, a linear combination of
-matrices or a cross-multiplication is one `numfield.dot`: one common
-denominator, one reduction, one lowest-terms step.
+Each trace identity and Cayley-Hamilton product is one relation
+sum c_i M_i + sum X_j Y_j = 0 over the field, the products folded into
+its one `numfield.dot` per entry (`_entries`).  `build_order` keeps the
+Fricke value tr[a, b] - 2 it tests for spanning as the order's
+discriminant generator.  Projective statements (order two, conjugation
+to inverses, Klein four) are decided by exact proportionality, so each
+inverse in them is an adjugate det(m) m^-1 and no field element is
+inverted; a zero-divisor determinant is found from its norm.  Each
+entry of a product, a determinant, a linear combination of matrices or
+a cross-multiplication is one `numfield.dot`: one common denominator,
+one reduction, one lowest-terms step.
 """
 
 from dataclasses import dataclass
@@ -56,7 +57,8 @@ class Mat2:
 
     @classmethod
     def identity(cls, field):
-        return cls.from_rows(field, [[1, 0], [0, 1]])
+        one, zero = field.one(), field.zero()
+        return cls(field, ((one, zero), (zero, one)))
 
     def __mul__(self, other):
         (a, b), (c, d) = self.entries
@@ -100,6 +102,16 @@ class Mat2:
             raise ZeroDivisionError("singular matrix")
         return Mat2.combination(self.field, (det.inverse(),), (self.adjugate(),))
 
+    def projective_inverse(self):
+        """adj(m) = det(m) m^-1, raising ZeroDivisionError as `inverse`
+        does when det(m) is zero or a zero divisor (norm 0) of k."""
+        det = self.det()
+        if det.is_zero():
+            raise ZeroDivisionError("singular matrix")
+        if not det.is_rational() and det.norm() == 0:
+            raise ZeroDivisionError("inverse of zero or of a zero divisor")
+        return self.adjugate()
+
     def is_zero(self):
         return all(x.is_zero() for r in self.entries for x in r)
 
@@ -137,19 +149,24 @@ def _coeff_strings(elt):
 
 
 def proportional(m1, m2):
-    """Projective equality: m1 = lambda * m2 for some nonzero lambda in k."""
-    f1, f2 = m1.flat(), m2.flat()
-    if all(x.is_zero() for x in f2):
-        return all(x.is_zero() for x in f1)
-    # cross-multiplication of all entry pairs: the (j, i) product is
-    # minus the (i, j) one and the (i, i) product is zero
-    k = m1.field
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not dot(k, ((f1[i], f2[j]), (-f1[j], f2[i]))).is_zero():
-                return False
-    # rule out m1 = 0 against m2 != 0
-    return not all(x.is_zero() for x in f1)
+    """Projective equality: m1 = lambda * m2 for some nonzero lambda in k,
+    that is, every cross-multiplication f1_i f2_j - f1_j f2_i vanishes
+    and m1 and m2 are both zero or both nonzero."""
+    f1, f2, k = m1.flat(), m2.flat(), m1.field
+    if any(dot(k, ((f1[i], f2[j]), (-f1[j], f2[i])))
+           for i in range(4) for j in range(i + 1, 4)):
+        return False
+    return any(f1) == any(f2)
+
+
+def _entries(k, scaled, products):
+    """The entries of sum c M + sum X Y over (c, M) in `scaled` and (X, Y)
+    in `products`, one `dot` each; `any` stops at the first nonzero."""
+    for r in (0, 1):
+        for s in (0, 1):
+            yield dot(k, [(c, m.entries[r][s]) for c, m in scaled]
+                      + [(x.entries[r][t], y.entries[t][s])
+                         for x, y in products for t in (0, 1)])
 
 
 def verify_trace_identities(a, b):
@@ -159,26 +176,26 @@ def verify_trace_identities(a, b):
     a^2 b = tr(a) ab - b              aba = -tr(b) 1 + tr(ab) a + b
     b^-1 a^-1 = tr(b) a^-1 - b a^-1   ba + ab = (tr(ab) - tr(a)tr(b)) 1 + tr(b) a + tr(a) b
 
-    Each is checked as sum c_i m_i = 0, one `Mat2.combination`, with
-    a^-1 and b^-1 the adjugates of the unimodular a and b.
+    Each is checked as sum c_i M_i + sum X_j Y_j = 0, one `dot` per entry;
+    a^-1, b^-1 are the adjugates of the unimodular a, b and a^2 b is a (ab).
     """
     _require_unimodular(a, b)
     k = a.field
     eye, one = Mat2.identity(k), k.one()
     ta, tb = a.trace(), b.trace()
-    aa, ab = a * a, a * b
+    ab = a * b
     tab = ab.trace()
     ainv, binv = a.adjugate(), b.adjugate()
     identities = [
-        ((one, one, -ta), (a, ainv, eye)),
-        ((one, -ta, one), (aa, a, eye)),
-        ((one, -ta, one), (aa * b, ab, b)),
-        ((one, tb, -tab, -one), (ab * a, eye, a, b)),
-        ((one, -tb, one), (binv * ainv, ainv, b * ainv)),
-        ((one, one, ta * tb - tab, -tb, -ta), (b * a, ab, eye, a, b)),
+        (((one, a), (one, ainv), (-ta, eye)), ()),
+        (((-ta, a), (one, eye)), ((a, a),)),
+        (((-ta, ab), (one, b)), ((a, ab),)),
+        (((tb, eye), (-tab, a), (-one, b)), ((ab, a),)),
+        (((-tb, ainv),), ((binv, ainv), (b, ainv))),
+        (((one, ab), (ta * tb - tab, eye), (-tb, a), (-ta, b)), ((b, a),)),
     ]
-    return all(Mat2.combination(k, coeffs, mats).is_zero()
-               for coeffs, mats in identities)
+    return not any(any(_entries(k, scaled, products))
+                   for scaled, products in identities)
 
 
 @dataclass
@@ -207,8 +224,8 @@ def build_order(a, b):
     """
     field = a.field
     _require_unimodular(a, b)
-    ab = a * b
-    if ab == b * a:
+    ab, one = a * b, field.one()
+    if not any(_entries(field, [(-one, ab)], [(b, a)])):
         raise CommutingGenerators("generators commute")
     ta, tb, tab = a.trace(), b.trace(), ab.trace()
     for t in (ta, tb, tab):
@@ -218,7 +235,7 @@ def build_order(a, b):
     if discriminant.is_zero():
         raise CommutingGenerators("basis does not span the algebra")
     basis = (Mat2.identity(field), a, b, ab)
-    zero, one = field.zero(), field.one()
+    zero = field.zero()
     e = [[one if k == i else zero for k in range(4)] for i in range(4)]
     constants = {(i, 0): e[i] for i in range(4)} | {(0, j): e[j] for j in range(4)}
     products = {
@@ -233,7 +250,8 @@ def build_order(a, b):
         (3, 3): [-one, zero, zero, tab],          # (ab)^2 = tab ab - 1
     }
     for (i, j), coords in products.items():
-        if Mat2.combination(field, coords, basis) != basis[i] * basis[j]:
+        if any(_entries(field, [(-c, m) for c, m in zip(coords, basis)],
+                        [(basis[i], basis[j])])):
             raise ArithmeticError(f"Cayley-Hamilton identity fails at ({i},{j})")
     constants.update(products)
     return ElementaryOrder(field=field, basis=basis, structure_constants=constants,
@@ -262,10 +280,10 @@ def jorgensen_involution(a, b):
         raise RelationFailure("trace of ab - ba is nonzero")
     if not (tau * tau).is_scalar():
         raise RelationFailure("square of the involution is not scalar")
-    tinv = tau.inverse()
-    if not proportional(tau * a * tinv, a.inverse()):
+    tadj = tau.projective_inverse()
+    if not proportional(tau * a * tadj, a.projective_inverse()):
         raise RelationFailure("involution does not conjugate a to a^-1")
-    if not proportional(tau * b * tinv, b.inverse()):
+    if not proportional(tau * b * tadj, b.projective_inverse()):
         raise RelationFailure("involution does not conjugate b to b^-1")
     return tau
 
@@ -282,20 +300,21 @@ def klein_four_relations(a, alpha, tau1, tau2):
             raise RelationFailure(f"{name} is singular")
         if not (t * t).is_scalar():
             raise RelationFailure(f"{name}^2 is not scalar")
-    t1i, t2i = tau1.inverse(), tau2.inverse()
+    t1a, t2a = tau1.projective_inverse(), tau2.projective_inverse()
     relations = [
-        ("tau1 a tau1 = a^-1", tau1 * a * t1i, a.inverse()),
-        ("tau1 alpha tau1 = alpha", tau1 * alpha * t1i, alpha),
-        ("tau2 a tau2 = a", tau2 * a * t2i, a),
-        ("tau2 alpha tau2 = alpha^-1", tau2 * alpha * t2i, alpha.inverse()),
+        ("tau1 a tau1 = a^-1", tau1 * a * t1a, a.projective_inverse()),
+        ("tau1 alpha tau1 = alpha", tau1 * alpha * t1a, alpha),
+        ("tau2 a tau2 = a", tau2 * a * t2a, a),
+        ("tau2 alpha tau2 = alpha^-1", tau2 * alpha * t2a, alpha.projective_inverse()),
     ]
     for name, lhs, rhs in relations:
         if not proportional(lhs, rhs):
             raise RelationFailure(name)
-    if not proportional(tau1 * tau2, tau2 * tau1):
+    t12 = tau1 * tau2
+    if not proportional(t12, tau2 * tau1):
         raise RelationFailure("tau1 tau2 != tau2 tau1 projectively")
     if proportional(tau1, tau2):
         return False  # the group is Z/2, not Klein four
-    if proportional(tau1 * tau2, Mat2.identity(a.field)):
+    if proportional(t12, Mat2.identity(a.field)):
         return False
     return True

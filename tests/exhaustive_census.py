@@ -37,10 +37,12 @@ about 10 s at p = 23.
 import sys
 import time
 
-from kll.counting import (dickson_census, essential_subgroups,
-                          psl2_group_table, s_n, sl2_census, sl2_group_table,
-                          sl2_order, subgroup_census)
+from kll.counting import (Census, SubgroupClass, dickson_census,
+                          essential_subgroups, psl2_group_table, s_n,
+                          sl2_census, sl2_group_table, sl2_order,
+                          subgroup_census)
 from kll.finquot import ModRing, proj_canonical
+from kll.fpgroups import orbit
 
 from oracles import _bfs_closure, all_subgroups, burnside_lower_bound
 
@@ -62,6 +64,43 @@ def report(m, census):
             "index2": census.of_index(2),
             "rank": census.rank(),
             "essential": (ess.count, ess.minimal_index)}
+
+
+def per_element_census(table):
+    """`counting.subgroup_census` as it was before it covered the double
+    cosets h g^j h of every power g^j that generates <g>: each
+    representative h is extended once per double coset hgh, one at a
+    time.  The census must give the same classes, in the same order,
+    with the same generators and representatives."""
+    n, t = table.n, table.table
+    rows = [[t[t[table.inverse[s] * n + x] * n + s] for x in range(n)]
+            for s in table.generators]
+    trivial = frozenset([table.identity])
+    found = {trivial}
+    grown = [(trivial, (), [trivial])]
+    for h, base, _ in grown:
+        offsets = [x * n for x in h]
+        covered = set(h)
+        for g in range(n):
+            if g in covered:
+                continue
+            coset_reps = [g]
+            covered.update([t[o + g] for o in offsets])
+            for r in coset_reps:
+                for s in base:
+                    y = t[r * n + s]
+                    if y not in covered:
+                        covered.update([t[o + y] for o in offsets])
+                        coset_reps.append(y)
+            k = table.closure(base + (g,), h)
+            if k not in found:
+                conjugates = list(orbit([k], rows,
+                                        lambda h, row: frozenset(map(row.__getitem__, h))))
+                found.update(conjugates)
+                grown.append((k, base + (g,), conjugates))
+    return Census(n, [SubgroupClass(len(h), len(conjugates), gens, h)
+                      for h, gens, conjugates in sorted(
+                          grown, key=lambda c: (len(c[0]), sorted(c[0])))])
 
 
 def dickson_differences(p, census):

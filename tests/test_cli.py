@@ -11,6 +11,7 @@ import pytest
 import kll
 from kll import cli, taugraphs
 from kll.cli import EXAMPLES, main, verify_paper_examples
+from kll.numfield import FieldElement
 from kll.trivalent import random_connected_trivalent
 
 from oracles import boundary_size, edge_subgraph_betti, is_closed_cycle
@@ -165,6 +166,7 @@ def test_tower_hypothesis_violation_exit_code(capsys):
 
 
 @pytest.mark.parametrize("check, detail", [
+    ("", "need at least two terms n_1, n_2; got 0"),
     ("7", "need at least two terms n_1, n_2; got 1"),
     ("50,-5,7", "n_2 = -5 < 1"),
 ])
@@ -356,6 +358,21 @@ def test_order_stdout_pinned(capsys, poly, matrices, report):
     assert main(["order", "--poly", json.dumps(poly),
                  "--matrices", json.dumps(matrices)]) == 0
     assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_order_and_klein_four_make_no_field_inversion(monkeypatch, capsys):
+    # every inverse they take is projective, so an adjugate serves
+    def no_inverse(self):
+        raise AssertionError("a field element was inverted")
+
+    monkeypatch.setattr(FieldElement, "inverse", no_inverse)
+    for poly, matrices, report in ORDER_STDOUT:
+        assert main(["order", "--poly", json.dumps(poly),
+                     "--matrices", json.dumps(matrices)]) == 0
+        assert json.loads(capsys.readouterr().out) == report
+    [klein] = [check for name, check in EXAMPLES
+               if name == "klein-four-relations"]
+    assert klein() == (True, {"klein_four": True, "tau1_twice_refused": True})
 
 
 ORBIFOLD = {

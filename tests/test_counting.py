@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from exhaustive_census import dickson_differences, report
+from exhaustive_census import dickson_differences, per_element_census, report
 from oracles import (all_subgroups, burnside_lower_bound, element_order,
                      group_table_by_products, index2_by_members,
                      min_generators_by_search)
 from kll.finquot import ModRing, mat_mul, sl2_elements
 from kll.fpgroups import BudgetExceeded
-from kll.counting import (GroupTable, sl2_group_table, sl2_order,
+from kll.counting import (GroupTable, psl2_group_table, sl2_group_table, sl2_order,
                           subgroup_census, sl2_census, rank_bound_check,
                           dickson_census,
                           essential_subgroups, congruence_kernel,
@@ -32,6 +32,17 @@ def test_sl2_z2_census_is_s3():
     assert census.count == 6
     assert census.orders() == [1, 2, 2, 2, 3, 6]
 
+
+
+@pytest.mark.parametrize("build, m", [
+    *((sl2_group_table, m) for m in range(2, 11)), (psl2_group_table, 9)],
+    ids=[*(f"SL(2,Z/{m})" for m in range(2, 11)), "PSL(2,Z/9)"])
+def test_census_matches_per_element_extension(build, m):
+    # covering h g^j h for every generator g^j of <g> skips only
+    # extensions that give <h, g> again: order, size, generators and
+    # representative of every class are unchanged
+    table = build(m)
+    assert subgroup_census(table).classes == per_element_census(table).classes
 
 
 def test_sl2_order_closed_form_matches_table():

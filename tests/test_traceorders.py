@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from kll import linalg
+from kll import linalg, traceorders
 from kll.linalg import rref
 from kll.numfield import FieldElement, NumberField
 from kll.traceorders import (Mat2, verify_trace_identities, build_order,
@@ -263,3 +265,184 @@ def test_proportional_is_projective_equality():
     m = Mat2.from_rows(Q, [[1, 2], [3, 4]])
     assert proportional(m, Mat2.combination(Q, [Q.element([-7])], [m]))
     assert not proportional(m, Mat2.identity(Q))
+    zero = Mat2.from_rows(Q, [[0, 0], [0, 0]])
+    assert proportional(zero, zero)
+    assert not proportional(zero, m) and not proportional(m, zero)
+
+
+def test_entries_are_combination_plus_products():
+    rng = random.Random(101)
+    for field in (Q, QSQRT2M, CUBIC):
+        w, x, y, z = (_rand_unimodular(field, rng) for _ in range(4))
+        c, d = (field.element([rng.randint(-3, 3), 1][:field.degree])
+                for _ in range(2))
+        one = field.one()
+        want = Mat2.combination(field, [c, d, one, one], [w, x, y * z, z * w])
+        got = traceorders._entries(field, [(c, w), (d, x)], [(y, z), (z, w)])
+        assert list(got) == want.flat()
+
+
+def _flip(x):
+    """A wrong value in the same field: 1 for 0 and 0 otherwise, so a
+    faulty dot fails a nonzero test as surely as an equality."""
+    return x.field.one() if x.is_zero() else x.field.zero()
+
+
+def _faulty_runs(monkeypatch, call):
+    """(outcome, dots that decided a relation fails, one outcome per
+    dot): `call()` once as it is, then once per `dot` traceorders makes
+    in it with that dot's result flipped.  An outcome is the value
+    returned or the exception raised.  A dot decides that a relation
+    fails when it is made in a `proportional` that returns False or in
+    an `_entries` check left at a nonzero entry."""
+    real_dot, real_entries, real_proportional = (
+        traceorders.dot, traceorders._entries, traceorders.proportional)
+    state = {"n": 0, "flip": None}
+    failing = set()
+
+    def dot(k, pairs):
+        state["n"] += 1
+        x = real_dot(k, pairs)
+        return _flip(x) if state["n"] == state["flip"] else x
+
+    def entries(*args):
+        start, done = state["n"], []
+        try:
+            yield from real_entries(*args)
+            done.append(True)
+        finally:
+            if not done:
+                failing.update(range(start + 1, state["n"] + 1))
+
+    def proportional(m1, m2):
+        start = state["n"]
+        holds = real_proportional(m1, m2)
+        if not holds:
+            failing.update(range(start + 1, state["n"] + 1))
+        return holds
+
+    def run():
+        state["n"] = 0
+        try:
+            return call()
+        except (ValueError, ArithmeticError) as exc:
+            return exc
+
+    with monkeypatch.context() as patch:
+        patch.setattr(traceorders, "dot", dot)
+        patch.setattr(traceorders, "_entries", entries)
+        patch.setattr(traceorders, "proportional", proportional)
+        clean = run()
+        made, decided_fails = state["n"], set(failing)
+        outcomes = []
+        for k in range(1, made + 1):
+            state["flip"] = k
+            outcomes.append(run())
+    return clean, decided_fails, outcomes
+
+
+def _assert_faults_show(monkeypatch, call):
+    """Every flipped dot makes `call` raise or return False, unless it
+    only decided that a relation fails (a and b do not commute, tau1
+    and tau2 are not proportional) and the outcome is unchanged."""
+    clean, decided_fails, outcomes = _faulty_runs(monkeypatch, call)
+    assert not isinstance(clean, Exception) and clean is not False
+    shown = 0
+    for k, outcome in enumerate(outcomes, 1):
+        if isinstance(outcome, Exception) or outcome is False:
+            shown += 1
+        else:
+            assert k in decided_fails and outcome == clean, k
+    assert shown >= len(outcomes) - len(decided_fails) > 0
+    return decided_fails
+
+
+def _order_pairs():
+    """Pairs over Q, Q(sqrt -2) and the cubic field with an order and an
+    involution."""
+    rng, pairs = random.Random(97), []
+    for a, b in _noncommuting_pairs(rng, 4):
+        try:
+            build_order(a, b)
+            jorgensen_involution(a, b)
+        except (CommutingGenerators, CommonFixedPoint):
+            continue
+        pairs.append((a, b))
+    return pairs
+
+
+def test_faulty_dot_fails_trace_identities(monkeypatch):
+    for a, b in _order_pairs():
+        # no relation of the six fails, so every flipped dot shows
+        assert not _assert_faults_show(
+            monkeypatch, lambda: verify_trace_identities(a, b))
+
+
+def test_faulty_dot_fails_build_order(monkeypatch):
+    for a, b in _order_pairs():
+        _assert_faults_show(monkeypatch, lambda: build_order(a, b))
+
+
+def test_faulty_dot_fails_jorgensen(monkeypatch):
+    for a, b in _order_pairs():
+        _assert_faults_show(monkeypatch, lambda: jorgensen_involution(a, b))
+
+
+def test_faulty_dot_fails_klein_four(monkeypatch):
+    a = Mat2.from_rows(Q, [[2, 0], [0, Fraction(1, 2)]])
+    alpha = Mat2.from_rows(Q, [[Fraction(3, 5), Fraction(4, 5)],
+                               [Fraction(-4, 5), Fraction(3, 5)]])
+    tau1 = Mat2.from_rows(Q, [[0, 1], [-1, 0]])
+    tau2 = Mat2.from_rows(Q, [[1, 0], [0, -1]])
+    _assert_faults_show(monkeypatch,
+                        lambda: klein_four_relations(a, alpha, tau1, tau2))
+
+
+ZERO_DIVISORS = NumberField((-1, 0, 1))  # x^2 - 1: 1 + x and 1 - x
+
+
+def _zero_divisor_outcomes(count, seed):
+    """What `jorgensen_involution` and `klein_four_relations` give on
+    random matrices over Q[x]/(x^2 - 1), the klein tau1, tau2 of trace
+    zero: tau as JSON, a verdict, or the exception's type and message."""
+    rng = random.Random(seed)
+
+    def element():
+        return [rng.choice([-1, 0, 0, 1, 1, 2]), rng.choice([-1, 0, 0, 1])]
+
+    def matrix():
+        return Mat2.from_rows(ZERO_DIVISORS, [[element(), element()],
+                                              [element(), element()]])
+
+    def trace_zero():
+        p, q, r = element(), element(), element()
+        return Mat2.from_rows(ZERO_DIVISORS, [[p, q], [r, [-c for c in p]]])
+
+    def outcome(f, *mats):
+        try:
+            got = f(*mats)
+        except (ZeroDivisionError, ValueError) as exc:
+            return [type(exc).__name__, str(exc)]
+        return got.to_json() if isinstance(got, Mat2) else got
+
+    out = []
+    for _ in range(count):
+        out.append(outcome(jorgensen_involution, matrix(), matrix()))
+        out.append(outcome(klein_four_relations, matrix(), matrix(),
+                           trace_zero(), trace_zero()))
+    return out
+
+
+def test_zero_divisor_exits_unchanged():
+    # adjugates in place of Mat2.inverse raise where it raised: sha256 of
+    # the outcomes as captured when both functions called Mat2.inverse
+    out = _zero_divisor_outcomes(400, 5)
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
+        "2d1f46554402a0597a6726bbe6160d4f82740bd6ebc4037e6f44c1192c409d04"
+    kinds = {tuple(x) for x in out if isinstance(x, list) and x[0] in
+             ("ZeroDivisionError", "CommonFixedPoint")}
+    assert kinds == {("ZeroDivisionError", "inverse of zero or of a zero divisor"),
+                     ("ZeroDivisionError", "singular matrix"),
+                     ("CommonFixedPoint", "ab - ba is singular")}
+    assert any(x is True or isinstance(x, list) and isinstance(x[0], list)
+               for x in out)  # and some inputs pass
