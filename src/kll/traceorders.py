@@ -2,9 +2,10 @@
 R_k[1, a, b, ab] with its closure certificate, and the trace-zero
 involution ab - ba with its conjugation relations.
 
-Each trace identity and Cayley-Hamilton product is one relation
-sum c_i M_i + sum X_j Y_j = 0 over the field, the products folded into
-its one `numfield.dot` per entry (`_entries`).  `build_order` keeps the
+Each trace identity is one relation sum c_i M_i + sum X_j Y_j = 0 over
+the field, the products folded into its one `numfield.dot` per entry
+(`_entries`).  `build_order` checks the six once, then derives every
+Cayley-Hamilton product of its basis from them unchecked, and keeps the
 Fricke value tr[a, b] - 2 it tests for spanning as the order's
 discriminant generator.  Projective statements (order two, conjugation
 to inverses, Klein four) are decided by exact proportionality, so each
@@ -169,22 +170,24 @@ def _entries(k, scaled, products):
                          for x, y in products for t in (0, 1)])
 
 
-def verify_trace_identities(a, b):
-    """All six trace identities for unimodular a, b, checked exactly.
+def _certified_product(a, b):
+    """(ab, tr a, tr b, tr ab) once the six trace identities hold for
+    unimodular a, b, or None if one fails:
 
-    a + a^-1 = tr(a) 1                a^2 = tr(a) a - 1
-    a^2 b = tr(a) ab - b              aba = -tr(b) 1 + tr(ab) a + b
-    b^-1 a^-1 = tr(b) a^-1 - b a^-1   ba + ab = (tr(ab) - tr(a)tr(b)) 1 + tr(b) a + tr(a) b
+    (1) a + a^-1 = tr(a) 1               (2) a^2 = tr(a) a - 1
+    (3) a^2 b = tr(a) ab - b             (4) aba = -tr(b) 1 + tr(ab) a + b
+    (5) b^-1 a^-1 = tr(b) a^-1 - b a^-1
+    (6) ba + ab = (tr(ab) - tr(a)tr(b)) 1 + tr(b) a + tr(a) b
 
     Each is checked as sum c_i M_i + sum X_j Y_j = 0, one `dot` per entry;
     a^-1, b^-1 are the adjugates of the unimodular a, b and a^2 b is a (ab).
     """
-    _require_unimodular(a, b)
     k = a.field
     eye, one = Mat2.identity(k), k.one()
-    ta, tb = a.trace(), b.trace()
+    if not (a.det() - one).is_zero() or not (b.det() - one).is_zero():
+        raise NonUnimodular("both determinants must equal 1")
     ab = a * b
-    tab = ab.trace()
+    ta, tb, tab = a.trace(), b.trace(), ab.trace()
     ainv, binv = a.adjugate(), b.adjugate()
     identities = [
         (((one, a), (one, ainv), (-ta, eye)), ()),
@@ -194,8 +197,14 @@ def verify_trace_identities(a, b):
         (((-tb, ainv),), ((binv, ainv), (b, ainv))),
         (((one, ab), (ta * tb - tab, eye), (-tb, a), (-ta, b)), ((b, a),)),
     ]
-    return not any(any(_entries(k, scaled, products))
-                   for scaled, products in identities)
+    if any(any(_entries(k, scaled, products)) for scaled, products in identities):
+        return None
+    return ab, ta, tb, tab
+
+
+def verify_trace_identities(a, b):
+    """All six trace identities of `_certified_product`, checked exactly."""
+    return _certified_product(a, b) is not None
 
 
 @dataclass
@@ -216,29 +225,32 @@ def build_order(a, b):
     """R_k[1, a, b, ab] with the full 16-product closure certificate.
 
     Requires non-commuting unimodular a, b with integral tr(a), tr(b),
-    tr(ab).  By Cayley-Hamilton (x^2 = tr(x) x - 1) every product of
-    basis elements is an integer polynomial in those traces times the
-    basis, so the structure constants are integral; each of the nine
-    products without 1 is checked as an exact matrix identity.  The
-    basis spans exactly when tr[a, b] - 2 is nonzero.
+    tr(ab); raises ArithmeticError unless the six trace identities of
+    `_certified_product` hold, and takes ab and the traces from that
+    check.  The nine products without 1 follow from the identities:
+    (1,1), (1,3), (3,1) and (2,1) are identities 2, 3, 4 and 6, and (1,2)
+    is ab itself; (2,2) is identity 5 times a (b^-1 = tb - b) times b;
+    (3,2) is a times (2,2); (3,3) is identity 4 times b plus (2,2); (2,3)
+    is a^-1 times (3,3) plus identity 1.  So the structure constants are
+    integer polynomials in the traces.  The basis spans exactly when
+    tr[a, b] - 2 is nonzero.
     """
     field = a.field
-    _require_unimodular(a, b)
-    ab, one = a * b, field.one()
+    certified = _certified_product(a, b)
+    if certified is None:
+        raise ArithmeticError("a trace identity fails")
+    ab, ta, tb, tab = certified
+    one, zero = field.one(), field.zero()
     if not any(_entries(field, [(-one, ab)], [(b, a)])):
         raise CommutingGenerators("generators commute")
-    ta, tb, tab = a.trace(), b.trace(), ab.trace()
     for t in (ta, tb, tab):
         if not t.is_integral():
             raise NonIntegralTraces(f"trace {t} is not an algebraic integer")
     discriminant = _fricke_discriminant(ta, tb, tab)
     if discriminant.is_zero():
         raise CommutingGenerators("basis does not span the algebra")
-    basis = (Mat2.identity(field), a, b, ab)
-    zero = field.zero()
     e = [[one if k == i else zero for k in range(4)] for i in range(4)]
-    constants = {(i, 0): e[i] for i in range(4)} | {(0, j): e[j] for j in range(4)}
-    products = {
+    constants = {(i, 0): e[i] for i in range(4)} | {(0, j): e[j] for j in range(4)} | {
         (1, 1): [-one, ta, zero, zero],           # a^2 = ta a - 1
         (1, 2): e[3],
         (1, 3): [zero, zero, -one, ta],           # a ab = ta ab - b
@@ -249,19 +261,8 @@ def build_order(a, b):
         (3, 2): [zero, -one, zero, tb],           # ab b = tb ab - a
         (3, 3): [-one, zero, zero, tab],          # (ab)^2 = tab ab - 1
     }
-    for (i, j), coords in products.items():
-        if any(_entries(field, [(-c, m) for c, m in zip(coords, basis)],
-                        [(basis[i], basis[j])])):
-            raise ArithmeticError(f"Cayley-Hamilton identity fails at ({i},{j})")
-    constants.update(products)
-    return ElementaryOrder(field=field, basis=basis, structure_constants=constants,
-                           discriminant=discriminant)
-
-
-def _require_unimodular(a, b):
-    one = a.field.one()
-    if not (a.det() - one).is_zero() or not (b.det() - one).is_zero():
-        raise NonUnimodular("both determinants must equal 1")
+    return ElementaryOrder(field=field, basis=(Mat2.identity(field), a, b, ab),
+                           structure_constants=constants, discriminant=discriminant)
 
 
 def _fricke_discriminant(ta, tb, tab):
@@ -272,8 +273,13 @@ def _fricke_discriminant(ta, tb, tab):
 def jorgensen_involution(a, b):
     """tau = ab - ba: trace zero, projectively of order two, and
     conjugates a and b to their inverses.  All four properties are
-    certified exactly before returning."""
-    tau = a * b - b * a
+    certified exactly before returning.  Each entry of tau is one `dot`
+    over the four products of a row and a column of ab and of ba."""
+    k, p, q = a.field, a.entries, b.entries
+    tau = Mat2(k, tuple(tuple(
+        dot(k, [(p[r][t], q[t][s]) for t in (0, 1)]
+            + [(-q[r][t], p[t][s]) for t in (0, 1)])
+        for s in (0, 1)) for r in (0, 1)))
     if tau.det().is_zero():
         raise CommonFixedPoint("ab - ba is singular")
     if not tau.trace().is_zero():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import kll
-from kll import cli, taugraphs
+from kll import cli, taugraphs, traceorders
 from kll.cli import EXAMPLES, main, verify_paper_examples
 from kll.numfield import FieldElement
 from kll.trivalent import random_connected_trivalent
@@ -227,9 +227,11 @@ def test_order_command(capsys):
 
 # (poly, matrices, report): `kll order` on one generated pair over each
 # field of the benchmark's degree 1-4 list (perfbench/workloads.py
-# ORDER_FIELDS), then on a commuting pair.  The reports were captured
-# before field products went through `numfield.dot`; stdout must be each
-# report exactly as `_emit` prints it.
+# ORDER_FIELDS), then on a commuting pair and on a pair with the
+# non-integral trace 3/2.  The reports were captured before field
+# products went through `numfield.dot`, the last one before `build_order`
+# checked the identities ahead of integrality; stdout must be each report
+# exactly as `_emit` prints it.
 ORDER_STDOUT = [
     ([0, 1],
      {"a": [[[-7], [-2]], [[4], [1]]], "b": [[[7], [2]], [[17], [5]]]},
@@ -347,6 +349,13 @@ ORDER_STDOUT = [
      {"involution": {"exists": False, "reason": "ab - ba is singular"},
       "order": {"closed": False, "reason": "generators commute"},
       "trace_identities": True}),
+    ([0, 1],
+     {"a": [["1/2", 1], ["-1/2", 1]], "b": [[1, 0], [1, 1]]},
+     {"involution": {"exists": True,
+                     "matrix": [[["1"], ["0"]], [["1/2"], ["-1"]]]},
+      "order": {"closed": False,
+                "reason": "trace FieldElement(['3/2']) is not an algebraic integer"},
+      "trace_identities": True}),
 ]
 
 
@@ -358,6 +367,51 @@ def test_order_stdout_pinned(capsys, poly, matrices, report):
     assert main(["order", "--poly", json.dumps(poly),
                  "--matrices", json.dumps(matrices)]) == 0
     assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_order_jobs_decide_each_relation_once(monkeypatch, capsys):
+    # one check of the six identities certifies ab and the traces that
+    # the order table is derived from, and each entry of ab - ba is one
+    # dot; checking the identities twice and the table row by row took 1,417
+    calls = []
+    dot = traceorders.dot
+
+    def counted(k, pairs):
+        calls.append(k)
+        return dot(k, pairs)
+
+    monkeypatch.setattr(traceorders, "dot", counted)
+    for poly, matrices, report in ORDER_STDOUT:
+        assert main(["order", "--poly", json.dumps(poly),
+                     "--matrices", json.dumps(matrices)]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 891
+
+
+# sha256 of [[exit code, stdout], ...] over the 32 `order` jobs of the
+# benchmark's `fields` corpus at each seed, as `perfbench/workloads.py`
+# builds them for a 20 s run; captured before `build_order` derived its
+# table from the trace identities
+CORPUS_ORDER_DIGESTS = {
+    1: "eceb538051bed393780fd874daf9db733b3fbe02dfe3e3dc2fa16b5bd67af851",
+    31: "fe2e54b643503ee4ed608d59643ef67044c3943db7552e944d2bc634cc57742a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_ORDER_DIGESTS))
+def test_corpus_order_jobs_pinned(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "perfbench"))
+    import workloads
+    jobs = [job for job in workloads.build("fields", seed, 20, str(tmp_path))
+            if job["kind"] == "order"]
+    assert len(jobs) == 32
+    outs = []
+    for job in jobs:
+        code = main(job["argv"])
+        outs.append([code, capsys.readouterr().out])
+    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+    assert digest == CORPUS_ORDER_DIGESTS[seed]
 
 
 def test_order_and_klein_four_make_no_field_inversion(monkeypatch, capsys):
