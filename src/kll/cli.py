@@ -396,7 +396,7 @@ def cmd_quotient(args):
     if "klein_four" in spec:
         kf = spec["klein_four"]
         rep = finquot.normalizer_quotient_order(
-            primes, _flatten(kf["a"]), _flatten(kf["b"]), args.budget)
+            primes, _flatten(kf["a"]), _flatten(kf["b"]))
         report["normalizer"] = asdict(rep)
     _emit(report, args.output)
     return 0

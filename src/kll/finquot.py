@@ -5,7 +5,7 @@ Matrices are flat tuples (a, b, c, d) of elements of Z/m (`ModRing`,
 the integers 0..m-1); the projective canonical representative of M is
 min(M, -M).  Orders come from closure enumeration under an explicit
 budget, but no verdict on a product of PSL(2, p_i) enumerates the
-product.
+product, and the Klein-four normalizer enumerates no group at all.
 """
 
 from dataclasses import dataclass
@@ -233,43 +233,34 @@ class NormalizerReport:
     exact: bool
 
 
-def normalizer_quotient_order(primes, a_tuple, b_tuple, budget=None):
+def normalizer_quotient_order(primes, a_tuple, b_tuple):
     """Exact |N(H)/H| for H = {1, A, B, AB} inside prod PSL(2, p_i),
     against the lower bound 4^(n-1); each slot must hold a Klein
-    four-group, so the witness prod <A_i, B_i> has order 4^n.  g
-    normalizes H iff (gAg^-1, gBg^-1) is in H x H, which splits over the
-    factors: one pass over each PSL(2, p_i) (closed from S and T under
-    `budget`) counts the g_i sending (A_i, B_i) to each pair, and
-    |N(H)| = sum over (h, k) in H x H of prod_i count_i(h_i, k_i).
+    four-group V_i = <A_i, B_i>, so the witness prod V_i has order 4^n.
+
+    No group is enumerated.  g normalizes H iff conjugation by g
+    permutes {A, B, AB}, and then the permutation sigma is the same in
+    every slot.  Slot i realizes sigma iff sigma lies in the image of
+    N(V_i) in Sym(V_i - 1) = S_3.  That image is S_3 when N(V_i) = S_4,
+    which happens for p = +-1 mod 8, and A_3 when N(V_i) = A_4, which
+    happens for p = +-3 mod 8 and for p = 3, where PSL(2, 3) = A_4.
+    Each sigma is realized by |C(V_i)| = |V_i| = 4 elements (Dickson
+    1901; Huppert II.8.27).  So |N(H)| = 4^n |intersection of the
+    images|: 6 * 4^n when every p_i = +-1 mod 8, else 3 * 4^n.
     """
-    rings = [ModRing(p) for p in primes]
     one = (1, 0, 0, 1)
-    a, b = (tuple(map(proj_canonical, rings, t)) for t in (a_tuple, b_tuple))
-    ab = tuple(proj_canonical(r, mat_mul(r, x, y))
-               for r, x, y in zip(rings, a, b))
-    for i, (p, ring) in enumerate(zip(primes, rings)):
-        x, y = a[i], b[i]
-        xx, yy, yx = (proj_canonical(ring, mat_mul(ring, u, v))
-                      for u, v in ((x, x), (y, y), (y, x)))
-        if one in (x, y, ab[i]) or xx != one or yy != one or ab[i] != yx:
+    for i, (p, x, y) in enumerate(zip(primes, a_tuple, b_tuple, strict=True)):
+        ring = ModRing(p)
+        x, y = proj_canonical(ring, x), proj_canonical(ring, y)
+        xx, yy, xy, yx = (proj_canonical(ring, mat_mul(ring, u, v))
+                          for u, v in ((x, x), (y, y), (x, y), (y, x)))
+        if one in (x, y, xy) or xx != one or yy != one or xy != yx:
             raise ValueError(f"slot {i + 1}: A_{i + 1}, B_{i + 1} are not "
                              "commuting involutions spanning a Klein "
                              f"four-group in PSL(2, {p})")
-    counts = []
-    for i, (p, ring) in enumerate(zip(primes, rings)):
-        count = {}
-        for g in closure(ring, [(0, p - 1, 1, 0), (1, 1, 0, 1)],
-                         projective=True, budget=budget):
-            key = tuple(proj_canonical(ring, mat_mul(
-                ring, mat_mul(ring, g, m), mat_inv_sl(ring, g)))
-                for m in (a[i], b[i]))
-            count[key] = count.get(key, 0) + 1
-        counts.append(count)
-    H = ((one,) * len(rings), a, b, ab)
-    order = sum(prod(c.get((h[i], k[i]), 0) for i, c in enumerate(counts))
-                for h in H for k in H)
-    n, quotient = len(rings), order // len(H)
-    return NormalizerReport(subgroup_order=len(H), witness_order=4 ** n,
+    n = len(primes)
+    quotient = 4 ** (n - 1) * (6 if all(p % 8 in (1, 7) for p in primes)
+                               else 3)
+    return NormalizerReport(subgroup_order=4, witness_order=4 ** n,
                             quotient_order=quotient, bound=4 ** (n - 1),
                             holds=quotient >= 4 ** (n - 1), exact=True)
-

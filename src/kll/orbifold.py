@@ -181,24 +181,24 @@ class OrbifoldData:
     cores: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        ng = self.manifold.rank()
-        fixed = {}
         for e in self.locus.edges:
             if e.id not in self.meridians:
                 raise ValueError(f"missing meridian for edge {e.id}")
-            w = self.meridians[e.id]
-            w = parse_word(w, self.manifold.generators) if isinstance(w, str) \
-                else free_reduce(tuple(w))
-            if any(abs(x) > ng or x == 0 for x in w):
-                raise ValueError(f"meridian of {e.id} uses unknown generators")
-            fixed[e.id] = w
-        self.meridians = fixed
-        fixed_cores = {}
-        for eid, w in self.cores.items():
-            w = parse_word(w, self.manifold.generators) if isinstance(w, str) \
-                else free_reduce(tuple(w))
-            fixed_cores[eid] = w
-        self.cores = fixed_cores
+        self.meridians = {e.id: self._word("meridian", e.id,
+                                           self.meridians[e.id])
+                          for e in self.locus.edges}
+        self.cores = {eid: self._word("core", eid, w)
+                      for eid, w in self.cores.items()}
+
+    def _word(self, kind, eid, w):
+        """A meridian or core word, parsed from a string or reduced from
+        signed generator numbers, each of which must name a generator
+        of the manifold."""
+        w = parse_word(w, self.manifold.generators) if isinstance(w, str) \
+            else free_reduce(tuple(w))
+        if any(abs(x) > self.manifold.rank() or x == 0 for x in w):
+            raise ValueError(f"{kind} of {eid} uses unknown generators")
+        return w
 
     @classmethod
     def from_json(cls, obj):

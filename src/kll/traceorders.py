@@ -245,7 +245,9 @@ def build_order(a, b):
         raise CommutingGenerators("generators commute")
     for t in (ta, tb, tab):
         if not t.is_integral():
-            raise NonIntegralTraces(f"trace {t} is not an algebraic integer")
+            raise NonIntegralTraces(
+                f"trace [{', '.join(map(str, t.coeffs))}] is not an "
+                "algebraic integer")
     discriminant = _fricke_discriminant(ta, tb, tab)
     if discriminant.is_zero():
         raise CommutingGenerators("basis does not span the algebra")

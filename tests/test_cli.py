@@ -354,7 +354,7 @@ ORDER_STDOUT = [
      {"involution": {"exists": True,
                      "matrix": [[["1"], ["0"]], [["1/2"], ["-1"]]]},
       "order": {"closed": False,
-                "reason": "trace FieldElement(['3/2']) is not an algebraic integer"},
+                "reason": "trace [3/2] is not an algebraic integer"},
       "trace_identities": True}),
 ]
 

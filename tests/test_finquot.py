@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from kll import finquot
 from kll.fpgroups import BudgetExceeded
 from kll.finquot import (ModRing, closure, sl2_elements, psl2_elements,
                          psl2_order_formula, mat_det, mat_inv_sl, mat_mul,
@@ -238,6 +239,47 @@ def test_normalizer_matches_closed_form(primes):
     assert rep.quotient_order == _closed_form(primes)
 
 
+def _conjugate(p, x, m):
+    """x m x^-1 in PSL(2, p), for any invertible x."""
+    ring, (a, b, c, d) = ModRing(p), x
+    inv = pow(a * d - b * c, -1, p)
+    return mat_mul(ring, mat_mul(ring, x, m),
+                   (d * inv, -b * inv, -c * inv, a * inv))
+
+
+def klein_fours(p):
+    """Three Klein fours of PSL(2, p): `klein_four(p)`, its conjugate by
+    T, and one from the other conjugacy class when p = +-1 mod 8 (the
+    conjugate by diag(nu, 1), nu a non-square), else by S T."""
+    a, b = klein_four(p)
+    nu = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+    third = (nu, 0, 0, 1) if p % 8 in (1, 7) else (0, p - 1, 1, 1)
+    return [(a, b)] + [(_conjugate(p, x, a), _conjugate(p, x, b))
+                       for x in ((1, 1, 0, 1), third)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_normalizer_closed_form_matches_oracle_single_factor(p):
+    for a, b in klein_fours(p):
+        n_order, h_order = product_normalizer_order([p], (a,), (b,))
+        rep = normalizer_quotient_order([p], (a,), (b,))
+        assert (rep.subgroup_order, rep.quotient_order) == \
+            (h_order, n_order // h_order), (p, a, b)
+
+
+def test_normalizer_enumerates_no_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("normalizer_quotient_order enumerated a group")
+    monkeypatch.setattr(finquot, "closure", refuse)
+    monkeypatch.setattr(finquot, "_row_moves", refuse)
+    primes = [10007, 10009]
+    a, b = zip(*map(klein_four, primes))
+    t0 = time.time()
+    rep = normalizer_quotient_order(primes, a, b)
+    assert time.time() - t0 < 0.1
+    assert (rep.quotient_order, rep.witness_order) == (24, 16)
+
+
 def test_normalizer_single_factor_trivial_bound():
     rep = normalizer_quotient_order([5], (A1,), (B1,))
     assert rep.bound == 1
@@ -257,14 +299,6 @@ def test_normalizer_rejects_non_klein_four(b2):
             "slot 2: A_2, B_2 are not commuting involutions spanning a "
             "Klein four-group in PSL(2, 7)")):
         normalizer_quotient_order([5, 7], (A1, A2), (B1, b2))
-
-
-def test_normalizer_budget_caps_factor_closure():
-    # PSL(2, 5) fits in the budget; the PSL(2, 7) pass does not
-    with pytest.raises(BudgetExceeded) as exc:
-        normalizer_quotient_order([5, 7], (A1, A2), (B1, B2), budget=100)
-    assert (exc.value.budget, exc.value.limit, exc.value.reached) == \
-        ("closure order", 100, 101)
 
 
 def _pinned_budget(call, budget):

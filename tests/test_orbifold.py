@@ -68,6 +68,20 @@ def test_orbifold_presentation_circle():
     assert pres.relators == ((1, 1),)
 
 
+@pytest.mark.parametrize("words", [
+    {"cores": {"c": (5,)}}, {"cores": {"c": (1, 0)}}, {"cores": {"c": "ac"}},
+    {"meridians": {"c": (-3,)}}], ids=["core-5", "core-0", "core-c",
+                                       "meridian-minus-3"])
+def test_words_name_manifold_generators(words):
+    # one check for meridians and cores: every letter is a generator of
+    # the two-generator manifold (a core (5,) used to reach
+    # find_theorem55_phi and die there with an IndexError)
+    args = {"meridians": {"c": "a"}, "cores": {"c": "b"}} | words
+    with pytest.raises(ValueError, match="uses unknown generators|is not a "
+                                         "generator"):
+        OrbifoldData(Presentation.free(2), circle_locus(order=2), **args)
+
+
 def test_orbifold_presentation_empty_locus():
     F2 = Presentation.free(2)
     empty = SingularLocus((), ())

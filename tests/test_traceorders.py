@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -109,7 +110,8 @@ def test_build_order_rejects_nonintegral_traces():
     assert (a.det() - Q.one()).is_zero()
     assert a.trace().coeffs[0] == Fraction(3, 2)
     b = Mat2.from_rows(Q, [[1, 0], [1, 1]])
-    with pytest.raises(NonIntegralTraces):
+    with pytest.raises(NonIntegralTraces, match=re.escape(
+            "trace [3/2] is not an algebraic integer")):
         build_order(a, b)
 
 
