@@ -4,15 +4,16 @@ quotients decided from per-factor data.
 Matrices are flat tuples (a, b, c, d) of elements of Z/m (`ModRing`,
 the integers 0..m-1); the projective canonical representative of M is
 min(M, -M).  Orders come from closure enumeration under an explicit
-budget, but no verdict on a product of PSL(2, p_i) enumerates the
-product, and the Klein-four normalizer enumerates no group at all.
+budget, but no verdict on a product of PSL(2, p_i) enumerates a
+PSL(2, p), and the Klein-four normalizer enumerates no group at all.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import gcd, prod
 
 from .fpgroups import BudgetExceeded, orbit
+from .linalg import rank_modp
 
 
 class ModRing:
@@ -162,23 +163,19 @@ class ProductGroup:
     def order(self):
         return prod(psl2_order_formula(p) for p in self.primes)
 
-    def orbit(self, generators, budget=None):
-        """The subgroup the generators span, yielded breadth-first.  A
-        state is one pair of row numbers per factor (`closure`), and
-        each move, one per generator and none for its inverse, acts on
-        every factor at once."""
+    def closure(self, generators, budget=None):
+        """The subgroup the generators span.  A state is one pair of row
+        numbers per factor (`closure`), and each move, one per generator
+        and none for its inverse, acts on every factor at once."""
         if budget is None:
             budget = DEFAULT_ORDER_BUDGET
-        generators = list(generators)
         factors = [_row_moves(ring, [g[k] for g in generators], True, budget)
                    for k, ring in enumerate(self.rings)]
         rows, moves, start = zip(*factors)
-        for state in orbit([start], list(zip(*moves)),
-                           lambda x, move: tuple(map(_move, x, move)), budget):
-            yield tuple(r[i] + r[j] for r, (i, j) in zip(rows, state))
-
-    def closure(self, generators, budget=None):
-        return frozenset(self.orbit(generators, budget))
+        states = orbit([start], list(zip(*moves)),
+                       lambda x, move: tuple(map(_move, x, move)), budget)
+        return frozenset(tuple(r[i] + r[j] for r, (i, j) in zip(rows, state))
+                         for state in states)
 
     def all_elements(self, budget=None):
         if budget is None:
@@ -188,27 +185,75 @@ class ProductGroup:
         return list(product(*map(psl2_elements, self.rings)))
 
 
+def _psl2_onto(p, generators, budget):
+    """Do the generators span PSL(2, p), p >= 5?  A proper subgroup of
+    PSL(2, p) fixes a point of P^1(F_p), lies in a dihedral group of
+    order p - 1 or p + 1, or is A_4, S_4 or A_5 (Dickson, Linear Groups,
+    1901; Huppert II.8.27).  So one with no fixed point has at most
+    cap = max(p + 1, 60) elements, fewer than |PSL(2, p)| for p >= 7,
+    and the generators span PSL(2, p) iff they fix no common point and
+    their closure passes cap, or, at p = 5 where cap = |PSL(2, 5)|,
+    reaches it.  The closure runs under min(budget, cap); BudgetExceeded
+    propagates only when `budget` is the smaller."""
+    # a common fixed point: infinity, when every c = 0, or a root z of
+    # c z^2 + (d - a) z - b for every (a, b, c, d); all of P^1 for none
+    if all(g[2] % p == 0 for g in generators) or any(all(
+            (c * z * z + (d - a) * z - b) % p == 0
+            for a, b, c, d in generators) for z in range(p)):
+        return False
+    cap = max(p + 1, 60)
+    limit = cap if budget is None else min(budget, cap)
+    try:
+        image = closure(ModRing(p), generators, projective=True, budget=limit)
+    except BudgetExceeded:
+        if limit < cap:
+            raise
+        return True
+    return len(image) == psl2_order_formula(p)
+
+
+def _is_graph(p, pairs):
+    """Is the subgroup H of S x S, S = PSL(2, p) with p >= 5, that the
+    pairs (a, b) span the graph of an automorphism, given that H maps
+    onto both factors?  By Goursat, H is S x S or a graph
+    {(s, X s X^-1)}, as Aut(S) is PGL(2, p).  Take the maps Y with
+    Y rho_1(h) = rho_2(h) Y, where rho_k(h) = h_k (x) h_k: the same for
+    a generator and its sign class, since (-a) (x) (-a) = a (x) a, and
+    for the generators and the group they span.  For odd p,
+    V (x) V = Sym^2 V + Lambda^2 V, with Sym^2 V absolutely irreducible
+    and Lambda^2 V trivial.  For a graph, X (x) X carries rho_1 to
+    rho_2, so Schur's lemma leaves one scalar on each summand: dimension
+    2.  For S x S, Sym^2 of the first factor is trivial on 1 x S and
+    Sym^2 of the second is not, so only the trivial summands meet:
+    dimension 1.  So H is a graph iff the 16 unknowns of Y meet
+    equations of rank < 15 over F_p.
+    """
+    def square(g, u, v):  # (g (x) g)[u][v], u = 2i + j and v = 2k + l
+        return g[u // 2 * 2 + v // 2] * g[u % 2 * 2 + v % 2]
+    # coefficient of Y[u][v] in entry (r, s) of Y (a (x) a) - (b (x) b) Y
+    rows = [[(u == r) * square(a, v, s) - (v == s) * square(b, r, u)
+             for u in range(4) for v in range(4)]
+            for a, b in pairs for r in range(4) for s in range(4)]
+    return rank_modp(rows, 16, p) < 15
+
+
 def hall_onto(primes, generator_tuples, budget=None):
     """True when Hall's lemma proves that the tuples generate all of
     prod PSL(2, p_i), p_i >= 5: a subgroup of a product of nonabelian
     simple groups is everything iff it maps onto each factor and pair of
-    factors (P. Hall, The Eulerian functions of a group, 1936).  A pair
-    of distinct p is then onto (Goursat); a subdirect subgroup of S x S
-    is S x S or of order |S|, so an equal pair's closure stops past |S|.
-    False for a proper subgroup or when some p < 5.
+    factors (P. Hall, The Eulerian functions of a group, 1936).  Each
+    factor is decided by Dickson's list (`_psl2_onto`).  A pair of
+    distinct p is then onto (Goursat), and a pair of equal p unless it
+    is the graph of an automorphism (`_is_graph`).  No PSL(2, p) is
+    enumerated.  False for a proper subgroup or when some p < 5.
     """
-    for i, p in enumerate(primes):
-        image = closure(ModRing(p), [g[i] for g in generator_tuples],
-                        projective=True, budget=budget)
-        if p < 5 or len(image) != psl2_order_formula(p):
-            return False
-    for (i, p), (j, q) in combinations(enumerate(primes), 2):
-        if p == q:
-            pair = ProductGroup([p, p]).orbit(
-                [(g[i], g[j]) for g in generator_tuples], budget)
-            if next(islice(pair, psl2_order_formula(p), None), None) is None:
-                return False
-    return True
+    if any(p < 5 for p in primes) or not all(
+            _psl2_onto(p, [g[i] for g in generator_tuples], budget)
+            for i, p in enumerate(primes)):
+        return False
+    return not any(
+        p == q and _is_graph(p, [(g[i], g[j]) for g in generator_tuples])
+        for (i, p), (j, q) in combinations(enumerate(primes), 2))
 
 
 def product_surjectivity(primes, generator_tuples, budget=None):

@@ -103,10 +103,11 @@ class Mat2:
             raise ZeroDivisionError("singular matrix")
         return Mat2.combination(self.field, (det.inverse(),), (self.adjugate(),))
 
-    def projective_inverse(self):
+    def projective_inverse(self, det=None):
         """adj(m) = det(m) m^-1, raising ZeroDivisionError as `inverse`
-        does when det(m) is zero or a zero divisor (norm 0) of k."""
-        det = self.det()
+        does when det(m) is zero or a zero divisor (norm 0) of k; a
+        caller that has det(m) passes it."""
+        det = self.det() if det is None else det
         if det.is_zero():
             raise ZeroDivisionError("singular matrix")
         if not det.is_rational() and det.norm() == 0:
@@ -282,13 +283,14 @@ def jorgensen_involution(a, b):
         dot(k, [(p[r][t], q[t][s]) for t in (0, 1)]
             + [(-q[r][t], p[t][s]) for t in (0, 1)])
         for s in (0, 1)) for r in (0, 1)))
-    if tau.det().is_zero():
+    det = tau.det()
+    if det.is_zero():
         raise CommonFixedPoint("ab - ba is singular")
     if not tau.trace().is_zero():
         raise RelationFailure("trace of ab - ba is nonzero")
     if not (tau * tau).is_scalar():
         raise RelationFailure("square of the involution is not scalar")
-    tadj = tau.projective_inverse()
+    tadj = tau.projective_inverse(det)
     if not proportional(tau * a * tadj, a.projective_inverse()):
         raise RelationFailure("involution does not conjugate a to a^-1")
     if not proportional(tau * b * tadj, b.projective_inverse()):

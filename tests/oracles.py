@@ -6,6 +6,7 @@ implementation it checks.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import factorial, lcm
 import random
@@ -905,16 +906,19 @@ def _proj_mul(x, y, p):
     return min(m, (-m[0] % p, -m[1] % p, -m[2] % p, -m[3] % p))
 
 
+@cache
 def psl2_by_scan(p):
-    """PSL(2, p) as one matrix of each sign class of determinant 1."""
-    return sorted({_proj(m, p) for m in product(range(p), repeat=4)
-                   if (m[0] * m[3] - m[1] * m[2]) % p == 1})
+    """PSL(2, p) as one matrix of each sign class of determinant 1, in
+    sorted order; the p^4 scan runs once per prime."""
+    return tuple(sorted({_proj(m, p) for m in product(range(p), repeat=4)
+                         if (m[0] * m[3] - m[1] * m[2]) % p == 1}))
 
 
-def product_closure(primes, generators):
+def product_closure(primes, generators, limit=None):
     """The subgroup of prod PSL(2, p_i) that tuples of matrices generate,
     by breadth-first search with right multiplication by the generators
-    (in a finite group the monoid they generate is the subgroup)."""
+    (in a finite group the monoid they generate is the subgroup); with a
+    `limit`, the elements found by the time there are more than `limit`."""
     moves = [tuple(_proj(m, p) for m, p in zip(g, primes))
              for g in generators]
     start = tuple(_proj((1, 0, 0, 1), p) for p in primes)
@@ -928,6 +932,8 @@ def product_closure(primes, generators):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+                    if limit is not None and len(seen) > limit:
+                        return seen
         frontier = nxt
     return seen
 

@@ -371,8 +371,9 @@ def test_order_stdout_pinned(capsys, poly, matrices, report):
 
 def test_order_jobs_decide_each_relation_once(monkeypatch, capsys):
     # one check of the six identities certifies ab and the traces that
-    # the order table is derived from, and each entry of ab - ba is one
-    # dot; checking the identities twice and the table row by row took 1,417
+    # the order table is derived from, each entry of ab - ba is one dot,
+    # and det(ab - ba) is taken once; checking the identities twice and
+    # the table row by row took 1,417, and det(ab - ba) twice 891
     calls = []
     dot = traceorders.dot
 
@@ -385,7 +386,7 @@ def test_order_jobs_decide_each_relation_once(monkeypatch, capsys):
         assert main(["order", "--poly", json.dumps(poly),
                      "--matrices", json.dumps(matrices)]) == 0
     capsys.readouterr()
-    assert len(calls) <= 891
+    assert len(calls) <= 879
 
 
 # sha256 of [[exit code, stdout], ...] over the 32 `order` jobs of the
@@ -1156,15 +1157,43 @@ def test_budget_caps_dickson_witness_closures(capsys):
 
 
 def test_budget_caps_quotient_closure(tmp_path, capsys):
+    # an onto factor closes at most max(p + 1, 60) elements (Dickson), so
+    # only a budget below 60 stops PSL(2, 7); --budget 100 now exits 0
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"primes": [7], "generators": [
         [[[0, -1], [1, 0]]], [[[1, 1], [0, 1]]]]}))
-    assert main(["--budget", "100", "quotient", "--input", str(path)]) == 3
+    assert main(["--budget", "50", "quotient", "--input", str(path)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert (err["budget"], err["limit"], err["reached"]) == \
-        ("closure order", 100, 101)
-    assert main(["quotient", "--input", str(path)]) == 0
+        ("closure order", 50, 51)
+    assert main(["--budget", "100", "quotient", "--input", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["closure_order"] == 168
+
+
+def test_budget_caps_proper_quotient_closure(tmp_path, capsys):
+    # the upper-triangular group of PSL(2, 7), of order 21, fixes
+    # infinity: its closure is enumerated, and under the budget
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"primes": [7], "generators": [
+        [[[3, 0], [0, 5]]], [[[1, 1], [0, 1]]]]}))
+    assert main(["--budget", "20", "quotient", "--input", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["budget"], err["limit"], err["reached"]) == \
+        ("closure order", 20, 21)
+    assert main(["--budget", "21", "quotient", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["closure_order"], out["surjective"]) == (21, False)
+
+
+@pytest.mark.parametrize("primes", [[7], [7, 7]])
+def test_quotient_of_no_generators(tmp_path, capsys, primes):
+    # the trivial subgroup: every point of P^1 is a common fixed point
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"primes": primes, "generators": []}))
+    assert main(["quotient", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "primes": primes, "closure_order": 1,
+        "product_order": 168 ** len(primes), "surjective": False}
 
 
 def test_budget_caps_cheeger_sets(capsys):

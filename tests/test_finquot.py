@@ -12,6 +12,7 @@ from kll.finquot import (ModRing, closure, sl2_elements, psl2_elements,
                          product_surjectivity, normalizer_quotient_order,
                          hall_onto, ProductGroup, _row_moves)
 
+from exhaustive_closure import equal_pairs, single_factor_lists
 from oracles import (closure_by_products, product_closure,
                      product_normalizer_order, psl2_by_scan)
 
@@ -169,6 +170,67 @@ def test_hall_three_equal_factors():
     assert len(product_closure([7, 7, 7], proper)) == 168 ** 2
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_hall_onto_matches_oracle_single_factor(p):
+    # random, Borel, diagonal-with-swap and trace-zero generators and
+    # Dickson's witnesses, A_5 at p = 11, 19, 29 and 31 among them
+    verdicts = set()
+    for gens in single_factor_lists(p, random.Random(p), 3):
+        tuples = [(g,) for g in gens]
+        onto = hall_onto([p], tuples)
+        assert onto == (len(product_closure([p], tuples))
+                        == psl2_order_formula(p)), gens
+        verdicts.add(onto)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_hall_onto_matches_oracle_equal_pair(p):
+    # independent slots and inner and outer twists, with random signs.
+    # Both slots are onto, so by Goursat the closure has |S| or |S|^2
+    # elements, and from p = 11 the oracle stops once it passes |S|
+    order = psl2_order_formula(p)
+    limit = order if p >= 11 else None
+    verdicts = []
+    for gens in equal_pairs(p, random.Random(p), 2):
+        found = len(product_closure([p, p], gens, limit))
+        verdicts.append(hall_onto([p, p], gens))
+        assert verdicts[-1] == (found > order if limit else
+                                found == order ** 2), gens
+    assert verdicts == [True, False, False] * 2
+
+
+def _hall_onto_watched(monkeypatch, primes, gens):
+    """hall_onto, with each closure checked against Dickson's cap and
+    no ProductGroup built."""
+    close = finquot.closure
+
+    def capped(ring, generators, projective=False, budget=None):
+        cap = max(ring.m + 1, 60)
+        assert projective and budget is not None and budget <= cap
+        image = close(ring, generators, projective, budget)
+        assert len(image) <= cap
+        return image
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hall_onto built a ProductGroup")
+    monkeypatch.setattr(finquot, "closure", capped)
+    monkeypatch.setattr(finquot, "ProductGroup", refuse)
+    return hall_onto(primes, gens)
+
+
+def test_hall_onto_enumerates_no_psl2(monkeypatch):
+    s, s2, t = (0, 10006, 1, 0), (0, 10008, 1, 0), (1, 1, 0, 1)
+    t0 = time.time()
+    assert _hall_onto_watched(monkeypatch, [10007, 10009], [(s, s2), (t, t)])
+    assert time.time() - t0 < 1.0
+    assert not _hall_onto_watched(monkeypatch, [10007, 10007],
+                                  [(s, s), (t, t)])
+    assert _hall_onto_watched(monkeypatch, [5, 7, 7],
+                              [(S5, S7, T7), (T5, T7, S7)])
+    assert not _hall_onto_watched(monkeypatch, [7], [(g,) for g in _borel(7)])
+
+
 @pytest.mark.parametrize("primes, onto", [
     ([3, 5], True), ([2, 7], True), ([3, 3], False), ([2, 3], True)])
 def test_hall_small_factor_takes_closure_path(primes, onto):
@@ -324,7 +386,7 @@ def test_closure_budget_caps_element_stage():
     _pinned_budget(lambda: closure(ring, gens, True, budget=500), 500)
 
 
-def test_product_orbit_budget():
+def test_product_closure_budget():
     # each factor's rows fit; the 10,080 elements of the product do not
-    orbit = ProductGroup([5, 7]).orbit([(S5, S7), (T5, T7)], budget=1000)
-    _pinned_budget(lambda: list(orbit), 1000)
+    _pinned_budget(lambda: ProductGroup([5, 7]).closure(
+        [(S5, S7), (T5, T7)], budget=1000), 1000)
