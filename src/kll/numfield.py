@@ -62,15 +62,8 @@ class NumberField:
 
     @cached_property
     def reduction_rows(self):
-        """x^d, ..., x^(2d-2) mod min_poly as integer rows of length d:
-        x^d = -(f_0 + ... + f_(d-1) x^(d-1)), and each next row is x
-        times the last, its overflow x^d replaced by the first row."""
-        rows = []
-        row = tuple(-c for c in self.min_poly[:-1])
-        for _ in range(self.degree - 1):
-            rows.append(row)
-            row = tuple(a + row[-1] * r for a, r in zip((0,) + row[:-1], rows[0]))
-        return tuple(rows)
+        """x^d, ..., x^(2d-2) mod min_poly as integer rows of length d."""
+        return polys.reduction_rows(self.min_poly)
 
     @cached_property
     def irreducibility(self):

@@ -8,7 +8,11 @@ pseudo-remainder sequences, and resultants are Sylvester determinants
 by Bareiss elimination.  No rational arithmetic is done (`sturm_count`
 reads its rational endpoints as numerator and denominator, and
 `scaled_value` evaluates at them by homogeneous Horner), and nothing
-touches floats.
+touches floats.  Modulo a monic f of degree n over F_p, a product is a
+convolution plus c times x^(n+k) mod f (a `reduction_rows` row) for each
+coefficient c of x^(n+k).  As h -> h^p is F_p-linear, x^p mod f and the
+Frobenius matrix Q (row i = x^(ip) mod f) give each x^(p^d) mod f by one
+vector-matrix product, for irreducibility and distinct-degree splits.
 """
 
 from math import gcd, isqrt
@@ -80,6 +84,17 @@ def evaluate(f, x):
 
 def derivative(f):
     return normalize([i * a for i, a in enumerate(f)][1:])
+
+
+def reduction_rows(f, p=0):
+    """x^n, ..., x^(2n-2) mod a monic f of degree n as rows of length n,
+    over Z or, when p > 0, over F_p: x^n = -(f_0 + ... + f_(n-1) x^(n-1)),
+    and each next row is x times the last, its x^n replaced by the first."""
+    row, rows = [-c for c in f[:-1]], []
+    for _ in range(len(f) - 2):
+        rows.append([c % p for c in row] if p else row)
+        row = [a + rows[-1][-1] * r for a, r in zip([0] + rows[-1][:-1], rows[0])]
+    return rows
 
 
 def pseudo_divmod(f, g):
@@ -230,67 +245,99 @@ def is_perfect_square(n):
 # ---------------------------------------------------------------------------
 # Arithmetic in F_p[x]
 
+def _combine(coeffs, rows, acc, p):
+    """acc + sum c * row over the coefficients and rows, reduced mod p;
+    the list acc is overwritten."""
+    for c, row in zip(coeffs, rows):
+        c %= p
+        if c:
+            for i, r in enumerate(row):
+                acc[i] += c * r
+    return [c % p for c in acc]
+
+
+def _mulmod(a, b, rows, p):
+    """a b mod f over F_p for a, b of length n = deg f and f's rows."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in enumerate(b, i):
+                prod[j] += c * e
+    return _combine(prod[n:], rows, prod[:n], p)
+
+
+def _powmod(a, e, rows, p):
+    """a^e mod f for e >= 1, by left-to-right square and multiply."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _mulmod(out, out, rows, p)
+        if bit == "1":
+            out = _mulmod(out, a, rows, p)
+    return out
+
+
+def _frobenius_matrix(xp, rows, p):
+    """Berlekamp's Q: row i is x^(ip) mod f, from x^p mod f."""
+    q = [[1] + [0] * (len(xp) - 1), xp]
+    while len(q) < len(xp):
+        q.append(_mulmod(q[-1], xp, rows, p))
+    return q
+
+
+def _frobenius_powers(f, p):
+    """x^p, x^(p^2), ... mod a monic f of degree n >= 2 over F_p, as
+    vectors of length n; Q is built only once x^(p^2) is asked for."""
+    rows = reduction_rows(f, p)
+    h = _powmod([0, 1] + [0] * (len(f) - 3), p, rows, p)
+    yield h
+    q = _frobenius_matrix(h, rows, p)
+    while True:
+        h = _combine(h, q, [0] * len(h), p)
+        yield h
+
+
 def modp(f, p):
     return normalize([a % p for a in f])
+
+
+def _monic(f, p):
+    inv = pow(f[-1], -1, p)
+    return [(c * inv) % p for c in f]
 
 
 def modp_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("mod-p division by zero polynomial")
-    inv = pow(g[-1], -1, p)
+    inv, m = pow(g[-1], -1, p), len(g) - 1
     r = modp(f, p)
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    while len(r) >= len(g) and r:
-        c = (r[-1] * inv) % p
-        d = len(r) - len(g)
-        q[d] = c
-        for i, b in enumerate(g):
-            r[i + d] = (r[i + d] - c * b) % p
-        r = normalize(r)
-    return normalize(q), r
+    q = [0] * max(len(r) - m, 0)
+    for d in reversed(range(len(q))):
+        c = q[d] = (r.pop() * inv) % p
+        if c:
+            for i in range(m):
+                r[d + i] = (r[d + i] - c * g[i]) % p
+    return normalize(q), normalize(r)
 
 
 def modp_gcd(f, g, p):
+    """Monic gcd over F_p; [] when both are zero."""
     a, b = modp(f, p), modp(g, p)
     while b:
         a, b = b, modp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def modp_pow_mod(base, e, mod, p):
-    result = [1]
-    base = modp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = modp_divmod(mul(result, base), mod, p)[1]
-        base = modp_divmod(mul(base, base), mod, p)[1]
-        e >>= 1
-    return result
+    return _monic(a, p) if a else a
 
 
 def is_irreducible_modp(f, p):
-    """Rabin's test."""
+    """f mod p of degree n is irreducible iff gcd(x^(p^d) - x, f) = 1 for
+    every d <= n/2; stops at the first d where it is not."""
     f = modp(f, p)
     n = degree(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    # x^(p^n) == x mod f
-    xp = modp_pow_mod(x, p ** n, f, p)
-    if xp != modp_divmod(x, f, p)[1]:
-        return False
-    for q in sorted({q for q in _prime_factors_int(n)}):
-        m = n // q
-        xq = modp_pow_mod(x, p ** m, f, p)
-        g = modp_gcd(sub(xq, x), f, p)
-        if degree(g) != 0:
-            return False
-    return True
+    if n <= 1:
+        return n == 1
+    f = _monic(f, p)
+    return all(degree(modp_gcd(sub(h, [0, 1]), f, p)) == 0
+               for _, h in zip(range(n // 2), _frobenius_powers(f, p)))
 
 
 def is_prime(n):
@@ -326,6 +373,9 @@ def _squarefree_decomposition_modp(f, p):
             rec(h, mult * p)
             return
         w = modp_gcd(g, d, p)
+        if len(w) == 1:
+            out.append((g, mult))
+            return
         v = modp_divmod(g, w, p)[0]  # squarefree part
         k = 1
         while degree(v) > 0:
@@ -344,20 +394,16 @@ def _squarefree_decomposition_modp(f, p):
 
 
 def _distinct_degree_split(f, p):
-    """f squarefree monic; yield (product-of-deg-d-irreducibles, d)."""
-    out = []
-    x = [0, 1]
-    h = x
-    g = list(f)
-    d = 0
-    while degree(g) >= 2 * (d + 1):
-        d += 1
-        h = modp_pow_mod(h, p, g, p)
-        gd = modp_gcd(sub(h, x), g, p)
+    """f squarefree monic; [(product of the degree-d irreducibles, d)].
+    For g | f, gcd(x^(p^d) - x, g) may take x^(p^d) reduced mod f."""
+    out, g, d = [], f, 1
+    powers = _frobenius_powers(f, p)
+    while degree(g) >= 2 * d:
+        gd = modp_gcd(sub(next(powers), [0, 1]), g, p)
         if degree(gd) > 0:
             out.append((gd, d))
             g = modp_divmod(g, gd, p)[0]
-            h = modp_divmod(h, g, p)[1]
+        d += 1
     if degree(g) > 0:
         out.append((g, degree(g)))
     return out
@@ -368,29 +414,22 @@ def _equal_degree_split(f, d, p, rng):
     n = degree(f)
     if n == d:
         return [f]
+    rows = reduction_rows(f, p)
     while True:
         a = [rng.randrange(p) for _ in range(n)]
-        a = normalize(a)
-        if degree(a) < 1:
-            continue
-        g = modp_gcd(a, f, p)
-        if 0 < degree(g) < n:
-            pass
-        elif p == 2:
+        if p == 2:
             # trace map sum a^(2^i)
-            t = list(a)
-            acc = list(a)
+            b = t = a
             for _ in range(d - 1):
-                t = modp_pow_mod(t, 2, f, 2)
-                acc = add(acc, t)
-            g = modp_gcd(acc, f, 2)
+                t = _mulmod(t, t, rows, 2)
+                b = [u ^ v for u, v in zip(b, t)]
         else:
-            e = (p ** d - 1) // 2
-            b = modp_pow_mod(a, e, f, p)
-            g = modp_gcd(sub(b, [1]), f, p)
+            b = _powmod(a, (p ** d - 1) // 2, rows, p)
+            b[0] -= 1
+        g = modp_gcd(b, f, p)
         if 0 < degree(g) < n:
-            h = modp_divmod(f, g, p)[0]
-            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(h, d, p, rng)
+            return (_equal_degree_split(g, d, p, rng)
+                    + _equal_degree_split(modp_divmod(f, g, p)[0], d, p, rng))
 
 
 def factor_modp(f, p):
@@ -402,14 +441,11 @@ def factor_modp(f, p):
     f = modp(f, p)
     if degree(f) < 1:
         return []
-    lead_inv = pow(f[-1], -1, p)
-    f = [(c * lead_inv) % p for c in f]
+    f = _monic(f, p)
     rng = random.Random(hash((tuple(f), p)) & 0xFFFFFFFF)
     factors = []
     for sqf, mult in _squarefree_decomposition_modp(f, p):
-        inv = pow(sqf[-1], -1, p)
-        sqf = [(c * inv) % p for c in sqf]
-        for block, d in _distinct_degree_split(sqf, p):
+        for block, d in _distinct_degree_split(_monic(sqf, p), p):
             for irr in _equal_degree_split(block, d, p, rng):
                 factors.append((tuple(irr), mult))
     factors.sort(key=lambda t: (len(t[0]), t[0]))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import kll
-from kll import cli, taugraphs, traceorders
+from kll import cli, polys, taugraphs, traceorders
 from kll.cli import EXAMPLES, main, verify_paper_examples
 from kll.numfield import FieldElement
 from kll.trivalent import random_connected_trivalent
@@ -399,20 +399,63 @@ CORPUS_ORDER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(CORPUS_ORDER_DIGESTS))
-def test_corpus_order_jobs_pinned(tmp_path, monkeypatch, capsys, seed):
+def _fields_corpus_jobs(tmp_path, monkeypatch, seed, kind):
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
                                              os.pardir, "perfbench"))
     import workloads
-    jobs = [job for job in workloads.build("fields", seed, 20, str(tmp_path))
-            if job["kind"] == "order"]
-    assert len(jobs) == 32
+    return [job for job in workloads.build("fields", seed, 20, str(tmp_path))
+            if job["kind"] == kind]
+
+
+def _corpus_digest(jobs, capsys):
     outs = []
     for job in jobs:
         code = main(job["argv"])
         outs.append([code, capsys.readouterr().out])
-    digest = hashlib.sha256(json.dumps(outs).encode()).hexdigest()
-    assert digest == CORPUS_ORDER_DIGESTS[seed]
+    return hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_ORDER_DIGESTS))
+def test_corpus_order_jobs_pinned(tmp_path, monkeypatch, capsys, seed):
+    jobs = _fields_corpus_jobs(tmp_path, monkeypatch, seed, "order")
+    assert len(jobs) == 32
+    assert _corpus_digest(jobs, capsys) == CORPUS_ORDER_DIGESTS[seed]
+
+
+# sha256 of [[exit code, stdout], ...] over the 48 `field` split jobs of
+# the same corpus, captured before F_p[x] arithmetic reduced through
+# reduction rows and walked the Frobenius matrix
+CORPUS_SPLIT_DIGESTS = {
+    1: "bf9420654f9fe2b7d6550cc784db129af2c7b47de5167198d9f21cd467496060",
+    31: "dd38f658918ad29093457c6fba4e0b32c5e3b0a3d2e0d211dfdb7152ba8673e5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_SPLIT_DIGESTS))
+def test_corpus_split_jobs_pinned(tmp_path, monkeypatch, capsys, seed):
+    jobs = _fields_corpus_jobs(tmp_path, monkeypatch, seed, "split")
+    assert len(jobs) == 48
+    assert _corpus_digest(jobs, capsys) == CORPUS_SPLIT_DIGESTS[seed]
+
+
+def test_split_jobs_make_no_polynomial_products(tmp_path, monkeypatch, capsys):
+    # products mod f reduce through reduction rows and every x^(p^d) is a
+    # vector times the Frobenius matrix, so neither the irreducibility
+    # certificate nor factor_modp calls polys.mul; powering by mul and
+    # division made 1,919 calls over these 48 jobs
+    calls = []
+    mul = polys.mul
+
+    def counted(f, g):
+        calls.append((f, g))
+        return mul(f, g)
+
+    monkeypatch.setattr(polys, "mul", counted)
+    jobs = _fields_corpus_jobs(tmp_path, monkeypatch, 1, "split")
+    for job in jobs:
+        assert main(job["argv"]) == 0
+    capsys.readouterr()
+    assert len(jobs) == 48 and calls == []
 
 
 def test_order_and_klein_four_make_no_field_inversion(monkeypatch, capsys):

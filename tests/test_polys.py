@@ -4,9 +4,10 @@ from kll import polys
 from kll.numfield import _next_prime
 from kll.quatalg import _euler_phi
 
+from exhaustive_modp import frobenius_mismatch, monic_polynomials, repeated_mismatches
 from exhaustive_sturm import mismatches
-from oracles import (_divmod_q, brute_factor_modp, fraction_resultant,
-                     grid_real_root_count)
+from oracles import (_divmod_q, _is_irreducible_by_trial, brute_factor_modp,
+                     fraction_resultant, grid_real_root_count)
 
 
 def test_mul_divmod_roundtrip():
@@ -123,7 +124,30 @@ def test_factor_modp_multiplicities():
 def test_irreducibility_modp():
     assert polys.is_irreducible_modp([1, 1, 1], 2)        # x^2+x+1
     assert not polys.is_irreducible_modp([1, 0, 1], 2)    # (x+1)^2
-    assert polys.is_irreducible_modp([1, 2, 0, 1], 3) in (True, False)
+    # every monic polynomial of degree 1-4 mod 2, 3 and 5 and of degree
+    # 5-6 mod 2, against trial division
+    cases = [(p, 1, 4) for p in (2, 3, 5)] + [(2, 5, 6)]
+    checks = 0
+    for p, low, high in cases:
+        for f in monic_polynomials(p, low, high):
+            assert polys.is_irreducible_modp(f, p) == _is_irreducible_by_trial(f, p), (f, p)
+            checks += 1
+    assert checks == 30 + 120 + 780 + 96
+
+
+def test_factor_modp_repeated_factors():
+    # g^2 h and g^3 up to degree 7 at p <= 13: multiplicities against
+    # trial division, and never irreducible
+    assert repeated_mismatches(300, max_degree=7) == (900, [])
+
+
+def test_frobenius_matrix_rows():
+    # row i of Q is x^(ip) mod f, by the oracle's long division
+    rng = random.Random(40)
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 31, 97])
+        f = [rng.randrange(p) for _ in range(rng.randint(2, 9))] + [rng.randrange(1, p)]
+        assert frobenius_mismatch(f, p) is None
 
 
 def test_cauchy_bound_contains_roots():
